@@ -9,10 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
-
-Rational = Union[int, Fraction]
-Number = Union[int, float, Fraction]
 
 
 def frac(x) -> Fraction:
@@ -26,10 +22,6 @@ def frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x.strip())
     raise TypeError(f"cannot interpret {x!r} as a rational number")
-
-
-def floor_frac(x: Fraction) -> int:
-    return math.floor(x)
 
 
 def sqrt_exact(x: Fraction):

@@ -4,18 +4,26 @@ Three routes:
 
 * ``brute_force_min``   exhaustive oracle (full 2^N sweep, or subset
   enumeration when only C(N, k) is small); exact, guarded.
-* ``column_dp_min``     exact open-chain minimum via dynamic programming
-  over per-column occupation counts, each column filled bottom-up.
+* ``column_dp_min``     open-chain minimum over prefix profiles by dynamic
+  programming over per-column occupation counts, each column filled
+  bottom-up.
 * ``periodic_min``      exact when the brute-force guard allows it,
   otherwise the better of a cyclic column DP and simulated annealing,
   flagged as an upper bound.
 
+Both column DPs share one core (``_column_dp``): each column step takes
+the minimum over the previous column's count as an L1 distance transform,
+two running minima over the count axis vectorised over the volume axis,
+so a solve costs O(ncols n k) rather than O(ncols n^2 k).
+
 The DP searches prefix profiles only: within each column the occupied
 sites form a bottom prefix.  Moving every column's sites to the bottom
 does not always lower the energy configuration-by-configuration (the
-cross-column wrap pair can flip against it), but the minimum over prefix
-profiles still matches the exhaustive minimum on every instance we can
-afford to enumerate; `tests/test_acceptance.py` pins that equivalence.
+cross-column wrap pair can flip against it), and the minimum over prefix
+profiles is not always the open minimum either: at (n, L, k) = (6, 5/4, 39)
+it is 7/6, while a volume-39 configuration with zeros at sites 37-39 and
+43-45 has energy 1.  Every such case found so far has a partial last column
+and N > 28, beyond the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -284,67 +292,155 @@ def brute_force_min(n: int, L, k: int, boundary="open") -> SolveResult:
 # --- column dynamic program ---------------------------------------------------
 
 
-def _transition_cost(n: int, h_prev: int, h: int) -> np.ndarray:
-    """cost[a1, a2] of following a count-a1 column (height h_prev) by a count-a2
-    column (height h): horizontal clip term + wrap pair + internal jump."""
-    a1 = np.arange(n + 1)[:, None]
-    a2 = np.arange(n + 1)[None, :]
-    horizontal = np.abs(np.minimum(a1, h) - a2)
-    wrap = ((a1 == h_prev) != (a2 >= 1)).astype(np.int64)
-    internal = ((a2 > 0) & (a2 < h)).astype(np.int64)
-    cost = horizontal + wrap + internal
-    cost[np.arange(n + 1) > h_prev, :] = _INF
-    cost[:, np.arange(n + 1) > h] = _INF
-    return cost
+def _step_terms(h: int, unit: int, wrap: bool) -> tuple[np.ndarray, ...]:
+    """Cost columns over a2 = 0..h for ``_column_step`` into a column of height h.
+
+    Returns ``(ramp, up, down, top)`` scaled by ``unit``: ``ramp`` is a2,
+    ``up``/``down`` are the wrap and internal terms of the rows a1 < h_prev
+    plus/minus a2, and ``top`` is the whole cost of the row a1 == h_prev.
+    """
+    a2 = np.arange(h + 1)[:, None]
+    internal = ((0 < a2) & (a2 < h)).astype(np.int64)
+    rest = unit * (int(wrap) * (a2 >= 1) + internal)
+    top = unit * (h - a2 + int(wrap) * (a2 == 0) + internal)
+    return unit * a2, rest + unit * a2, rest - unit * a2, top
+
+
+def _column_step(enc: np.ndarray, h_prev: int, terms, big: int) -> np.ndarray:
+    """One step of the column DP: a column of height h after one of height h_prev.
+
+    ``enc[a1, c]`` is ``value * unit + a1``, where ``value`` is the least
+    mismatch count of a prefix profile whose current column holds a1 ones
+    and whose columns so far hold ``lo + c`` ones (``lo`` is the caller's
+    window start).  Since unit > n, a minimum over encoded states also
+    keeps the smallest a1.  Rows above h_prev are unreachable (>= big).
+    Only the last column may be shorter, so h <= h_prev.  ``terms`` is
+    ``_step_terms(h, unit, wrap)``.  Returns ``out`` of shape
+    (n + 1, C + n) with
+
+        out[a2, c] = min over a1 of enc[a1, c - a2] + unit * cost(a1, a2),
+        cost(a1, a2) = |min(a1, h) - a2|              horizontal pairs
+                     + [(a1 == h_prev) != (a2 >= 1)]  wrap pair (if ``wrap``)
+                     + [0 < a2 < h]                   internal jump,
+
+    whose low bits hold the minimizing a1.  The horizontal term makes the
+    minimum over a1 an L1 distance transform (Felzenszwalb & Huttenlocher,
+    "Distance Transforms of Sampled Functions", Theory of Computing 8,
+    2012): one forward and one backward running minimum over the count
+    axis, vectorised over the volume axis, so a step costs O(n C) rather
+    than O(n^2 C).  The a1 == h_prev row differs in its wrap term and is
+    taken on its own.
+    """
+    ramp, up, down, top = terms
+    h = len(ramp) - 1
+    R, C = enc.shape
+
+    # rows a1 < h_prev at position min(a1, h), minus the ramp; on a partial
+    # column (h < h_prev) rows h .. h_prev-1 all land on position h
+    forward = enc[: h + 1] - ramp
+    forward[h] = enc[h:h_prev].min(axis=0) - ramp[h] if h < h_prev else big
+    backward = forward + 2 * ramp
+    np.minimum.accumulate(forward, axis=0, out=forward)
+    np.minimum.accumulate(backward[::-1], axis=0, out=backward[::-1])
+    forward += up
+    backward += down
+
+    # best[a2] is written into a padded buffer whose rows, read back with
+    # a row stride one element shorter, come out shifted right by a2
+    padded = np.full((R, C + R), big, np.int64)
+    best = padded[: h + 1, R:]
+    np.minimum(forward, backward, out=best)
+    np.minimum(best, enc[h_prev] + top, out=best)
+    return padded.ravel()[R:].reshape(R, C + R - 1)
+
+
+def _column_dp(n: int, heights: tuple[int, ...], k: int, first_counts,
+               seam=None) -> Optional[tuple[int, list[int]]]:
+    """Least mismatch count over prefix profiles of volume k, and its counts.
+
+    The first column may hold any count in ``first_counts``; each further
+    column is one ``_column_step``.  ``seam = (before, after)`` adds
+    ``before[a]`` for the second to last column's count a and ``after[a]``
+    for the last column's: the cyclic closure, whose cost splits that way.
+    At n = 1 the wrap pair and the horizontal pair are the same pair, so it
+    is counted once.  Only volumes that can still reach k are kept: after
+    columns 0..ci, holding S sites, the window is [k - (N - S), S] within
+    [0, k], so the work is O(ncols n min(k, N - k)).  Ties break toward the
+    smaller count, then the smaller column index.  Returns None when no
+    profile has volume k.
+    """
+    N = sum(heights)
+    unit = 1 << n.bit_length()
+    big = _INF * unit
+    rows = np.arange(n + 1)[:, None]
+    terms = {h: _step_terms(h, unit, n > 1) for h in set(heights)}
+    parent_type = np.min_scalar_type(n)
+    ends = np.cumsum(heights)
+
+    def window(ci):
+        return max(0, k - (N - int(ends[ci]))), min(k, int(ends[ci]))
+
+    lo, hi = window(0)
+    enc = np.full((n + 1, hi - lo + 1), big, np.int64)
+    for a in first_counts:
+        if lo <= a <= hi:
+            enc[a, a - lo] = unit * (0 < a < heights[0]) + a
+
+    parents = [(lo, None)]
+    for ci in range(1, len(heights)):
+        if seam is not None and ci == len(heights) - 1:
+            enc = enc + unit * seam[0][:, None]
+        out = _column_step(enc, heights[ci - 1], terms[heights[ci]], big)
+        lo_next, hi = window(ci)
+        out = out[:, lo_next - lo : hi - lo + 1]
+        lo = lo_next
+        low = out & (unit - 1)
+        parents.append((lo, low.astype(parent_type)))
+        enc = out ^ low
+        enc |= rows
+    if seam is not None:
+        enc = enc + unit * seam[1][:, None]
+
+    best = int(enc[:, k - lo].min())  # the last window is [k, k]
+    total, a = best // unit, best % unit
+    if total >= _INF:
+        return None
+    counts = [0] * len(heights)
+    v = k
+    for ci in range(len(heights) - 1, 0, -1):
+        counts[ci] = a
+        lo, parent = parents[ci]
+        a = int(parent[a, v - lo])
+        v -= counts[ci]
+    counts[0] = a
+    return total, counts
 
 
 def column_dp_min(n: int, L, k: int) -> SolveResult:
-    """Exact open-chain minimum at volume k via DP over column prefix counts.
+    """Least open energy at volume k over prefix profiles, by a DP over columns.
 
-    State: (column, count, volume used); transition cost as in
-    ``_transition_cost``; the first column contributes its own internal
-    jump.  Ties break toward the smaller count, then the smaller column
-    index, so the returned profile is deterministic.
+    Prefix profile: within each column the occupied sites form a bottom
+    prefix, so a column is described by its count.  State: (column, count,
+    volume used); each column step is an L1 distance transform over the
+    count axis, vectorised over the volume axis (``_column_step``), so the
+    DP costs O(ncols n k) time and backtracking memory, one byte per state
+    for n <= 255.  The first column contributes its own internal jump.  Ties
+    break toward the smaller count, then the smaller column index, so the
+    returned profile is deterministic.
+
+    Prefix profiles do not always contain an open minimizer: at
+    (n, L, k) = (6, 5/4, 39) this returns 7/6, while a configuration of
+    volume 39 with energy 1 exists.  The ``exact`` flag does not say so yet.
     """
     L = frac(L)
     N = site_count(n, L)
     if not 0 <= k <= N:
         raise ValueError(f"volume {k} outside [0, {N}]")
     heights = column_heights(n, L)
-    ncols = len(heights)
-
-    dp = np.full((n + 1, k + 1), _INF, np.int64)
-    h1 = heights[0]
-    for a in range(min(h1, k) + 1):
-        dp[a, a] = 1 if 0 < a < h1 else 0
-
-    parents = np.zeros((ncols, n + 1, k + 1), np.int16)
-    for ci in range(1, ncols):
-        cost = _transition_cost(n, heights[ci - 1], heights[ci])
-        ndp = np.full_like(dp, _INF)
-        for a2 in range(heights[ci] + 1):
-            cand = dp + cost[:, a2][:, None]
-            best = cand.min(axis=0)
-            arg = cand.argmin(axis=0)
-            if a2 > k:
-                break
-            ndp[a2, a2:] = best[: k + 1 - a2]
-            parents[ci, a2, a2:] = arg[: k + 1 - a2]
-        dp = ndp
-
-    final = dp[:, k]
-    total = int(final.min())
-    if total >= _INF:
-        raise ValueError(f"volume {k} not representable over {ncols} columns")
-    a_cur = int(final.argmin())
-
-    counts = [0] * ncols
-    v = k
-    for ci in range(ncols - 1, 0, -1):
-        counts[ci] = a_cur
-        v -= a_cur
-        a_cur = int(parents[ci, counts[ci], v + counts[ci]])
-    counts[0] = a_cur
+    found = _column_dp(n, heights, k, range(min(heights[0], k) + 1))
+    if found is None:
+        raise ValueError(f"volume {k} not representable over {len(heights)} columns")
+    total, counts = found
 
     profile = ColumnProfile(n, heights, tuple(counts))
     cfg = profile_to_config(profile, L)
@@ -356,83 +452,46 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
 # --- periodic: cyclic DP and annealing ----------------------------------------
 
 
-def _prefix_range_mismatch(A: int, B: int, lo: int, hi: int) -> int:
-    """|{i in (lo, hi] : (i <= A) != (i <= B)}| for threshold indicators."""
-    ca = min(max(A, lo), hi)
-    cb = min(max(B, lo), hi)
-    return abs(ca - cb)
-
-
 def _cyclic_dp(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
     """Best periodic energy over cyclic prefix profiles; upper bound on the minimum.
 
-    Runs the open-chain DP with the first-column count pinned, then adds
-    the seam terms: the distance N-1 pair and the n distance N-n pairs
-    (shifted by the column defect when the last column is partial).
+    Runs the column DP (``_column_dp``) once per pinned first-column count
+    and adds the seam: the distance N-1 pair and the n distance N-n pairs
+    (shifted by the column defect when the last column is partial).  The
+    seam cost splits into a term in the second to last column's count and
+    a term in the last column's count, so it enters as two vectors.
     """
     N = site_count(n, L)
     if n < 2 or N <= 2 * n:  # distance classes collide; not worth special-casing
         return None
     heights = column_heights(n, L)
-    ncols = len(heights)
-    if ncols < 3:
+    if len(heights) < 3:
         return None
     lam = lambda_defect(n, L)
+    counts = np.arange(n + 1)
 
-    best_total = None
-    best_counts = None
+    best = None
     for a1 in range(min(heights[0], k) + 1):
-        dp = np.full((n + 1, k + 1), _INF, np.int64)
-        dp[a1, a1] = 1 if 0 < a1 < heights[0] else 0
-        parents = np.zeros((ncols, n + 1, k + 1), np.int16)
-        for ci in range(1, ncols):
-            cost = _transition_cost(n, heights[ci - 1], heights[ci])
-            if ci == ncols - 1:
-                cost = cost.copy()
-                # seam horizontal terms tie the last column(s) back to column 1
-                for ap in range(n + 1):
-                    for al in range(n + 1):
-                        if cost[ap, al] >= _INF:
-                            continue
-                        if lam:
-                            seam = _prefix_range_mismatch(a1, ap - lam, 0, n - lam)
-                            seam += _prefix_range_mismatch(
-                                a1, al + n - lam, n - lam, n)
-                        else:
-                            seam = abs(a1 - al)
-                        seam += 1 if (a1 >= 1) != (al == heights[-1]) else 0
-                        cost[ap, al] += seam
-            ndp = np.full_like(dp, _INF)
-            for a2 in range(heights[ci] + 1):
-                if a2 > k:
-                    break
-                cand = dp + cost[:, a2][:, None]
-                best = cand.min(axis=0)
-                arg = cand.argmin(axis=0)
-                ndp[a2, a2:] = best[: k + 1 - a2]
-                parents[ci, a2, a2:] = arg[: k + 1 - a2]
-            dp = ndp
-        final = dp[:, k]
-        total = int(final.min())
-        if total >= _INF:
-            continue
-        a_cur = int(final.argmin())
-        counts = [0] * ncols
-        v = k
-        for ci in range(ncols - 1, 0, -1):
-            counts[ci] = a_cur
-            v -= a_cur
-            a_cur = int(parents[ci, counts[ci], v + counts[ci]])
-        counts[0] = a_cur
-        if best_total is None or total < best_total:
-            best_total, best_counts = total, counts
+        # distance N-n pairs of the first column against the last n sites,
+        # which start lam sites up the second to last column when lam != 0
+        if lam:
+            before = np.abs(min(a1, n - lam) - np.clip(counts - lam, 0, n - lam))
+            after = np.abs(max(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
+        else:
+            before = np.zeros(n + 1, np.int64)
+            after = np.abs(a1 - counts)
+        after += (a1 >= 1) != (counts == heights[-1])  # distance N-1 pair
+        found = _column_dp(n, heights, k, (a1,), seam=(before, after))
+        if found is not None and (best is None or found[0] < best[0]):
+            best = found
 
-    if best_total is None:
+    if best is None:
         return None
+    total, best_counts = best
     profile = ColumnProfile(n, heights, tuple(best_counts))
     cfg = profile_to_config(profile, L)
     value = energy_periodic(cfg)
-    assert value == Fraction(best_total, n), "cyclic DP seam accounting is off"
+    assert value == Fraction(total, n), "cyclic DP seam accounting is off"
     return SolveResult(value, cfg, "ColumnDP", False, profile=profile)
 
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from spinchain import (
@@ -14,8 +15,10 @@ from spinchain import (
     block_rearrange,
     brute_force_min,
     column_dp_min,
+    column_heights,
     energy_open,
     energy_periodic,
+    lambda_defect,
     periodic_min,
     profile_to_config,
     site_count,
@@ -143,6 +146,18 @@ class TestColumnDP:
         for k in range(N + 1):
             assert column_dp_min(n, L, k).value == brute_force_min(n, L, k).value
 
+    def test_single_row_counts_each_pair_once(self):
+        # at n = 1 the wrap pair and the horizontal pair are the same pair
+        for L in range(1, 9):
+            for k in range(L + 1):
+                assert column_dp_min(1, L, k).value == brute_force_min(1, L, k).value
+
+    def test_counts_above_255_backtrack(self):
+        # past n = 255 the backtracking pointers need two bytes
+        res = column_dp_min(300, F(1, 100), 800)
+        assert res.profile.counts == (267, 267, 266)
+        assert res.value == F(6, 300)
+
     def test_profile_reevaluates(self):
         rng = random.Random(8)
         for _ in range(40):
@@ -163,6 +178,141 @@ class TestColumnDP:
         # half-full domain: five full columns, one seam: (n + 1)/n^2 scaled
         res = column_dp_min(10, 1, 50)
         assert res.value == F(11, 10)
+
+
+# --- dense reference for the column DP ----------------------------------------
+#
+# A dense column DP: the full (n+1) x (n+1) transition matrix and a
+# minimum per next count, O(n^2) per state.  It runs over every
+# volume up to N at once (ndp[:, v] depends on volumes <= v only), so one run
+# per first-column count serves every k.  The cyclic seam is evaluated pair
+# by pair, not split into the two vectors the solver uses.
+
+DENSE_INF = 1 << 30
+
+
+def _transition_cost(n, h_prev, h):
+    a1 = np.arange(n + 1)[:, None]
+    a2 = np.arange(n + 1)[None, :]
+    horizontal = np.abs(np.minimum(a1, h) - a2)
+    wrap = ((a1 == h_prev) != (a2 >= 1)).astype(np.int64)
+    internal = ((a2 > 0) & (a2 < h)).astype(np.int64)
+    cost = horizontal + wrap + internal
+    cost[np.arange(n + 1) > h_prev, :] = DENSE_INF
+    cost[:, np.arange(n + 1) > h] = DENSE_INF
+    return cost
+
+
+def _prefix_range_mismatch(A, B, lo, hi):
+    return abs(min(max(A, lo), hi) - min(max(B, lo), hi))
+
+
+def _seam_cost(n, L, a1):
+    """cost[ap, al] the cyclic closure adds between the last two columns."""
+    lam = lambda_defect(n, L)
+    h_last = column_heights(n, L)[-1]
+    cost = np.zeros((n + 1, n + 1), np.int64)
+    for ap in range(n + 1):
+        for al in range(n + 1):
+            if lam:
+                seam = _prefix_range_mismatch(a1, ap - lam, 0, n - lam)
+                seam += _prefix_range_mismatch(a1, al + n - lam, n - lam, n)
+            else:
+                seam = abs(a1 - al)
+            cost[ap, al] = seam + ((a1 >= 1) != (al == h_last))
+    return cost
+
+
+def dense_dp(n, L, first_counts, cyclic_a1=None):
+    """Tables dp[a, v] of the last column and parents[ci, a, v], v = 0..N."""
+    heights = column_heights(n, L)
+    N = sum(heights)
+    dp = np.full((n + 1, N + 1), DENSE_INF, np.int64)
+    for a in first_counts:
+        dp[a, a] = 1 if 0 < a < heights[0] else 0
+    parents = np.zeros((len(heights), n + 1, N + 1), np.int64)
+    for ci in range(1, len(heights)):
+        cost = _transition_cost(n, heights[ci - 1], heights[ci])
+        if cyclic_a1 is not None and ci == len(heights) - 1:
+            cost = cost + _seam_cost(n, L, cyclic_a1)
+        ndp = np.full_like(dp, DENSE_INF)
+        for a2 in range(heights[ci] + 1):
+            cand = dp + cost[:, a2][:, None]
+            ndp[a2, a2:] = cand.min(axis=0)[: N + 1 - a2]
+            parents[ci, a2, a2:] = cand.argmin(axis=0)[: N + 1 - a2]
+        dp = ndp
+    return dp, parents
+
+
+def dense_backtrack(dp, parents, k):
+    """(total, counts) of the smallest-count optimum at volume k, or None."""
+    total = int(dp[:, k].min())
+    if total >= DENSE_INF:
+        return None
+    a = int(dp[:, k].argmin())
+    counts = [0] * len(parents)
+    v = k
+    for ci in range(len(parents) - 1, 0, -1):
+        counts[ci] = a
+        a = int(parents[ci, a, v])
+        v -= counts[ci]
+    counts[0] = a
+    return total, tuple(counts)
+
+
+def dense_open(n, L):
+    """k -> (total, counts) for every volume k."""
+    heights = column_heights(n, L)
+    dp, parents = dense_dp(n, L, range(heights[0] + 1))
+    return [dense_backtrack(dp, parents, k) for k in range(sum(heights) + 1)]
+
+
+def dense_cyclic(n, L):
+    """k -> (total, counts): the first pinned first-column count that is best."""
+    heights = column_heights(n, L)
+    runs = [dense_dp(n, L, (a1,), cyclic_a1=a1) for a1 in range(heights[0] + 1)]
+    table = []
+    for k in range(sum(heights) + 1):
+        best = None
+        for dp, parents in runs:
+            found = dense_backtrack(dp, parents, k)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = found
+        table.append(best)
+    return table
+
+
+DENSE_SHAPES = [(n, L) for n in range(2, 11)
+                for L in (F(1), F(5, 4), F(7, 5), F(3, 2), F(3))]
+# the cyclic DP declines shapes whose distance classes collide
+CYCLIC_SHAPES = [(n, L) for n, L in DENSE_SHAPES if _cyclic_dp(n, L, 0) is not None]
+
+
+class TestColumnStepAgainstDense:
+    @pytest.mark.parametrize("n,L", DENSE_SHAPES)
+    def test_open_values_and_profiles(self, n, L):
+        for k, (total, counts) in enumerate(dense_open(n, L)):
+            res = column_dp_min(n, L, k)
+            assert (res.value, res.profile.counts) == (F(total, n), counts), k
+
+    @pytest.mark.parametrize("n,L", CYCLIC_SHAPES)
+    def test_cyclic_values_and_profiles(self, n, L):
+        for k, (total, counts) in enumerate(dense_cyclic(n, L)):
+            res = _cyclic_dp(n, L, k)
+            assert (res.value, res.profile.counts) == (F(total, n), counts), k
+
+    @pytest.mark.parametrize("n,L,k,value", [
+        (6, F(5, 4), 39, F(7, 6)),
+        (7, F(3, 2), 65, F(8, 7)), (7, F(3, 2), 66, F(8, 7)), (7, F(3, 2), 67, F(1)),
+        (7, F(5, 4), 53, F(8, 7)), (7, F(5, 4), 54, F(8, 7)), (7, F(5, 4), 55, F(1)),
+    ])
+    def test_prefix_counterexamples_unchanged(self, n, L, k, value):
+        # prefix profiles miss the open minimum here (a witness with a
+        # hole in the last full column does better); the value stays put
+        total, counts = dense_open(n, L)[k]
+        res = column_dp_min(n, L, k)
+        assert res.value == F(total, n) == value
+        assert res.profile.counts == counts
 
 
 class TestProfiles:
