@@ -35,6 +35,7 @@ __all__ = [
     "column_heights",
     "energy_open",
     "energy_periodic",
+    "pair_distances",
     "volume",
     "energy_decomposition",
     "to_grid",
@@ -167,19 +168,21 @@ def _mismatches_at_distance(mask: int, N: int, d: int) -> int:
     return ((mask ^ (mask >> d)) & window).bit_count()
 
 
-def _open_distances(n: int) -> set[int]:
-    return {1, n}
+def pair_distances(n: int, N: int, periodic: bool) -> tuple[int, ...]:
+    """Interacting index distances inside 1..N-1, ascending, each class once.
 
-
-def _periodic_distances(n: int, N: int) -> set[int]:
-    # The four distance classes, as a set: coincident classes count once.
-    return {d for d in (1, N - 1, n, N - n) if 1 <= d <= N - 1}
+    Open chains couple distances 1 and n; the periodic closure adds N-1 and
+    N-n.  Coincident classes (n = 1, or N <= 2n on a ring) count once.
+    """
+    classes = (1, N - 1, n, N - n) if periodic else (1, n)
+    return tuple(sorted({d for d in classes if 1 <= d <= N - 1}))
 
 
 def energy_open(cfg: SpinConfig) -> Fraction:
     """Open-chain energy: (mismatched pairs at distances 1 and n) / n."""
     mask = cfg.bitmask()
-    total = sum(_mismatches_at_distance(mask, cfg.N, d) for d in _open_distances(cfg.n))
+    total = sum(_mismatches_at_distance(mask, cfg.N, d)
+                for d in pair_distances(cfg.n, cfg.N, False))
     return Fraction(total, cfg.n)
 
 
@@ -189,7 +192,7 @@ def energy_periodic(cfg: SpinConfig) -> Fraction:
         raise ValueError("periodic energy needs at least 2 sites")
     mask = cfg.bitmask()
     total = sum(
-        _mismatches_at_distance(mask, cfg.N, d) for d in _periodic_distances(cfg.n, cfg.N)
+        _mismatches_at_distance(mask, cfg.N, d) for d in pair_distances(cfg.n, cfg.N, True)
     )
     return Fraction(total, cfg.n)
 

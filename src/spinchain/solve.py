@@ -47,6 +47,7 @@ from .lattice import (
     energy_open,
     energy_periodic,
     lambda_defect,
+    pair_distances,
     site_count,
 )
 from .rationals import frac
@@ -147,12 +148,6 @@ class SolveResult:
 # --- brute force ------------------------------------------------------------
 
 
-def _distance_set(n: int, N: int, periodic: bool) -> list[int]:
-    if periodic:
-        return sorted({d for d in (1, N - 1, n, N - n) if 1 <= d <= N - 1})
-    return sorted({d for d in (1, n) if 1 <= d <= N - 1})
-
-
 def _chunk_min_by_volume(args):
     lo, hi, N, dists = args
     c = np.arange(lo, hi, dtype=np.uint32)
@@ -175,7 +170,7 @@ def _sweep_min_table(n: int, L_key: tuple, periodic: bool):
     """
     L = Fraction(*L_key)
     N = site_count(n, L)
-    dists = tuple(_distance_set(n, N, periodic))
+    dists = pair_distances(n, N, periodic)
     total = 1 << N
     step = 1 << 22
     chunks = [(lo, min(total, lo + step), N, dists) for lo in range(0, total, step)]
@@ -190,7 +185,7 @@ def _sweep_argmin(n: int, L: Fraction, k: int, periodic: bool, target: int,
                   cap: int) -> tuple[list[int], bool]:
     """Second pass: collect up to `cap` bitmasks of volume k hitting the target count."""
     N = site_count(n, L)
-    dists = _distance_set(n, N, periodic)
+    dists = pair_distances(n, N, periodic)
     found: list[int] = []
     truncated = False
     total = 1 << N
@@ -266,7 +261,7 @@ def brute_force_min(n: int, L, k: int, boundary="open") -> SolveResult:
         target = int(mins[k])
         masks, truncated = _sweep_argmin(n, L, k, periodic, target, MAX_OPTIMA)
     elif math.comb(N, k) <= SUBSET_ENUM_MAX:
-        dists = _distance_set(n, N, periodic)
+        dists = pair_distances(n, N, periodic)
         target, masks, truncated = _gosper_min(n, N, k, dists)
     else:
         raise SolverGuardError(
@@ -498,59 +493,63 @@ def _cyclic_dp(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
 def _anneal(n: int, L: Fraction, k: int, seed: int, steps: int,
             t0: float = 1.0, ratio: float = 0.995,
             periodic: bool = True) -> SolveResult:
-    """Volume-preserving pair-swap annealing with geometric cooling."""
+    """Volume-preserving pair-swap annealing with geometric cooling.
+
+    Starts from ``k`` random occupied sites; each of ``steps`` steps
+    proposes moving the one at a random occupied site to a random empty
+    site, accepted when the mismatch count does not rise, or else with
+    probability exp(-(delta / n) / T), where T starts at ``t0`` and shrinks
+    by ``ratio`` per step.  Returns the best configuration seen.
+
+    A proposal costs O(1): each site s keeps the field
+    f[s] = 2 * (occupied neighbours of s) - deg(s), so moving the one at i
+    to the empty site j changes the mismatch count by
+    f[i] - f[j] + 2 [i, j adjacent] (the pair {i, j} stays mismatched), and
+    an accepted move subtracts 2 from f at each neighbour of i and adds 2
+    at each neighbour of j.  The random stream is drawn as by the earlier
+    loop that recounted the pairs at i and j for every proposal (two
+    ``randrange`` calls per step, ``random()`` only for an uphill move), so
+    every input returns the same value and configuration as it did.
+    """
     N = site_count(n, L)
+    if not 0 <= k <= N:
+        raise ValueError(f"volume {k} outside [0, {N}]")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     rng = random.Random(seed)
-    dists = _distance_set(n, N, periodic=periodic)
-
-    sites = list(range(1, N + 1))
-    ones = set(rng.sample(sites, k))
-    values = [1 if i in ones else 0 for i in sites]
-
-    def pair_mismatches(site: int) -> int:
-        total = 0
-        for d in dists:
-            if site - d >= 1 and values[site - 1] != values[site - d - 1]:
-                total += 1
-            if site + d <= N and values[site - 1] != values[site + d - 1]:
-                total += 1
-        return total
-
-    def swap_delta(i: int, j: int) -> int:
-        affected = set()
-        for s in (i, j):
-            for d in dists:
-                if s - d >= 1:
-                    affected.add((s - d, s))
-                if s + d <= N:
-                    affected.add((s, s + d))
-        before = sum(values[a - 1] != values[b - 1] for a, b in affected)
-        values[i - 1], values[j - 1] = values[j - 1], values[i - 1]
-        after = sum(values[a - 1] != values[b - 1] for a, b in affected)
-        values[i - 1], values[j - 1] = values[j - 1], values[i - 1]
-        return after - before
-
-    occupied = [i for i in sites if values[i - 1] == 1]
-    empty = [i for i in sites if values[i - 1] == 0]
-    current = sum(
-        1
-        for d in dists
-        for i in range(1, N - d + 1)
-        if values[i - 1] != values[i + d - 1]
+    dists = pair_distances(n, N, periodic)
+    adjacent = frozenset(dists)
+    neighbours = tuple(
+        tuple(s + d for d in dists if s + d < N) + tuple(s - d for d in dists if s - d >= 0)
+        for s in range(N)
     )
+
+    values = [0] * N
+    for s in rng.sample(range(N), k):
+        values[s] = 1
+    field = [2 * sum(values[u] for u in nb) - len(nb) for nb in neighbours]
+    occupied = [s for s in range(N) if values[s]]
+    empty = [s for s in range(N) if not values[s]]
+    current = sum(values[s] != values[s + d] for d in dists for s in range(N - d))
     best = current
     best_values = values[:]
+
+    randrange = rng.randrange
     T = t0
-    for _ in range(steps):
-        if not occupied or not empty:
-            break
-        oi = rng.randrange(len(occupied))
-        ei = rng.randrange(len(empty))
+    for _ in range(steps if 0 < k < N else 0):
+        oi = randrange(k)
+        ei = randrange(N - k)
         i, j = occupied[oi], empty[ei]
-        delta = swap_delta(i, j)
+        delta = field[i] - field[j]
+        if abs(i - j) in adjacent:
+            delta += 2
         if delta <= 0 or rng.random() < math.exp(-(delta / n) / T):
-            values[i - 1], values[j - 1] = 0, 1
+            values[i], values[j] = 0, 1
             occupied[oi], empty[ei] = j, i
+            for u in neighbours[i]:
+                field[u] -= 2
+            for u in neighbours[j]:
+                field[u] += 2
             current += delta
             if current < best:
                 best = current
@@ -574,6 +573,8 @@ def periodic_min(n: int, L, k: int, seed: int = 0, steps: int = 10**5) -> SolveR
     N = site_count(n, L)
     if not 0 <= k <= N:
         raise ValueError(f"volume {k} outside [0, {N}]")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if k in (0, N):
         cfg = SpinConfig(n, L, tuple([1 if k else 0] * N))
         return SolveResult(Fraction(0), cfg, "BruteForce", True, optima=[cfg])

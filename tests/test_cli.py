@@ -7,6 +7,7 @@ import pytest
 
 from spinchain import SpinConfig, classify_open, config_to_text
 from spinchain.classify import MinimizerReport
+from spinchain import cli
 from spinchain.cli import (
     SweepSpec,
     main,
@@ -184,3 +185,32 @@ class TestMainEntry:
         bad = tmp_path / "bad.txt"
         bad.write_text("garbage\n")
         assert main(["energy", str(bad)]) == 2
+
+    def test_parser_built_once(self, capsys):
+        runs = [["minimize", "--n", "2", "--L", "1", "--k", "2"],
+                ["classify", "--L", "1", "--sigma", "3/10"]]
+        outs = []
+        for argv in runs:
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "--n", "two", "--L", "1", "--k", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        for argv, out in zip(runs, outs):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
+            fresh = cli._build_parser.__wrapped__().parse_args(argv)
+            assert vars(cli._build_parser().parse_args(argv)) == vars(fresh)
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--k", "17", "--method", "anneal"], "volume 17 outside [0, 16]"),
+        (["--k", "8", "--method", "anneal", "--steps", "-5"], "steps must be >= 0"),
+        (["--k", "8", "--periodic", "--steps", "-5"], "steps must be >= 0"),
+    ])
+    def test_bad_annealer_input_exit_code(self, capsys, argv, message):
+        assert main(["minimize", "--n", "4", "--L", "1"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err

@@ -1,6 +1,7 @@
 """Solver tests: brute-force oracle, DP equivalence, rearrangement behaviour,
 periodic heuristics."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,7 @@ import pytest
 
 from spinchain import (
     ColumnProfile,
+    SolveResult,
     SolverGuardError,
     SpinConfig,
     block_rearrange,
@@ -394,3 +396,117 @@ class TestPeriodicMin:
                 assert dp.value >= exact
                 hits += dp.value == exact
         assert total > 0 and hits >= total // 2
+
+
+# --- reference annealer ---------------------------------------------------------
+#
+# The pair-recounting loop the incremental-field annealer replaced: each
+# proposal collects the pairs at its two sites, counts their mismatches,
+# swaps, counts again and swaps back.  The new loop must draw the same
+# random stream and so return the same value and configuration.
+
+
+def _distance_set(n, N, periodic):
+    if periodic:
+        return sorted({d for d in (1, N - 1, n, N - n) if 1 <= d <= N - 1})
+    return sorted({d for d in (1, n) if 1 <= d <= N - 1})
+
+
+def reference_anneal(n, L, k, seed, steps, t0=1.0, ratio=0.995, periodic=True):
+    N = site_count(n, L)
+    rng = random.Random(seed)
+    dists = _distance_set(n, N, periodic=periodic)
+
+    sites = list(range(1, N + 1))
+    ones = set(rng.sample(sites, k))
+    values = [1 if i in ones else 0 for i in sites]
+
+    def swap_delta(i, j):
+        affected = set()
+        for s in (i, j):
+            for d in dists:
+                if s - d >= 1:
+                    affected.add((s - d, s))
+                if s + d <= N:
+                    affected.add((s, s + d))
+        before = sum(values[a - 1] != values[b - 1] for a, b in affected)
+        values[i - 1], values[j - 1] = values[j - 1], values[i - 1]
+        after = sum(values[a - 1] != values[b - 1] for a, b in affected)
+        values[i - 1], values[j - 1] = values[j - 1], values[i - 1]
+        return after - before
+
+    occupied = [i for i in sites if values[i - 1] == 1]
+    empty = [i for i in sites if values[i - 1] == 0]
+    current = sum(
+        1
+        for d in dists
+        for i in range(1, N - d + 1)
+        if values[i - 1] != values[i + d - 1]
+    )
+    best = current
+    best_values = values[:]
+    T = t0
+    for _ in range(steps):
+        if not occupied or not empty:
+            break
+        oi = rng.randrange(len(occupied))
+        ei = rng.randrange(len(empty))
+        i, j = occupied[oi], empty[ei]
+        delta = swap_delta(i, j)
+        if delta <= 0 or rng.random() < math.exp(-(delta / n) / T):
+            values[i - 1], values[j - 1] = 0, 1
+            occupied[oi], empty[ei] = j, i
+            current += delta
+            if current < best:
+                best = current
+                best_values = values[:]
+        T = max(T * ratio, 1e-300)
+
+    cfg = SpinConfig(n, L, tuple(best_values))
+    value = energy_periodic(cfg) if periodic else energy_open(cfg)
+    assert value == Fraction(best, n)
+    return SolveResult(value, cfg, "LocalSearch", False)
+
+
+def _outcome(anneal, *args, **kwargs):
+    try:
+        found = anneal(*args, **kwargs)
+    except ValueError as exc:  # a one-site ring has no periodic energy
+        return str(exc)
+    return found.value, found.config
+
+
+ANNEAL_LS = (F(1), F(5, 4), F(7, 5), F(3, 2), F(3))
+
+
+class TestAnnealAgainstReference:
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_value_and_config(self, n, periodic):
+        # every shape, volume and seed at 0 and 1 steps; the longer runs take
+        # seed n % 3 (so each seed meets every L, volume and boundary), and
+        # 3000 steps only the half-full volume, to keep the reference loop
+        # under a few seconds in all
+        for L in ANNEAL_LS:
+            N = site_count(n, L)
+            for k in sorted({0, 1, N // 2, N - 1, N}):
+                runs = [(seed, steps) for seed in range(3) for steps in (0, 1)]
+                runs.append((n % 3, 500))
+                if k == N // 2:
+                    runs.append((n % 3, 3000))
+                for seed, steps in runs:
+                    args = (n, L, k, seed, steps)
+                    want = _outcome(reference_anneal, *args, periodic=periodic)
+                    got = _outcome(_anneal, *args, periodic=periodic)
+                    assert got == want, (args, periodic)
+
+    def test_rejects_bad_volume(self):
+        for k in (-1, 17):
+            with pytest.raises(ValueError, match=rf"volume {k} outside \[0, 16\]"):
+                _anneal(4, F(1), k, seed=0, steps=10)
+
+    def test_rejects_negative_steps(self):
+        with pytest.raises(ValueError, match="steps"):
+            _anneal(4, F(1), 8, seed=0, steps=-5)
+        with pytest.raises(ValueError, match="steps"):
+            periodic_min(4, F(1), 8, steps=-5)
