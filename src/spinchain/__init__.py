@@ -2,7 +2,6 @@
 volume-constrained ground states, and their continuum limits."""
 
 from .lattice import (
-    EdgeKind,
     GridSet,
     SpinConfig,
     Window,
@@ -44,6 +43,7 @@ from .solve import (
     block_rearrange,
     brute_force_min,
     column_dp_min,
+    minimize,
     periodic_min,
     profile_to_config,
 )

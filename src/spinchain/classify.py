@@ -16,7 +16,7 @@ are reported with every tied shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -69,13 +69,13 @@ class MinimizerReport:
     degenerate: bool
     degeneracy: str
     boundary: str             # "open" | "periodic"
+    tau: Optional[Fraction] = None  # the periodic problem's defect parameter; None when open
 
     def evaluate(self, u: PiecewiseConstant):
+        """Energy of u in this report's problem: open, or periodic at ``tau``."""
         if self.boundary == "open":
             return continuum_energy(u)
-        return continuum_energy_periodic(u, self._tau)
-
-    _tau: Optional[Fraction] = field(default=None, repr=False)
+        return continuum_energy_periodic(u, self.tau)
 
 
 def _sqrt_value(sq: Fraction):
@@ -181,7 +181,7 @@ def classify_periodic(L, sigma, tau) -> MinimizerReport:
         u = PiecewiseConstant.constant(L, sigma)
         rep = MinimizerReport("A", ("A",), 0.0, Fraction(0), [u], False,
                               "constant configuration, zero energy", "periodic",
-                              _tau=p.tau)
+                              tau=p.tau)
         _check_representatives(rep)
         return rep
 
@@ -257,7 +257,7 @@ def classify_periodic(L, sigma, tau) -> MinimizerReport:
         winners = tuple({"C": "D", "D": "C"}.get(c, c) for c in winners)
 
     rep = MinimizerReport(winners[0], winners, value, value_exact, reps,
-                          degenerate, "; ".join(notes), "periodic", _tau=p.tau)
+                          degenerate, "; ".join(notes), "periodic", tau=p.tau)
     _check_representatives(rep)
     return rep
 

@@ -22,7 +22,6 @@ import functools
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,22 +33,14 @@ from .lattice import (
     config_to_text,
     energy_open,
     energy_periodic,
+    is_periodic,
     lambda_defect,
     parse_config,
     site_count,
 )
 from .rationals import frac
-from .solve import (
-    SolverGuardError,
-    brute_force_min,
-    column_dp_min,
-    periodic_min,
-    _anneal,
-    _cyclic_dp,
-)
+from .solve import SolverGuardError, minimize
 from .recover import recovery_constrained, recovery_unconstrained
-
-DP_STATE_BUDGET = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -69,8 +60,7 @@ class SweepSpec:
         object.__setattr__(self, "L", frac(self.L))
         object.__setattr__(self, "sigma", frac(self.sigma))
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        if self.boundary not in ("open", "periodic"):
-            raise ValueError("boundary must be open or periodic")
+        is_periodic(self.boundary)
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ValueError("n_list must be strictly increasing")
 
@@ -92,18 +82,12 @@ class SweepSpec:
 
 def _sweep_row(spec: SweepSpec, n: int) -> dict:
     L, sigma = spec.L, spec.sigma
-    N = site_count(n, L)
     k = spec.volume_at(n)
     tau_n = Fraction(lambda_defect(n, L), n)
+    res = minimize(n, L, k, spec.boundary)
     if spec.boundary == "open":
-        ncols = len(column_heights(n, L))
-        if (n + 1) * (k + 1) * ncols <= DP_STATE_BUDGET:
-            res = column_dp_min(n, L, k)
-        else:
-            res = _anneal(n, L, k, seed=0, steps=10**5, periodic=False)
         continuum = classify_open(L, sigma).value
     else:
-        res = periodic_min(n, L, k)
         continuum = classify_periodic(L, sigma, tau_n).value
     return {
         "n": n,
@@ -121,10 +105,9 @@ SWEEP_COLUMNS = ["n", "k_n", "tau_n", "discrete_min", "method", "exact",
                  "continuum_min", "gap"]
 
 
-def run_sweep(spec: SweepSpec, max_workers: int = 4) -> list[dict]:
-    """Rows in n_list order; instances run on a bounded worker pool."""
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda n: _sweep_row(spec, n), spec.n_list))
+def run_sweep(spec: SweepSpec) -> list[dict]:
+    """Rows in n_list order, one ``minimize`` call each."""
+    return [_sweep_row(spec, n) for n in spec.n_list]
 
 
 # --- rendering ----------------------------------------------------------------
@@ -309,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="discrete-vs-continuum sweep from a JSON spec")
     p.add_argument("spec_json")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--workers", type=int, default=4)
 
     p = sub.add_parser("phase", help="phase diagram over an (L, sigma) grid")
     p.add_argument("grid_json")
@@ -338,32 +320,17 @@ def _write(text: str, path) -> None:
 
 def _cmd_energy(args) -> int:
     with open(args.config_file) as fh:
-        cfg, kind = parse_config(fh.read())
-    periodic = args.periodic or kind.periodic
+        cfg, boundary = parse_config(fh.read())
+    periodic = args.periodic or is_periodic(boundary)
     value = energy_periodic(cfg) if periodic else energy_open(cfg)
     print(f"{value.numerator}/{value.denominator} ({float(value):.9g})")
     return 0
 
 
 def _cmd_minimize(args) -> int:
-    L = Fraction(args.L)
-    if args.method == "brute":
-        res = brute_force_min(args.n, L, args.k,
-                              "periodic" if args.periodic else "open")
-    elif args.method == "dp":
-        if args.periodic:
-            res = _cyclic_dp(args.n, L, args.k)
-            if res is None:
-                raise SolverGuardError("cyclic DP unavailable for this instance")
-        else:
-            res = column_dp_min(args.n, L, args.k)
-    elif args.method == "anneal":
-        res = _anneal(args.n, L, args.k, args.seed, args.steps,
-                      periodic=args.periodic)
-    elif args.periodic:
-        res = periodic_min(args.n, L, args.k, seed=args.seed, steps=args.steps)
-    else:
-        res = column_dp_min(args.n, L, args.k)
+    res = minimize(args.n, Fraction(args.L), args.k,
+                   "periodic" if args.periodic else "open",
+                   args.method, args.seed, args.steps)
     print(res.to_json())
     return 0
 
@@ -392,7 +359,7 @@ def _cmd_classify(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.spec_json) as fh:
         spec = SweepSpec.from_json(fh.read())
-    rows = run_sweep(spec, max_workers=args.workers)
+    rows = run_sweep(spec)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS)
     writer.writeheader()

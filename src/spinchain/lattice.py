@@ -20,19 +20,18 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .rationals import frac
 
 __all__ = [
     "SpinConfig",
-    "EdgeKind",
     "GridSet",
     "Window",
     "site_count",
     "full_columns",
     "lambda_defect",
     "column_heights",
+    "is_periodic",
     "energy_open",
     "energy_periodic",
     "pair_distances",
@@ -71,34 +70,15 @@ def column_heights(n: int, L) -> tuple[int, ...]:
     return tuple(heights)
 
 
-@dataclass(frozen=True)
-class EdgeKind:
-    """Boundary flavour of the interaction set: open chain or periodic closure.
+def is_periodic(boundary: str) -> bool:
+    """Validate a boundary name, "open" or "periodic"; True for "periodic".
 
-    For the periodic flavour, ``lam`` records the defect floor(L n^2) - n floor(L n)
-    of the underlying domain.
+    Public functions take the boundary as one of these two strings; the
+    kernels behind them take the bool this returns.
     """
-
-    kind: str  # "open" | "periodic"
-    lam: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in ("open", "periodic"):
-            raise ValueError(f"unknown edge kind {self.kind!r}")
-        if self.kind == "periodic" and self.lam is None:
-            raise ValueError("periodic edges need the defect lam")
-
-    @staticmethod
-    def open_chain() -> "EdgeKind":
-        return EdgeKind("open")
-
-    @staticmethod
-    def periodic_ring(n: int, L) -> "EdgeKind":
-        return EdgeKind("periodic", lambda_defect(n, L))
-
-    @property
-    def periodic(self) -> bool:
-        return self.kind == "periodic"
+    if boundary not in ("open", "periodic"):
+        raise ValueError(f"boundary must be open or periodic, got {boundary!r}")
+    return boundary == "periodic"
 
 
 @dataclass(frozen=True)
@@ -312,8 +292,7 @@ _HEADER_RE = re.compile(
 
 def config_to_text(cfg: SpinConfig, boundary: str = "open", rle: bool = False) -> str:
     """Serialize as a header line plus a 0/1 string (or run-length encoding)."""
-    if boundary not in ("open", "periodic"):
-        raise ValueError("boundary must be open or periodic")
+    is_periodic(boundary)
     L = frac(cfg.L)
     header = f"n={cfg.n} L={L.numerator}/{L.denominator} boundary={boundary}"
     if not rle:
@@ -330,8 +309,11 @@ def config_to_text(cfg: SpinConfig, boundary: str = "open", rle: bool = False) -
     return header + "\n" + ",".join(runs) + "\n"
 
 
-def parse_config(text: str) -> tuple[SpinConfig, EdgeKind]:
-    """Parse the text format emitted by config_to_text (plain or run-length body)."""
+def parse_config(text: str) -> tuple[SpinConfig, str]:
+    """Parse the text format emitted by config_to_text (plain or run-length body).
+
+    Returns the configuration and its header's boundary, "open" or "periodic".
+    """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) != 2:
         raise ValueError("expected a header line and a body line")
@@ -349,7 +331,4 @@ def parse_config(text: str) -> tuple[SpinConfig, EdgeKind]:
         values = tuple(bits)
     else:
         values = tuple(int(c) for c in body)
-    cfg = SpinConfig(n, L, values)
-    if m.group("b") == "periodic":
-        return cfg, EdgeKind.periodic_ring(n, L)
-    return cfg, EdgeKind.open_chain()
+    return SpinConfig(n, L, values), m.group("b")

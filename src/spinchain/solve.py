@@ -1,6 +1,9 @@
 """Volume-constrained ground states of the chain energies.
 
-Three routes:
+``minimize(n, L, k, boundary, method)`` is the one entry point: it picks
+the solver and returns its ``SolveResult``.  With ``method="auto"`` an open
+chain goes to ``column_dp_min`` and a periodic one to ``periodic_min``;
+``"brute"``, ``"dp"`` and ``"anneal"`` force a route.  Three routes:
 
 * ``brute_force_min``   exhaustive oracle (full 2^N sweep, or subset
   enumeration when only C(N, k) is small); exact, guarded.
@@ -40,12 +43,12 @@ from typing import Optional
 import numpy as np
 
 from .lattice import (
-    EdgeKind,
     SpinConfig,
     column_heights,
     config_to_text,
     energy_open,
     energy_periodic,
+    is_periodic,
     lambda_defect,
     pair_distances,
     site_count,
@@ -59,6 +62,7 @@ __all__ = [
     "block_rearrange",
     "brute_force_min",
     "column_dp_min",
+    "minimize",
     "periodic_min",
     "profile_to_config",
 ]
@@ -66,6 +70,7 @@ __all__ = [
 FULL_SWEEP_MAX_N = 28
 SUBSET_ENUM_MAX = 10**7
 MAX_OPTIMA = 10**4
+_CHUNK = 1 << 22  # bitmasks per numpy pass of the full sweep
 _INF = 1 << 30
 
 
@@ -148,13 +153,19 @@ class SolveResult:
 # --- brute force ------------------------------------------------------------
 
 
-def _chunk_min_by_volume(args):
-    lo, hi, N, dists = args
+def _chunk_energies(lo: int, hi: int, N: int, dists) -> tuple[np.ndarray, np.ndarray]:
+    """The bitmasks lo..hi-1 and their mismatch counts over the distance classes."""
     c = np.arange(lo, hi, dtype=np.uint32)
     e = np.zeros(hi - lo, np.uint8)
     for d in dists:
         window = np.uint32((1 << (N - d)) - 1)
         e += np.bitwise_count((c ^ (c >> np.uint32(d))) & window).astype(np.uint8)
+    return c, e
+
+
+def _chunk_min_by_volume(args):
+    lo, hi, N, dists = args
+    c, e = _chunk_energies(lo, hi, N, dists)
     mins = np.full(N + 1, 255, np.uint8)
     np.minimum.at(mins, np.bitwise_count(c), e)
     return mins
@@ -172,11 +183,10 @@ def _sweep_min_table(n: int, L_key: tuple, periodic: bool):
     N = site_count(n, L)
     dists = pair_distances(n, N, periodic)
     total = 1 << N
-    step = 1 << 22
-    chunks = [(lo, min(total, lo + step), N, dists) for lo in range(0, total, step)]
+    chunks = [(lo, min(total, lo + _CHUNK), N, dists) for lo in range(0, total, _CHUNK)]
     if len(chunks) == 1:
         return _chunk_min_by_volume(chunks[0])
-    with ThreadPoolExecutor(max_workers=min(4, len(chunks))) as pool:
+    with ThreadPoolExecutor(min(4, len(chunks))) as pool:
         tables = list(pool.map(_chunk_min_by_volume, chunks))
     return np.minimum.reduce(tables)
 
@@ -189,14 +199,8 @@ def _sweep_argmin(n: int, L: Fraction, k: int, periodic: bool, target: int,
     found: list[int] = []
     truncated = False
     total = 1 << N
-    step = 1 << 22
-    for lo in range(0, total, step):
-        hi = min(total, lo + step)
-        c = np.arange(lo, hi, dtype=np.uint32)
-        e = np.zeros(hi - lo, np.uint8)
-        for d in dists:
-            window = np.uint32((1 << (N - d)) - 1)
-            e += np.bitwise_count((c ^ (c >> np.uint32(d))) & window).astype(np.uint8)
+    for lo in range(0, total, _CHUNK):
+        c, e = _chunk_energies(lo, min(total, lo + _CHUNK), N, dists)
         mask = (np.bitwise_count(c) == k) & (e == target)
         hits = c[mask]
         room = cap - len(found)
@@ -240,17 +244,16 @@ def _gosper_min(n: int, N: int, k: int, dists) -> tuple[int, list[int], bool]:
     return best, optima, truncated
 
 
-def brute_force_min(n: int, L, k: int, boundary="open") -> SolveResult:
+def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
     """Exhaustive exact minimum over all volume-k configurations.
 
-    Guarded: requires N <= 28 (full sweep) or C(N, k) <= 10^7 (subset
-    enumeration); larger instances are refused outright.
+    ``boundary`` is "open" or "periodic".  Guarded: requires N <= 28 (full
+    sweep) or C(N, k) <= 10^7 (subset enumeration); larger instances are
+    refused outright.
     """
     L = frac(L)
     N = site_count(n, L)
-    periodic = boundary == "periodic" or (
-        isinstance(boundary, EdgeKind) and boundary.periodic
-    )
+    periodic = is_periodic(boundary)
     if not 0 <= k <= N:
         raise ValueError(f"volume {k} outside [0, {N}]")
     if periodic and N < 2:
@@ -457,6 +460,8 @@ def _cyclic_dp(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
     a term in the last column's count, so it enters as two vectors.
     """
     N = site_count(n, L)
+    if not 0 <= k <= N:
+        raise ValueError(f"volume {k} outside [0, {N}]")
     if n < 2 or N <= 2 * n:  # distance classes collide; not worth special-casing
         return None
     heights = column_heights(n, L)
@@ -588,3 +593,39 @@ def periodic_min(n: int, L, k: int, seed: int = 0, steps: int = 10**5) -> SolveR
         candidates.append(dp)
     candidates.append(_anneal(n, L, k, seed, steps))
     return min(candidates, key=lambda r: r.value)
+
+
+# --- the entry point ---------------------------------------------------------
+
+
+def minimize(n: int, L, k: int, boundary: str = "open", method: str = "auto",
+             seed: int = 0, steps: int = 10**5) -> SolveResult:
+    """Least energy at volume k on the "open" or "periodic" chain.
+
+    ``method="auto"`` runs ``column_dp_min`` on an open chain and
+    ``periodic_min`` on a periodic one.  ``"brute"`` runs
+    ``brute_force_min``; ``"dp"`` the column DP, or on a ring the cyclic DP
+    (an upper bound flagged inexact, ``SolverGuardError`` where it does not
+    apply: n = 1, N <= 2n, fewer than three columns); ``"anneal"``
+    simulated annealing from ``seed`` for ``steps`` steps.  ``seed`` and
+    ``steps`` reach only the annealer.  An unknown boundary or method is a
+    ``ValueError``.
+    """
+    periodic = is_periodic(boundary)
+    L = frac(L)
+    if method == "auto":
+        if periodic:
+            return periodic_min(n, L, k, seed=seed, steps=steps)
+        return column_dp_min(n, L, k)
+    if method == "brute":
+        return brute_force_min(n, L, k, boundary)
+    if method == "dp":
+        if not periodic:
+            return column_dp_min(n, L, k)
+        res = _cyclic_dp(n, L, k)
+        if res is None:
+            raise SolverGuardError("cyclic DP unavailable for this instance")
+        return res
+    if method == "anneal":
+        return _anneal(n, L, k, seed, steps, periodic=periodic)
+    raise ValueError(f"unknown method {method!r}: expected auto, brute, dp or anneal")

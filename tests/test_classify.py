@@ -127,6 +127,12 @@ class TestClassifyPeriodic:
         assert rep.value_exact == F(9, 10)
         check_representatives(rep)
 
+    def test_report_carries_tau(self):
+        # sigma = 0 takes the early zero-energy return; both exits record tau
+        for L, sigma in [(F(1, 5), F(1, 4)), (F(1, 5), F(1, 2)), (F(1, 5), F(0))]:
+            assert classify_periodic(L, sigma, F(3, 10)).tau == F(3, 10)
+        assert classify_open(1, F(3, 10)).tau is None
+
     def test_tau_mirror_symmetry(self):
         rng = random.Random(9)
         for _ in range(200):

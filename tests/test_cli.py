@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinchain import SpinConfig, classify_open, config_to_text
+from spinchain import SpinConfig, classify_open, config_to_text, minimize
 from spinchain.classify import MinimizerReport
 from spinchain import cli
 from spinchain.cli import (
@@ -64,7 +64,7 @@ class TestRenderMinimizer:
 class TestSweep:
     def test_open_rows(self):
         spec = SweepSpec(L=1, sigma=F(1, 2), n_list=(2, 4, 8))
-        rows = run_sweep(spec, max_workers=2)
+        rows = run_sweep(spec)
         assert [r["n"] for r in rows] == [2, 4, 8]
         first = rows[0]
         assert first["k_n"] == 2
@@ -93,6 +93,22 @@ class TestSweep:
         for r in rows:
             rec = recovery_constrained(r["n"], spec.L, r["k_n"])
             assert r["discrete_min"] <= float(energy_open(rec)) + 1e-12
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_rows_match_minimize(self, boundary):
+        # on the ring, n = 6 (N = 45) is past the brute-force guard
+        spec = SweepSpec(L=F(5, 4), sigma=F(1, 2), n_list=(2, 3, 6), boundary=boundary)
+        for row in run_sweep(spec):
+            res = minimize(row["n"], spec.L, row["k_n"], boundary)
+            assert row["discrete_min"] == float(res.value)
+            assert (row["method"], row["exact"]) == (res.method, res.exact)
+
+    def test_large_open_row_is_column_dp(self):
+        # (n+1)(k+1)ncols is just over 5e7 states here; a state budget once sent
+        # this row to annealing, which returned 503/20
+        (row,) = run_sweep(SweepSpec(L=1, sigma=F(1, 2), n_list=(100,)))
+        assert (row["k_n"], row["method"], row["exact"]) == (5000, "ColumnDP", True)
+        assert row["discrete_min"] == float(F(101, 100))
 
     def test_volume_rule_ties_to_even(self):
         spec = SweepSpec(L=1, sigma=F(1, 2), n_list=(3,))
@@ -128,6 +144,26 @@ class TestMainEntry:
     def test_minimize_brute_guard_exit_code(self, capsys):
         assert main(["minimize", "--n", "8", "--L", "1", "--k", "32",
                      "--method", "brute"]) == 3
+
+    def test_minimize_cyclic_dp_guard_exit_code(self, capsys):
+        # N = 8 <= 2n: the cyclic DP does not apply
+        assert main(["minimize", "--n", "4", "--L", "1/2", "--k", "4",
+                     "--periodic", "--method", "dp"]) == 3
+        assert "cyclic DP unavailable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["-1", "17"])
+    def test_minimize_cyclic_dp_bad_volume_exit_code(self, capsys, k):
+        # -1 was reported as the guard (exit 3) and 17 crashed with an IndexError
+        assert main(["minimize", "--n", "4", "--L", "1", "--k", k,
+                     "--periodic", "--method", "dp"]) == 2
+        assert f"volume {k} outside [0, 16]" in capsys.readouterr().err
+
+    def test_sweep_unknown_boundary_exit_code(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"L": "1", "sigma": "1/2", "n_list": [2], "boundary": "Periodic"}))
+        assert main(["sweep", str(spec)]) == 2
+        assert "boundary must be open or periodic" in capsys.readouterr().err
 
     def test_classify_command(self, tmp_path, capsys):
         svg = tmp_path / "min.svg"

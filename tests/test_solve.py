@@ -21,6 +21,7 @@ from spinchain import (
     energy_open,
     energy_periodic,
     lambda_defect,
+    minimize,
     periodic_min,
     profile_to_config,
     site_count,
@@ -85,10 +86,15 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_min(2, 1, 5)
 
-    def test_accepts_edge_kind(self):
-        from spinchain import EdgeKind
-        res = brute_force_min(2, 1, 2, EdgeKind.periodic_ring(2, 1))
-        assert res.value == F(2)
+    def test_accepts_boundary_string(self):
+        assert brute_force_min(2, 1, 2, "periodic").value == F(2)
+        assert brute_force_min(2, 1, 2, "open").value == F(3, 2)
+
+    @pytest.mark.parametrize("boundary", ["Periodic", "ring", "", True])
+    def test_rejects_unknown_boundary(self, boundary):
+        # "Periodic" used to fall through to the open value 3/2
+        with pytest.raises(ValueError, match="boundary must be open or periodic"):
+            brute_force_min(2, 1, 2, boundary)
 
 
 class TestBlockRearrange:
@@ -510,3 +516,69 @@ class TestAnnealAgainstReference:
             _anneal(4, F(1), 8, seed=0, steps=-5)
         with pytest.raises(ValueError, match="steps"):
             periodic_min(4, F(1), 8, steps=-5)
+
+
+# --- the one entry point -------------------------------------------------------
+
+# (3, 1) and (4, 5/4) full columns, (4, 9/8) a partial one, (4, 1/2) a ring the
+# cyclic DP declines (N <= 2n), (6, 1) past the periodic brute-force guard
+MINIMIZE_SHAPES = [(3, F(1), 4), (4, F(5, 4), 9), (4, F(9, 8), 7), (4, F(1, 2), 4),
+                   (6, F(1), 18)]
+
+
+def _direct(boundary, method, n, L, k, seed, steps):
+    """The solver call ``minimize`` stands for, spelled out."""
+    periodic = boundary == "periodic"
+    if method == "brute":
+        return brute_force_min(n, L, k, boundary)
+    if method == "anneal":
+        return _anneal(n, L, k, seed, steps, periodic=periodic)
+    if not periodic:
+        return column_dp_min(n, L, k)
+    if method == "auto":
+        return periodic_min(n, L, k, seed=seed, steps=steps)
+    res = _cyclic_dp(n, L, k)
+    if res is None:
+        raise SolverGuardError("cyclic DP unavailable for this instance")
+    return res
+
+
+def _solved(solver, *args):
+    try:
+        res = solver(*args)
+    except SolverGuardError as exc:
+        return "guard", str(exc)
+    return res.value, res.config, res.method, res.exact, res.profile
+
+
+class TestMinimize:
+    @pytest.mark.parametrize("method", ["auto", "brute", "dp", "anneal"])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_same_as_direct_call(self, boundary, method):
+        for n, L, k in MINIMIZE_SHAPES:
+            for seed, steps in [(0, 0), (3, 400)]:
+                want = _solved(_direct, boundary, method, n, L, k, seed, steps)
+                got = _solved(minimize, n, L, k, boundary, method, seed, steps)
+                assert got == want, (boundary, method, n, L, k, seed, steps)
+
+    def test_routes(self):
+        assert minimize(4, F(5, 4), 9).method == "ColumnDP"
+        assert minimize(4, F(5, 4), 9, "periodic").method == "BruteForce"
+        res = minimize(6, 1, 18, "periodic", steps=400)
+        assert not res.exact and res.method in ("ColumnDP", "LocalSearch")
+        with pytest.raises(SolverGuardError, match="cyclic DP unavailable"):
+            minimize(4, F(1, 2), 4, "periodic", "dp")
+
+    def test_accepts_int_and_string_L(self):
+        want = minimize(4, F(5, 4), 9)
+        assert minimize(4, "5/4", 9).config == want.config
+        assert minimize(3, 1, 4).value == column_dp_min(3, F(1), 4).value
+
+    @pytest.mark.parametrize("boundary", ["Periodic", "closed", None])
+    def test_rejects_unknown_boundary(self, boundary):
+        with pytest.raises(ValueError, match="boundary must be open or periodic"):
+            minimize(2, 1, 2, boundary)
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method 'exact'"):
+            minimize(2, 1, 2, method="exact")
