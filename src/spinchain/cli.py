@@ -279,9 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=str, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--periodic", action="store_true")
-    p.add_argument("--method", choices=["auto", "brute", "dp", "anneal"], default="auto")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=10**5)
+    p.add_argument("--method", choices=["auto", "brute", "dp"], default="auto")
 
     p = sub.add_parser("classify", help="continuum minimizer classification")
     p.add_argument("--L", type=str, required=True)
@@ -329,8 +327,7 @@ def _cmd_energy(args) -> int:
 
 def _cmd_minimize(args) -> int:
     res = minimize(args.n, Fraction(args.L), args.k,
-                   "periodic" if args.periodic else "open",
-                   args.method, args.seed, args.steps)
+                   "periodic" if args.periodic else "open", args.method)
     print(res.to_json())
     return 0
 

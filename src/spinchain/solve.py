@@ -3,21 +3,25 @@
 ``minimize(n, L, k, boundary, method)`` is the one entry point: it picks
 the solver and returns its ``SolveResult``.  With ``method="auto"`` an open
 chain goes to ``column_dp_min`` and a periodic one to ``periodic_min``;
-``"brute"``, ``"dp"`` and ``"anneal"`` force a route.  Three routes:
+``"brute"`` and ``"dp"`` force a route.  The solvers:
 
 * ``brute_force_min``   exhaustive oracle (full 2^N sweep, or subset
   enumeration when only C(N, k) is small); exact, guarded.
 * ``column_dp_min``     open-chain minimum over prefix profiles by dynamic
   programming over per-column occupation counts, each column filled
   bottom-up.
-* ``periodic_min``      exact when the brute-force guard allows it,
-  otherwise the better of a cyclic column DP and simulated annealing,
-  flagged as an upper bound.
+* ``periodic_min``      the ring, routed by size: a transfer-matrix search
+  over all configurations (``_transfer_periodic``, exact) while
+  4^n N (k + 1) fits ``TRANSFER_BUDGET``; else brute force while its guard
+  allows (exact); else the cyclic column DP (``_cyclic_dp``), or, on rings
+  it declines (n = 1 or N <= 2n), the open column-DP minimizer scored on
+  the ring, both flagged as upper bounds.
 
 Both column DPs share one core (``_column_dp``): each column step takes
 the minimum over the previous column's count as an L1 distance transform,
 two running minima over the count axis vectorised over the volume axis,
-so a solve costs O(ncols n k) rather than O(ncols n^2 k).
+so a solve costs O(ncols n k) rather than O(ncols n^2 k).  The cyclic DP
+runs its pinned first-column counts through that core as one batch.
 
 The DP searches prefix profiles only: within each column the occupied
 sites form a bottom prefix.  Moving every column's sites to the bottom
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,6 +73,8 @@ __all__ = [
 FULL_SWEEP_MAX_N = 28
 SUBSET_ENUM_MAX = 10**7
 MAX_OPTIMA = 10**4
+TRANSFER_BUDGET = 1 << 23  # 4^n N (k + 1) state updates of the periodic transfer matrix
+_PIN_BATCH = 1 << 15  # int64 states per batch of the cyclic DP's pinned runs
 _CHUNK = 1 << 22  # bitmasks per numpy pass of the full sweep
 _INF = 1 << 30
 
@@ -132,7 +137,7 @@ def block_rearrange(cfg: SpinConfig) -> SpinConfig:
 class SolveResult:
     value: Fraction
     config: SpinConfig
-    method: str              # "BruteForce" | "ColumnDP" | "LocalSearch"
+    method: str              # "BruteForce" | "TransferMatrix" | "ColumnDP"
     exact: bool
     profile: Optional[ColumnProfile] = None
     optima: Optional[list[SpinConfig]] = None  # brute force argmin set
@@ -307,16 +312,16 @@ def _step_terms(h: int, unit: int, wrap: bool) -> tuple[np.ndarray, ...]:
 def _column_step(enc: np.ndarray, h_prev: int, terms, big: int) -> np.ndarray:
     """One step of the column DP: a column of height h after one of height h_prev.
 
-    ``enc[a1, c]`` is ``value * unit + a1``, where ``value`` is the least
-    mismatch count of a prefix profile whose current column holds a1 ones
-    and whose columns so far hold ``lo + c`` ones (``lo`` is the caller's
-    window start).  Since unit > n, a minimum over encoded states also
-    keeps the smallest a1.  Rows above h_prev are unreachable (>= big).
+    ``enc[p, a1, c]`` is ``value * unit + a1``, where ``value`` is the least
+    mismatch count of a prefix profile of run p whose current column holds
+    a1 ones and whose columns so far hold ``lo + c`` ones (``lo`` is the
+    caller's window start).  Since unit > n, a minimum over encoded states
+    also keeps the smallest a1.  Rows above h_prev are unreachable (>= big).
     Only the last column may be shorter, so h <= h_prev.  ``terms`` is
     ``_step_terms(h, unit, wrap)``.  Returns ``out`` of shape
-    (n + 1, C + n) with
+    (P, n + 1, C + n) with
 
-        out[a2, c] = min over a1 of enc[a1, c - a2] + unit * cost(a1, a2),
+        out[p, a2, c] = min over a1 of enc[p, a1, c - a2] + unit * cost(a1, a2),
         cost(a1, a2) = |min(a1, h) - a2|              horizontal pairs
                      + [(a1 == h_prev) != (a2 >= 1)]  wrap pair (if ``wrap``)
                      + [0 < a2 < h]                   internal jump,
@@ -325,47 +330,53 @@ def _column_step(enc: np.ndarray, h_prev: int, terms, big: int) -> np.ndarray:
     minimum over a1 an L1 distance transform (Felzenszwalb & Huttenlocher,
     "Distance Transforms of Sampled Functions", Theory of Computing 8,
     2012): one forward and one backward running minimum over the count
-    axis, vectorised over the volume axis, so a step costs O(n C) rather
-    than O(n^2 C).  The a1 == h_prev row differs in its wrap term and is
-    taken on its own.
+    axis, vectorised over the run and volume axes, so a step costs O(n C)
+    per run rather than O(n^2 C).  The a1 == h_prev row differs in its wrap
+    term and is taken on its own.
     """
     ramp, up, down, top = terms
     h = len(ramp) - 1
-    R, C = enc.shape
+    P, R, C = enc.shape
 
     # rows a1 < h_prev at position min(a1, h), minus the ramp; on a partial
     # column (h < h_prev) rows h .. h_prev-1 all land on position h
-    forward = enc[: h + 1] - ramp
-    forward[h] = enc[h:h_prev].min(axis=0) - ramp[h] if h < h_prev else big
+    forward = enc[:, : h + 1] - ramp
+    forward[:, h] = enc[:, h:h_prev].min(axis=1) - ramp[h] if h < h_prev else big
     backward = forward + 2 * ramp
-    np.minimum.accumulate(forward, axis=0, out=forward)
-    np.minimum.accumulate(backward[::-1], axis=0, out=backward[::-1])
+    np.minimum.accumulate(forward, axis=1, out=forward)
+    np.minimum.accumulate(backward[:, ::-1], axis=1, out=backward[:, ::-1])
     forward += up
     backward += down
 
-    # best[a2] is written into a padded buffer whose rows, read back with
+    # best[p, a2] is written into a padded buffer whose rows, read back with
     # a row stride one element shorter, come out shifted right by a2
-    padded = np.full((R, C + R), big, np.int64)
-    best = padded[: h + 1, R:]
+    padded = np.full((P, R, C + R), big, np.int64)
+    best = padded[:, : h + 1, R:]
     np.minimum(forward, backward, out=best)
-    np.minimum(best, enc[h_prev] + top, out=best)
-    return padded.ravel()[R:].reshape(R, C + R - 1)
+    np.minimum(best, enc[:, h_prev : h_prev + 1] + top, out=best)
+    return padded.reshape(P, R * (C + R))[:, R:].reshape(P, R, C + R - 1)
 
 
-def _column_dp(n: int, heights: tuple[int, ...], k: int, first_counts,
-               seam=None) -> Optional[tuple[int, list[int]]]:
-    """Least mismatch count over prefix profiles of volume k, and its counts.
+def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
+               backtrack: bool = True) -> tuple[np.ndarray, Optional[list[int]]]:
+    """Least mismatch counts over prefix profiles of volume k, one per run.
 
-    The first column may hold any count in ``first_counts``; each further
-    column is one ``_column_step``.  ``seam = (before, after)`` adds
-    ``before[a]`` for the second to last column's count a and ``after[a]``
-    for the last column's: the cyclic closure, whose cost splits that way.
-    At n = 1 the wrap pair and the horizontal pair are the same pair, so it
-    is counted once.  Only volumes that can still reach k are kept: after
-    columns 0..ci, holding S sites, the window is [k - (N - S), S] within
-    [0, k], so the work is O(ncols n min(k, N - k)).  Ties break toward the
-    smaller count, then the smaller column index.  Returns None when no
-    profile has volume k.
+    ``pins[p]`` lists the counts the first column of run p may hold; the
+    runs go through every ``_column_step`` together, one slice each of the
+    leading state axis.  ``seam = (before, after)`` holds one row per run and
+    adds ``before[p, a]`` for the second to last column's count a and
+    ``after[p, a]`` for the last column's: the cyclic closure, whose cost
+    splits that way.  At n = 1 the wrap pair and the horizontal pair are the
+    same pair, so it is counted once.  Only volumes that can still reach k
+    are kept: after columns 0..ci, holding S sites, the window is
+    [k - (N - S), S] within [0, k], so the work is O(ncols n min(k, N - k))
+    per run.
+
+    Returns ``(totals, counts)``: ``totals[p]`` is run p's least count
+    (>= ``_INF`` when no profile of volume k exists), and ``counts`` the
+    profile of the first run with the least total, or None when
+    ``backtrack`` is off or no run reaches k.  Ties break toward the smaller
+    count, then the smaller column index.
     """
     N = sum(heights)
     unit = 1 << n.bit_length()
@@ -379,39 +390,45 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, first_counts,
         return max(0, k - (N - int(ends[ci]))), min(k, int(ends[ci]))
 
     lo, hi = window(0)
-    enc = np.full((n + 1, hi - lo + 1), big, np.int64)
-    for a in first_counts:
-        if lo <= a <= hi:
-            enc[a, a - lo] = unit * (0 < a < heights[0]) + a
+    enc = np.full((len(pins), n + 1, hi - lo + 1), big, np.int64)
+    for p, first in enumerate(pins):
+        for a in first:
+            if lo <= a <= hi:
+                enc[p, a, a - lo] = unit * (0 < a < heights[0]) + a
 
     parents = [(lo, None)]
     for ci in range(1, len(heights)):
         if seam is not None and ci == len(heights) - 1:
-            enc = enc + unit * seam[0][:, None]
+            enc = enc + unit * seam[0][:, :, None]
         out = _column_step(enc, heights[ci - 1], terms[heights[ci]], big)
         lo_next, hi = window(ci)
-        out = out[:, lo_next - lo : hi - lo + 1]
+        out = out[:, :, lo_next - lo : hi - lo + 1]
         lo = lo_next
-        low = out & (unit - 1)
-        parents.append((lo, low.astype(parent_type)))
-        enc = out ^ low
-        enc |= rows
+        if backtrack:
+            low = out & (unit - 1)
+            parents.append((lo, low.astype(parent_type)))
+            enc = out ^ low
+            enc |= rows
+        else:  # stale low bits stay below unit, so the values are unchanged
+            enc = out
     if seam is not None:
-        enc = enc + unit * seam[1][:, None]
+        enc = enc + unit * seam[1][:, :, None]
 
-    best = int(enc[:, k - lo].min())  # the last window is [k, k]
-    total, a = best // unit, best % unit
-    if total >= _INF:
-        return None
+    best = enc[:, :, k - lo].min(axis=1)  # the last window is [k, k]
+    totals = best // unit
+    p = int(best.argmin())
+    if not backtrack or totals[p] >= _INF:
+        return totals, None
+    a = int(best[p] % unit)
     counts = [0] * len(heights)
     v = k
     for ci in range(len(heights) - 1, 0, -1):
         counts[ci] = a
         lo, parent = parents[ci]
-        a = int(parent[a, v - lo])
+        a = int(parent[p, a, v - lo])
         v -= counts[ci]
     counts[0] = a
-    return total, counts
+    return totals, counts
 
 
 def column_dp_min(n: int, L, k: int) -> SolveResult:
@@ -435,29 +452,122 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
     if not 0 <= k <= N:
         raise ValueError(f"volume {k} outside [0, {N}]")
     heights = column_heights(n, L)
-    found = _column_dp(n, heights, k, range(min(heights[0], k) + 1))
-    if found is None:
+    totals, counts = _column_dp(n, heights, k, [range(min(heights[0], k) + 1)])
+    if counts is None:
         raise ValueError(f"volume {k} not representable over {len(heights)} columns")
-    total, counts = found
 
     profile = ColumnProfile(n, heights, tuple(counts))
     cfg = profile_to_config(profile, L)
-    value = Fraction(total, n)
+    value = Fraction(int(totals[0]), n)
     assert energy_open(cfg) == value, "DP bookkeeping must match the energy"
     return SolveResult(value, cfg, "ColumnDP", True, profile=profile)
 
 
-# --- periodic: cyclic DP and annealing ----------------------------------------
+# --- periodic: transfer matrix and cyclic DP ---------------------------------
+
+
+def _transfer_pass(n: int, N: int, k: int, first: np.ndarray,
+                   choices: Optional[list] = None) -> np.ndarray:
+    """Transfer-matrix sweep of the ring from the pinned first windows ``first``.
+
+    Returns ``D[p, w, v]``: the least mismatch count over sites 0..N-1,
+    before the seam, of a configuration whose sites 0..n-1 are the window
+    ``first[p]`` (site j at bit j), whose sites N-n..N-1 are the window w
+    (site N-n+j at bit j) and whose volume is v, valid at v = k.
+    The first window starts with its own internal distance-1 pairs; adding
+    site i costs [x_i != x_{i-1}] + [x_i != x_{i-n}].  A new window
+    (w >> 1) | (x << n-1) has exactly two predecessors, 2w' and 2w'+1 with
+    w' its low n-1 bits, so a step is two elementwise minima over halves of
+    the window axis.  Only volumes that can still reach k are updated: after
+    site i, [k - (N-1-i), i+1] within [0, k]; entries outside that window
+    are never read (the lower end, once above 0, moves up one per step).
+    With ``choices`` a list, each step appends the bool array of its
+    minimizing oldest bits, for backtracking.
+    """
+    W, half = 1 << n, 1 << (n - 1)
+    inner = np.bitwise_count((first ^ (first >> 1)) & (half - 1))
+    vols = np.bitwise_count(first)
+    D = np.full((len(first), W, k + 1), _INF, np.int32)
+    ok = vols <= k
+    D[np.flatnonzero(ok), first[ok], vols[ok]] = inner[ok]
+    nxt = np.full_like(D, _INF)
+    # bit n-1 of the predecessors 2w' and 2w'+1 is bit n-2 of w'
+    top = ((np.arange(half) >> (n - 2)) & 1).astype(np.int32)[:, None]
+    for i in range(n, N):
+        lo, hi = max(0, k - (N - 1 - i)), min(k, i + 1)
+        s = max(lo, 1)
+        A, B = D[:, 0::2], D[:, 1::2]  # predecessors with oldest bit 0 and 1
+        low, high = nxt[:, :half, lo : hi + 1], nxt[:, half:, s : hi + 1]
+        # new bit 0 costs top + b; new bit 1 costs (1 - top) + (1 - b), volume + 1
+        B1 = B[:, :, lo : hi + 1] + 1
+        np.minimum(A[:, :, lo : hi + 1], B1, out=low)
+        low += top
+        A1 = A[:, :, s - 1 : hi] + 1
+        np.minimum(A1, B[:, :, s - 1 : hi], out=high)
+        high += 1 - top
+        if choices is not None:
+            pick = np.zeros(D.shape, bool)
+            np.less(B1, A[:, :, lo : hi + 1], out=pick[:, :half, lo : hi + 1])
+            np.less(B[:, :, s - 1 : hi], A1, out=pick[:, half:, s : hi + 1])
+            choices.append(pick)
+        D, nxt = nxt, D
+    return D
+
+
+def _transfer_periodic(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
+    """Exact ring minimum at volume k by a transfer matrix over all configurations.
+
+    The state is the last n sites and the volume so far (``_transfer_pass``),
+    run from every first window at once; the seam then adds
+    popcount(first ^ last) for the distance N-n pairs and
+    [bit 0 of first != bit n-1 of last] for the distance N-1 pair.  The
+    configuration comes from rerunning the best first window alone with its
+    choices kept and backtracking.  Work 4^n N (k + 1), memory 4^n (k + 1)
+    (Baxter, "Exactly Solved Models in Statistical Mechanics", 1982, for
+    the transfer-matrix method).  Returns None unless n >= 2 and N > 2n,
+    where the four distance classes are distinct, and the work fits
+    ``TRANSFER_BUDGET``.
+    """
+    N = site_count(n, L)
+    if n < 2 or N <= 2 * n or 4**n * N * (k + 1) > TRANSFER_BUDGET:
+        return None
+    windows = np.arange(1 << n)
+    seam = (np.bitwise_count(windows[:, None] ^ windows[None, :])
+            + ((windows[:, None] & 1) != (windows[None, :] >> (n - 1))))
+    totals = _transfer_pass(n, N, k, windows)[:, :, k] + seam
+    first = int(totals.argmin()) // len(windows)
+
+    choices: list = []
+    row = _transfer_pass(n, N, k, windows[first : first + 1], choices)[0, :, k] + seam[first]
+    w = int(row.argmin())
+    total = int(row[w])
+    assert total == int(totals[first].min()), "transfer-matrix rerun must match its pin"
+    mask, v = 0, k
+    for i in range(N - 1, n - 1, -1):
+        x = w >> (n - 1)
+        mask |= x << i
+        w = ((w << 1) & ((1 << n) - 1)) | int(choices[i - n][0, w, v])
+        v -= x
+    mask |= first
+
+    cfg = SpinConfig.from_bitmask(n, L, mask)
+    value = Fraction(total, n)
+    assert energy_periodic(cfg) == value, "transfer-matrix bookkeeping must match the energy"
+    return SolveResult(value, cfg, "TransferMatrix", True)
 
 
 def _cyclic_dp(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
     """Best periodic energy over cyclic prefix profiles; upper bound on the minimum.
 
-    Runs the column DP (``_column_dp``) once per pinned first-column count
-    and adds the seam: the distance N-1 pair and the n distance N-n pairs
-    (shifted by the column defect when the last column is partial).  The
-    seam cost splits into a term in the second to last column's count and
-    a term in the last column's count, so it enters as two vectors.
+    Pins the first column's count and adds the seam: the distance N-1 pair
+    and the n distance N-n pairs (shifted by the column defect when the last
+    column is partial).  The seam cost splits into a term in the second to
+    last column's count and a term in the last column's count, so it enters
+    as two vectors per pin.  A value pass runs every pin that can reach
+    volume k through ``_column_dp`` as one batch, in chunks of at most
+    about ``_PIN_BATCH`` states; a profile pass reruns the smallest pin with
+    the least total, keeping parents to backtrack.  Returns None for n = 1
+    or N <= 2n, where distance classes collide.
     """
     N = site_count(n, L)
     if not 0 <= k <= N:
@@ -465,158 +575,86 @@ def _cyclic_dp(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
     if n < 2 or N <= 2 * n:  # distance classes collide; not worth special-casing
         return None
     heights = column_heights(n, L)
-    if len(heights) < 3:
-        return None
     lam = lambda_defect(n, L)
+    pins = np.arange(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
+    a1 = pins[:, None]
     counts = np.arange(n + 1)
+    # distance N-n pairs of the first column against the last n sites,
+    # which start lam sites up the second to last column when lam != 0
+    if lam:
+        before = np.abs(np.minimum(a1, n - lam) - np.clip(counts - lam, 0, n - lam))
+        after = np.abs(np.maximum(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
+    else:
+        before = np.zeros((len(pins), n + 1), np.int64)
+        after = np.abs(a1 - counts)
+    after += (a1 >= 1) != (counts == heights[-1])  # distance N-1 pair
 
-    best = None
-    for a1 in range(min(heights[0], k) + 1):
-        # distance N-n pairs of the first column against the last n sites,
-        # which start lam sites up the second to last column when lam != 0
-        if lam:
-            before = np.abs(min(a1, n - lam) - np.clip(counts - lam, 0, n - lam))
-            after = np.abs(max(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
-        else:
-            before = np.zeros(n + 1, np.int64)
-            after = np.abs(a1 - counts)
-        after += (a1 >= 1) != (counts == heights[-1])  # distance N-1 pair
-        found = _column_dp(n, heights, k, (a1,), seam=(before, after))
-        if found is not None and (best is None or found[0] < best[0]):
-            best = found
-
-    if best is None:
-        return None
-    total, best_counts = best
+    step = max(1, _PIN_BATCH // ((n + 1) * (min(k, N - k) + n + 2)))
+    totals = np.concatenate([
+        _column_dp(n, heights, k, [(int(a),) for a in pins[i : i + step]],
+                   seam=(before[i : i + step], after[i : i + step]), backtrack=False)[0]
+        for i in range(0, len(pins), step)
+    ])
+    p = int(totals.argmin())
+    found, best_counts = _column_dp(n, heights, k, [(int(pins[p]),)],
+                                    seam=(before[p : p + 1], after[p : p + 1]))
     profile = ColumnProfile(n, heights, tuple(best_counts))
     cfg = profile_to_config(profile, L)
     value = energy_periodic(cfg)
-    assert value == Fraction(total, n), "cyclic DP seam accounting is off"
+    assert value == Fraction(int(found[0]), n) == Fraction(int(totals[p]), n), \
+        "cyclic DP seam accounting is off"
     return SolveResult(value, cfg, "ColumnDP", False, profile=profile)
 
 
-def _anneal(n: int, L: Fraction, k: int, seed: int, steps: int,
-            t0: float = 1.0, ratio: float = 0.995,
-            periodic: bool = True) -> SolveResult:
-    """Volume-preserving pair-swap annealing with geometric cooling.
-
-    Starts from ``k`` random occupied sites; each of ``steps`` steps
-    proposes moving the one at a random occupied site to a random empty
-    site, accepted when the mismatch count does not rise, or else with
-    probability exp(-(delta / n) / T), where T starts at ``t0`` and shrinks
-    by ``ratio`` per step.  Returns the best configuration seen.
-
-    A proposal costs O(1): each site s keeps the field
-    f[s] = 2 * (occupied neighbours of s) - deg(s), so moving the one at i
-    to the empty site j changes the mismatch count by
-    f[i] - f[j] + 2 [i, j adjacent] (the pair {i, j} stays mismatched), and
-    an accepted move subtracts 2 from f at each neighbour of i and adds 2
-    at each neighbour of j.  The random stream is drawn as by the earlier
-    loop that recounted the pairs at i and j for every proposal (two
-    ``randrange`` calls per step, ``random()`` only for an uphill move), so
-    every input returns the same value and configuration as it did.
-    """
-    N = site_count(n, L)
-    if not 0 <= k <= N:
-        raise ValueError(f"volume {k} outside [0, {N}]")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    rng = random.Random(seed)
-    dists = pair_distances(n, N, periodic)
-    adjacent = frozenset(dists)
-    neighbours = tuple(
-        tuple(s + d for d in dists if s + d < N) + tuple(s - d for d in dists if s - d >= 0)
-        for s in range(N)
-    )
-
-    values = [0] * N
-    for s in rng.sample(range(N), k):
-        values[s] = 1
-    field = [2 * sum(values[u] for u in nb) - len(nb) for nb in neighbours]
-    occupied = [s for s in range(N) if values[s]]
-    empty = [s for s in range(N) if not values[s]]
-    current = sum(values[s] != values[s + d] for d in dists for s in range(N - d))
-    best = current
-    best_values = values[:]
-
-    randrange = rng.randrange
-    T = t0
-    for _ in range(steps if 0 < k < N else 0):
-        oi = randrange(k)
-        ei = randrange(N - k)
-        i, j = occupied[oi], empty[ei]
-        delta = field[i] - field[j]
-        if abs(i - j) in adjacent:
-            delta += 2
-        if delta <= 0 or rng.random() < math.exp(-(delta / n) / T):
-            values[i], values[j] = 0, 1
-            occupied[oi], empty[ei] = j, i
-            for u in neighbours[i]:
-                field[u] -= 2
-            for u in neighbours[j]:
-                field[u] += 2
-            current += delta
-            if current < best:
-                best = current
-                best_values = values[:]
-        T = max(T * ratio, 1e-300)
-
-    cfg = SpinConfig(n, L, tuple(best_values))
-    value = energy_periodic(cfg) if periodic else energy_open(cfg)
-    assert value == Fraction(best, n)
-    return SolveResult(value, cfg, "LocalSearch", False)
-
-
-def periodic_min(n: int, L, k: int, seed: int = 0, steps: int = 10**5) -> SolveResult:
+def periodic_min(n: int, L, k: int) -> SolveResult:
     """Minimum of the periodic energy at volume k.
 
-    Exact (brute force) whenever the guard allows; otherwise returns the
-    better of the cyclic column DP and simulated annealing, flagged
-    exact=False - an upper bound on the true minimum.
+    Routes, first match: k in {0, N}, trivially exact; the transfer matrix
+    (``_transfer_periodic``, method "TransferMatrix", exact) when n >= 2,
+    N > 2n and 4^n N (k + 1) <= ``TRANSFER_BUDGET``; brute force while its
+    guard allows (exact); the cyclic column DP; and where that declines
+    (n = 1 or N <= 2n) the open column-DP minimizer scored on the ring.  The
+    last two are flagged exact=False: upper bounds on the true minimum.
     """
     L = frac(L)
     N = site_count(n, L)
     if not 0 <= k <= N:
         raise ValueError(f"volume {k} outside [0, {N}]")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     if k in (0, N):
         cfg = SpinConfig(n, L, tuple([1 if k else 0] * N))
         return SolveResult(Fraction(0), cfg, "BruteForce", True, optima=[cfg])
+    res = _transfer_periodic(n, L, k)
+    if res is not None:
+        return res
     try:
         return brute_force_min(n, L, k, boundary="periodic")
     except SolverGuardError:
         pass
-    candidates = []
-    dp = _cyclic_dp(n, L, k)
-    if dp is not None:
-        candidates.append(dp)
-    candidates.append(_anneal(n, L, k, seed, steps))
-    return min(candidates, key=lambda r: r.value)
+    res = _cyclic_dp(n, L, k)
+    if res is not None:
+        return res
+    res = column_dp_min(n, L, k)
+    return SolveResult(energy_periodic(res.config), res.config, "ColumnDP", False,
+                       profile=res.profile)
 
 
 # --- the entry point ---------------------------------------------------------
 
 
-def minimize(n: int, L, k: int, boundary: str = "open", method: str = "auto",
-             seed: int = 0, steps: int = 10**5) -> SolveResult:
+def minimize(n: int, L, k: int, boundary: str = "open", method: str = "auto") -> SolveResult:
     """Least energy at volume k on the "open" or "periodic" chain.
 
     ``method="auto"`` runs ``column_dp_min`` on an open chain and
-    ``periodic_min`` on a periodic one.  ``"brute"`` runs
-    ``brute_force_min``; ``"dp"`` the column DP, or on a ring the cyclic DP
-    (an upper bound flagged inexact, ``SolverGuardError`` where it does not
-    apply: n = 1, N <= 2n, fewer than three columns); ``"anneal"``
-    simulated annealing from ``seed`` for ``steps`` steps.  ``seed`` and
-    ``steps`` reach only the annealer.  An unknown boundary or method is a
-    ``ValueError``.
+    ``periodic_min`` on a periodic one (transfer matrix, brute force or
+    cyclic DP by size).  ``"brute"`` runs ``brute_force_min``; ``"dp"`` the
+    column DP, or on a ring the cyclic DP (an upper bound flagged inexact,
+    ``SolverGuardError`` where it does not apply: n = 1 or N <= 2n).  An
+    unknown boundary or method is a ``ValueError``.
     """
     periodic = is_periodic(boundary)
     L = frac(L)
     if method == "auto":
-        if periodic:
-            return periodic_min(n, L, k, seed=seed, steps=steps)
-        return column_dp_min(n, L, k)
+        return periodic_min(n, L, k) if periodic else column_dp_min(n, L, k)
     if method == "brute":
         return brute_force_min(n, L, k, boundary)
     if method == "dp":
@@ -626,6 +664,4 @@ def minimize(n: int, L, k: int, boundary: str = "open", method: str = "auto",
         if res is None:
             raise SolverGuardError("cyclic DP unavailable for this instance")
         return res
-    if method == "anneal":
-        return _anneal(n, L, k, seed, steps, periodic=periodic)
-    raise ValueError(f"unknown method {method!r}: expected auto, brute, dp or anneal")
+    raise ValueError(f"unknown method {method!r}: expected auto, brute or dp")

@@ -103,6 +103,14 @@ class TestSweep:
             assert row["discrete_min"] == float(res.value)
             assert (row["method"], row["exact"]) == (res.method, res.exact)
 
+    def test_periodic_rows_inside_the_budget_are_transfer_matrix(self):
+        # n = 3, 6: N = 11, 45, so 4^n N (k + 1) fits TRANSFER_BUDGET; 8/3 is
+        # the brute-force minimum at (3, 5/4, 6), and N = 45 is past its guard
+        spec = SweepSpec(L=F(5, 4), sigma=F(1, 2), n_list=(3, 6), boundary="periodic")
+        rows = run_sweep(spec)
+        assert [(r["method"], r["exact"]) for r in rows] == [("TransferMatrix", True)] * 2
+        assert [r["discrete_min"] for r in rows] == [float(F(8, 3)), float(F(7, 3))]
+
     def test_large_open_row_is_column_dp(self):
         # (n+1)(k+1)ncols is just over 5e7 states here; a state budget once sent
         # this row to annealing, which returned 503/20
@@ -241,12 +249,17 @@ class TestMainEntry:
         assert cli._build_parser() is cli._build_parser()
 
     @pytest.mark.parametrize("argv,message", [
-        (["--k", "17", "--method", "anneal"], "volume 17 outside [0, 16]"),
-        (["--k", "8", "--method", "anneal", "--steps", "-5"], "steps must be >= 0"),
-        (["--k", "8", "--periodic", "--steps", "-5"], "steps must be >= 0"),
+        (["--k", "17", "--periodic"], "volume 17 outside [0, 16]"),
     ])
     def test_bad_annealer_input_exit_code(self, capsys, argv, message):
         assert main(["minimize", "--n", "4", "--L", "1"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("argv", [["--method", "anneal"], ["--steps", "5"], ["--seed", "1"]])
+    def test_annealer_flags_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "--n", "4", "--L", "1", "--k", "8", "--periodic"] + argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""

@@ -1,5 +1,5 @@
 """Solver tests: brute-force oracle, DP equivalence, rearrangement behaviour,
-periodic heuristics."""
+periodic transfer matrix and heuristics."""
 
 import math
 import random
@@ -11,7 +11,6 @@ import pytest
 
 from spinchain import (
     ColumnProfile,
-    SolveResult,
     SolverGuardError,
     SpinConfig,
     block_rearrange,
@@ -27,7 +26,14 @@ from spinchain import (
     site_count,
     volume,
 )
-from spinchain.solve import _anneal, _cyclic_dp
+from spinchain import solve
+from spinchain.solve import (
+    TRANSFER_BUDGET,
+    _column_dp,
+    _cyclic_dp,
+    _sweep_min_table,
+    _transfer_periodic,
+)
 
 F = Fraction
 
@@ -373,20 +379,15 @@ class TestPeriodicMin:
                 dp = _cyclic_dp(n, F(L), k)
                 if dp is not None:
                     assert dp.value >= exact
-                ls = _anneal(n, F(L), k, seed=0, steps=2000)
-                assert ls.value >= exact
 
     def test_heuristic_path_flags_inexact(self):
-        res = periodic_min(6, F(3, 2), 27, steps=3000)  # N = 54: beyond the guard
+        # N = 96: beyond the brute-force guard and the transfer-matrix budget
+        assert 4**8 * 96 * 49 > TRANSFER_BUDGET
+        res = periodic_min(8, F(3, 2), 48)
         assert not res.exact
-        assert res.method in ("ColumnDP", "LocalSearch")
-        assert volume(res.config) == 27
+        assert res.method == "ColumnDP"
+        assert volume(res.config) == 48
         assert energy_periodic(res.config) == res.value
-
-    def test_anneal_deterministic(self):
-        a = _anneal(4, F(3, 2), 10, seed=0, steps=1500)
-        b = _anneal(4, F(3, 2), 10, seed=0, steps=1500)
-        assert a.value == b.value and a.config == b.config
 
     def test_cyclic_dp_matches_exact_when_prefix_suffices(self):
         # not guaranteed in general; record how it fares on small rings
@@ -404,118 +405,126 @@ class TestPeriodicMin:
         assert total > 0 and hits >= total // 2
 
 
-# --- reference annealer ---------------------------------------------------------
+# --- periodic transfer matrix ------------------------------------------------
+
+
+class TestTransferMatrix:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_equals_brute_force_tables(self, n):
+        # every ring with 2n < N <= 22, one L per N: the energy depends on
+        # the lattice only through n and N
+        for N in range(2 * n + 1, 23):
+            L = F(N, n * n)
+            table = _sweep_min_table(n, (L.numerator, L.denominator), True)
+            for k in range(N + 1):
+                res = _transfer_periodic(n, L, k)
+                assert res.value == F(int(table[k]), n), (n, N, k)
+                assert (res.method, res.exact) == ("TransferMatrix", True)
+                assert energy_periodic(res.config) == res.value
+                assert volume(res.config) == k
+
+    @pytest.mark.parametrize("n,N", [(3, 45), (3, 120), (4, 40), (4, 90), (5, 60), (5, 120)])
+    def test_never_above_cyclic_dp_past_the_guard(self, n, N):
+        L = F(N, n * n)
+        for k in sorted({N // 4, N // 3, N // 2, 2 * N // 3}):
+            if 4**n * N * (k + 1) > TRANSFER_BUDGET:
+                continue
+            assert math.comb(N, k) > 10**7  # brute force would refuse it
+            res = periodic_min(n, L, k)
+            assert (res.method, res.exact) == ("TransferMatrix", True)
+            assert energy_periodic(res.config) == res.value
+            assert volume(res.config) == k
+            assert res.value <= _cyclic_dp(n, L, k).value
+
+    def test_declines_outside_its_range(self):
+        assert _transfer_periodic(4, F(1, 2), 4) is None  # N <= 2n: classes collide
+        assert _transfer_periodic(1, F(9), 4) is None
+        assert 4**7 * 61 * 31 > TRANSFER_BUDGET
+        assert _transfer_periodic(7, F(5, 4), 30) is None
+
+
+# --- batched cyclic DP against the per-pin loop ------------------------------
 #
-# The pair-recounting loop the incremental-field annealer replaced: each
-# proposal collects the pairs at its two sites, counts their mismatches,
-# swaps, counts again and swaps back.  The new loop must draw the same
-# random stream and so return the same value and configuration.
+# The loop the batched value and profile passes replaced: one column-DP run
+# per pinned first-column count, keeping the first pin with the least total.
+# Only the call into the shared core is adapted to its batched signature.
 
 
-def _distance_set(n, N, periodic):
-    if periodic:
-        return sorted({d for d in (1, N - 1, n, N - n) if 1 <= d <= N - 1})
-    return sorted({d for d in (1, n) if 1 <= d <= N - 1})
-
-
-def reference_anneal(n, L, k, seed, steps, t0=1.0, ratio=0.995, periodic=True):
+def reference_cyclic_dp(n, L, k):
     N = site_count(n, L)
-    rng = random.Random(seed)
-    dists = _distance_set(n, N, periodic=periodic)
+    if n < 2 or N <= 2 * n:
+        return None
+    heights = column_heights(n, L)
+    lam = lambda_defect(n, L)
+    counts = np.arange(n + 1)
 
-    sites = list(range(1, N + 1))
-    ones = set(rng.sample(sites, k))
-    values = [1 if i in ones else 0 for i in sites]
+    best = None
+    for a1 in range(min(heights[0], k) + 1):
+        # distance N-n pairs of the first column against the last n sites,
+        # which start lam sites up the second to last column when lam != 0
+        if lam:
+            before = np.abs(min(a1, n - lam) - np.clip(counts - lam, 0, n - lam))
+            after = np.abs(max(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
+        else:
+            before = np.zeros(n + 1, np.int64)
+            after = np.abs(a1 - counts)
+        after += (a1 >= 1) != (counts == heights[-1])  # distance N-1 pair
+        totals, found = _column_dp(n, heights, k, [(a1,)], seam=(before[None], after[None]))
+        if found is not None and (best is None or totals[0] < best[0]):
+            best = int(totals[0]), found
 
-    def swap_delta(i, j):
-        affected = set()
-        for s in (i, j):
-            for d in dists:
-                if s - d >= 1:
-                    affected.add((s - d, s))
-                if s + d <= N:
-                    affected.add((s, s + d))
-        before = sum(values[a - 1] != values[b - 1] for a, b in affected)
-        values[i - 1], values[j - 1] = values[j - 1], values[i - 1]
-        after = sum(values[a - 1] != values[b - 1] for a, b in affected)
-        values[i - 1], values[j - 1] = values[j - 1], values[i - 1]
-        return after - before
-
-    occupied = [i for i in sites if values[i - 1] == 1]
-    empty = [i for i in sites if values[i - 1] == 0]
-    current = sum(
-        1
-        for d in dists
-        for i in range(1, N - d + 1)
-        if values[i - 1] != values[i + d - 1]
-    )
-    best = current
-    best_values = values[:]
-    T = t0
-    for _ in range(steps):
-        if not occupied or not empty:
-            break
-        oi = rng.randrange(len(occupied))
-        ei = rng.randrange(len(empty))
-        i, j = occupied[oi], empty[ei]
-        delta = swap_delta(i, j)
-        if delta <= 0 or rng.random() < math.exp(-(delta / n) / T):
-            values[i - 1], values[j - 1] = 0, 1
-            occupied[oi], empty[ei] = j, i
-            current += delta
-            if current < best:
-                best = current
-                best_values = values[:]
-        T = max(T * ratio, 1e-300)
-
-    cfg = SpinConfig(n, L, tuple(best_values))
-    value = energy_periodic(cfg) if periodic else energy_open(cfg)
-    assert value == Fraction(best, n)
-    return SolveResult(value, cfg, "LocalSearch", False)
+    if best is None:
+        return None
+    total, best_counts = best
+    return F(total, n), tuple(best_counts)
 
 
-def _outcome(anneal, *args, **kwargs):
-    try:
-        found = anneal(*args, **kwargs)
-    except ValueError as exc:  # a one-site ring has no periodic energy
-        return str(exc)
-    return found.value, found.config
-
-
-ANNEAL_LS = (F(1), F(5, 4), F(7, 5), F(3, 2), F(3))
-
-
-class TestAnnealAgainstReference:
-    @pytest.mark.parametrize("periodic", [False, True])
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_same_value_and_config(self, n, periodic):
-        # every shape, volume and seed at 0 and 1 steps; the longer runs take
-        # seed n % 3 (so each seed meets every L, volume and boundary), and
-        # 3000 steps only the half-full volume, to keep the reference loop
-        # under a few seconds in all
-        for L in ANNEAL_LS:
+class TestBatchedCyclicDP:
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_values_and_profiles(self, n):
+        # at (16, 3) the pins span several batches of _PIN_BATCH states
+        for L in (F(1), F(5, 4), F(7, 5), F(3, 2), F(3)):
             N = site_count(n, L)
-            for k in sorted({0, 1, N // 2, N - 1, N}):
-                runs = [(seed, steps) for seed in range(3) for steps in (0, 1)]
-                runs.append((n % 3, 500))
-                if k == N // 2:
-                    runs.append((n % 3, 3000))
-                for seed, steps in runs:
-                    args = (n, L, k, seed, steps)
-                    want = _outcome(reference_anneal, *args, periodic=periodic)
-                    got = _outcome(_anneal, *args, periodic=periodic)
-                    assert got == want, (args, periodic)
+            for k in sorted({1, N // 5, N // 2, 3 * N // 4, N - 1}):
+                want = reference_cyclic_dp(n, L, k)
+                res = _cyclic_dp(n, L, k)
+                assert (res.value, res.profile.counts) == want, (n, L, k)
 
-    def test_rejects_bad_volume(self):
-        for k in (-1, 17):
-            with pytest.raises(ValueError, match=rf"volume {k} outside \[0, 16\]"):
-                _anneal(4, F(1), k, seed=0, steps=10)
+    @pytest.mark.parametrize("n,L", [(5, F(7, 5)), (9, F(5, 4)), (12, F(3))])
+    def test_one_pin_per_batch(self, n, L, monkeypatch):
+        monkeypatch.setattr(solve, "_PIN_BATCH", 1)
+        N = site_count(n, L)
+        for k in range(0, N + 1, max(1, N // 12)):
+            res = _cyclic_dp(n, L, k)
+            assert (res.value, res.profile.counts) == reference_cyclic_dp(n, L, k), k
 
-    def test_rejects_negative_steps(self):
-        with pytest.raises(ValueError, match="steps"):
-            _anneal(4, F(1), 8, seed=0, steps=-5)
-        with pytest.raises(ValueError, match="steps"):
-            periodic_min(4, F(1), 8, steps=-5)
+
+# --- rings the cyclic DP declines, past the brute-force guard -------------------
+
+
+class TestPeriodicFallback:
+    # n = 1 or N <= 2n; the values equal what simulated annealing (10^5 steps,
+    # seed 0) returned here before it was removed
+    @pytest.mark.parametrize("n,L,k,value", [
+        (1, F(40), 13, F(2)), (1, F(40), 20, F(2)),
+        (1, F(61, 2), 10, F(2)), (1, F(61, 2), 15, F(2)),
+        (15, F(2, 15), 10, F(4, 15)), (15, F(2, 15), 15, F(1, 3)),
+        (16, F(31, 256), 10, F(3, 8)), (16, F(31, 256), 15, F(3, 8)),
+        (20, F(1, 10), 13, F(1, 4)), (20, F(1, 10), 20, F(1, 5)),
+        (20, F(39, 400), 13, F(3, 10)), (20, F(39, 400), 19, F(3, 10)),
+        (24, F(47, 576), 15, F(1, 4)), (24, F(47, 576), 23, F(1, 4)),
+    ])
+    def test_open_minimizer_scored_on_the_ring(self, n, L, k, value):
+        N = site_count(n, L)
+        assert k in (N // 3, N // 2)
+        res = periodic_min(n, L, k)
+        assert (res.value, res.method, res.exact) == (value, "ColumnDP", False)
+        assert res.config == column_dp_min(n, L, k).config
+        assert energy_periodic(res.config) == value and volume(res.config) == k
+        with pytest.raises(SolverGuardError):
+            minimize(n, L, k, "periodic", "brute")
+        with pytest.raises(SolverGuardError, match="cyclic DP unavailable"):
+            minimize(n, L, k, "periodic", "dp")
 
 
 # --- the one entry point -------------------------------------------------------
@@ -526,17 +535,15 @@ MINIMIZE_SHAPES = [(3, F(1), 4), (4, F(5, 4), 9), (4, F(9, 8), 7), (4, F(1, 2), 
                    (6, F(1), 18)]
 
 
-def _direct(boundary, method, n, L, k, seed, steps):
+def _direct(boundary, method, n, L, k):
     """The solver call ``minimize`` stands for, spelled out."""
     periodic = boundary == "periodic"
     if method == "brute":
         return brute_force_min(n, L, k, boundary)
-    if method == "anneal":
-        return _anneal(n, L, k, seed, steps, periodic=periodic)
     if not periodic:
         return column_dp_min(n, L, k)
     if method == "auto":
-        return periodic_min(n, L, k, seed=seed, steps=steps)
+        return periodic_min(n, L, k)
     res = _cyclic_dp(n, L, k)
     if res is None:
         raise SolverGuardError("cyclic DP unavailable for this instance")
@@ -552,20 +559,21 @@ def _solved(solver, *args):
 
 
 class TestMinimize:
-    @pytest.mark.parametrize("method", ["auto", "brute", "dp", "anneal"])
+    @pytest.mark.parametrize("method", ["auto", "brute", "dp"])
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     def test_same_as_direct_call(self, boundary, method):
         for n, L, k in MINIMIZE_SHAPES:
-            for seed, steps in [(0, 0), (3, 400)]:
-                want = _solved(_direct, boundary, method, n, L, k, seed, steps)
-                got = _solved(minimize, n, L, k, boundary, method, seed, steps)
-                assert got == want, (boundary, method, n, L, k, seed, steps)
+            want = _solved(_direct, boundary, method, n, L, k)
+            got = _solved(minimize, n, L, k, boundary, method)
+            assert got == want, (boundary, method, n, L, k)
 
     def test_routes(self):
         assert minimize(4, F(5, 4), 9).method == "ColumnDP"
-        assert minimize(4, F(5, 4), 9, "periodic").method == "BruteForce"
-        res = minimize(6, 1, 18, "periodic", steps=400)
-        assert not res.exact and res.method in ("ColumnDP", "LocalSearch")
+        res = minimize(4, F(5, 4), 9, "periodic")
+        assert res.method == "TransferMatrix" and res.exact
+        assert minimize(4, F(1, 2), 4, "periodic").method == "BruteForce"  # N <= 2n
+        res = minimize(10, 1, 50, "periodic")  # past the guard and the budget
+        assert not res.exact and res.method == "ColumnDP"
         with pytest.raises(SolverGuardError, match="cyclic DP unavailable"):
             minimize(4, F(1, 2), 4, "periodic", "dp")
 
@@ -580,5 +588,6 @@ class TestMinimize:
             minimize(2, 1, 2, boundary)
 
     def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method 'exact'"):
-            minimize(2, 1, 2, method="exact")
+        for method in ("exact", "anneal"):  # the annealer is gone
+            with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+                minimize(2, 1, 2, method=method)
