@@ -5,8 +5,10 @@ the solver and returns its ``SolveResult``.  With ``method="auto"`` an open
 chain goes to ``column_dp_min`` and a periodic one to ``periodic_min``;
 ``"brute"`` and ``"dp"`` force a route.  The solvers:
 
-* ``brute_force_min``   exhaustive oracle (full 2^N sweep, or subset
-  enumeration when only C(N, k) is small); exact, guarded.
+* ``brute_force_min``   exhaustive oracle, exact and guarded: a split-cut
+  sweep of all 2^N masks, run once per shape and cached, gives every
+  volume's minimum and minimizers; past N = 28, subset enumeration while
+  C(N, k) is small.
 * ``column_dp_min``     open-chain minimum over prefix profiles by dynamic
   programming over per-column occupation counts, each column filled
   bottom-up.
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -75,7 +76,7 @@ SUBSET_ENUM_MAX = 10**7
 MAX_OPTIMA = 10**4
 TRANSFER_BUDGET = 1 << 23  # 4^n N (k + 1) state updates of the periodic transfer matrix
 _PIN_BATCH = 1 << 15  # int64 states per batch of the cyclic DP's pinned runs
-_CHUNK = 1 << 22  # bitmasks per numpy pass of the full sweep
+_BLOCK = 1 << 20  # masks per broadcast add of the brute-force sweep
 _INF = 1 << 30
 
 
@@ -158,71 +159,89 @@ class SolveResult:
 # --- brute force ------------------------------------------------------------
 
 
-def _chunk_energies(lo: int, hi: int, N: int, dists) -> tuple[np.ndarray, np.ndarray]:
-    """The bitmasks lo..hi-1 and their mismatch counts over the distance classes."""
-    c = np.arange(lo, hi, dtype=np.uint32)
-    e = np.zeros(hi - lo, np.uint8)
-    for d in dists:
-        window = np.uint32((1 << (N - d)) - 1)
-        e += np.bitwise_count((c ^ (c >> np.uint32(d))) & window).astype(np.uint8)
-    return c, e
+def _brute_force_fits(N: int, k: int) -> bool:
+    """The brute-force guard: full sweep for N <= 28, else C(N, k) <= 10^7 subsets."""
+    return N <= FULL_SWEEP_MAX_N or math.comb(N, k) <= SUBSET_ENUM_MAX
 
 
-def _chunk_min_by_volume(args):
-    lo, hi, N, dists = args
-    c, e = _chunk_energies(lo, hi, N, dists)
+def _mismatches(masks: np.ndarray, windows) -> np.ndarray:
+    """Mismatches of uint32 bitmasks over the pairs (i, i + d), bit i of w set, (d, w) in windows."""
+    e = np.zeros(masks.shape, np.uint8)
+    for d, w in windows:
+        e += np.bitwise_count((masks ^ (masks >> np.uint32(d))) & np.uint32(w)).astype(np.uint8)
+    return e
+
+
+def _deposit(bits: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """All masks over the sites ``bits`` as uint32, by ascending popcount, and
+    the index where each popcount 0..len(bits) starts."""
+    masks = np.zeros(1, np.uint32)
+    for b in bits:
+        masks = np.concatenate([masks, masks | np.uint32(1 << b)])
+    counts = np.bitwise_count(masks)
+    order = np.argsort(counts, kind="stable")
+    return masks[order], np.searchsorted(counts[order], np.arange(len(bits) + 1))
+
+
+def _split_sweep(N: int, dists, m: int, cap: int):
+    """Exact mismatch count of all 2^N masks, cut under site m; per volume the
+    least count, its first ``cap`` minimizing masks ascending, and whether
+    there are more.
+
+    A mask is (h, t, r): h its sites m..N-1, t its low sites in pairs that
+    cross the cut, r its other low sites, each enumerated by popcount.  Its
+    count is ``high[h, t] + low[t, r]`` (pairs reaching h, pairs below the
+    cut), so a block of rows (h, t) is one broadcast add of uint8 tables,
+    reduced to group minima over the popcount segments of r and then over
+    the popcounts of t and h.  The groups holding their volume's minimum are
+    expanded again to collect the minimizers.
+    """
+    inner = [(d, (1 << max(m - d, 0)) - 1) for d in dists]  # bit i: pair (i, i + d)
+    cross = [(d, ((1 << (N - d)) - 1) ^ w) for d, w in inner]
+    shared = [any(m <= i + d < N for d in dists) for i in range(m)]
+    tbits, tstarts = _deposit([i for i in range(m) if shared[i]])
+    rbits, starts = _deposit([i for i in range(m) if not shared[i]])
+    hs, hstarts = _deposit(list(range(m, N)))
+    low = _mismatches(tbits[:, None] | rbits, inner)
+    high = _mismatches(hs[:, None] | tbits, cross).ravel()  # row h * T + t
+    T, Rn = low.shape
+    step = max(1, _BLOCK // Rn)
+    width = min(step, T)
+    groups = np.empty((len(high), len(starts)), np.uint8)
+    for a in range(0, len(high), step):
+        e = high[a : a + step].reshape(-1, width, 1) + low[a % T : a % T + width]
+        groups[a : a + step] = np.minimum.reduceat(e.reshape(-1, Rn), starts, axis=1)
+    by_count = np.minimum.reduceat(groups.reshape(len(hs), T, -1), tstarts, axis=1)
+    by_count = np.minimum.reduceat(by_count, hstarts, axis=0)  # [h, t, r popcounts]
     mins = np.full(N + 1, 255, np.uint8)
-    np.minimum.at(mins, np.bitwise_count(c), e)
-    return mins
+    np.minimum.at(mins, sum(np.indices(by_count.shape, sparse=True)), by_count)
+
+    vols = ((np.bitwise_count(hs)[:, None] + np.bitwise_count(tbits)).reshape(-1, 1)
+            + np.arange(len(starts), dtype=np.uint8))
+    rows, ps = np.nonzero(groups == mins[vols])
+    lens = np.diff(starts, append=Rn)[ps]
+    hit = np.repeat(np.arange(len(rows)), lens)
+    r = np.arange(len(hit)) - np.repeat(np.cumsum(lens) - lens - starts[ps], lens)
+    row, vol = rows[hit], vols[rows, ps][hit]
+    keep = high[row] + low[row % T, r] == mins[vol]
+    masks = (hs[row // T] | tbits[row % T] | rbits[r])[keep]
+    order = np.lexsort((masks, vol[keep]))
+    masks, ends = masks[order], np.searchsorted(vol[keep][order], np.arange(N + 2))
+    optima = [masks[ends[k] : min(ends[k + 1], ends[k] + cap)].tolist() for k in range(N + 1)]
+    return mins, optima, [int(ends[k + 1] - ends[k]) > cap for k in range(N + 1)]
 
 
 @lru_cache(maxsize=32)
-def _sweep_min_table(n: int, L_key: tuple, periodic: bool):
-    """Full 2^N sweep; per-volume minimal mismatch counts (numpy int array).
-
-    The enumeration range is partitioned into chunks evaluated on a small
-    thread pool (the numpy kernels release the GIL) and reduced by minimum,
-    which is order-independent.
-    """
-    L = Fraction(*L_key)
-    N = site_count(n, L)
+def _sweep_table(n: int, L_key: tuple, periodic: bool):
+    """``_split_sweep`` of one shape, at the upper-half cut of least rough work."""
+    N = site_count(n, Fraction(*L_key))
     dists = pair_distances(n, N, periodic)
-    total = 1 << N
-    chunks = [(lo, min(total, lo + _CHUNK), N, dists) for lo in range(0, total, _CHUNK)]
-    if len(chunks) == 1:
-        return _chunk_min_by_volume(chunks[0])
-    with ThreadPoolExecutor(min(4, len(chunks))) as pool:
-        tables = list(pool.map(_chunk_min_by_volume, chunks))
-    return np.minimum.reduce(tables)
 
+    def work(m):  # rough cost at cut m: the bit kernel over both tables, then the groups
+        s = sum(any(m <= i + d < N for d in dists) for i in range(m))
+        return len(dists) * ((1 << m) + (1 << (N - m + s))) + (8 * (m - s + 1) << (N - m + s))
 
-def _sweep_argmin(n: int, L: Fraction, k: int, periodic: bool, target: int,
-                  cap: int) -> tuple[list[int], bool]:
-    """Second pass: collect up to `cap` bitmasks of volume k hitting the target count."""
-    N = site_count(n, L)
-    dists = pair_distances(n, N, periodic)
-    found: list[int] = []
-    truncated = False
-    total = 1 << N
-    for lo in range(0, total, _CHUNK):
-        c, e = _chunk_energies(lo, min(total, lo + _CHUNK), N, dists)
-        mask = (np.bitwise_count(c) == k) & (e == target)
-        hits = c[mask]
-        room = cap - len(found)
-        if len(hits) > room:
-            found.extend(int(x) for x in hits[:room])
-            truncated = True
-            break
-        found.extend(int(x) for x in hits)
-    return found, truncated
-
-
-def _mismatch_count_int(mask: int, N: int, dists) -> int:
-    total = 0
-    for d in dists:
-        window = (1 << (N - d)) - 1
-        total += ((mask ^ (mask >> d)) & window).bit_count()
-    return total
+    return _split_sweep(N, dists, min(range((N + 1) // 2, N + 1), key=work), MAX_OPTIMA)
 
 
 def _gosper_min(n: int, N: int, k: int, dists) -> tuple[int, list[int], bool]:
@@ -232,10 +251,13 @@ def _gosper_min(n: int, N: int, k: int, dists) -> tuple[int, list[int], bool]:
     best = None
     optima: list[int] = []
     truncated = False
+    windows = [(d, (1 << (N - d)) - 1) for d in dists]
     c = (1 << k) - 1
     limit = 1 << N
     while c < limit:
-        e = _mismatch_count_int(c, N, dists)
+        e = 0
+        for d, w in windows:
+            e += ((c ^ (c >> d)) & w).bit_count()
         if best is None or e < best:
             best, optima, truncated = e, [c], False
         elif e == best:
@@ -254,7 +276,10 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
 
     ``boundary`` is "open" or "periodic".  Guarded: requires N <= 28 (full
     sweep) or C(N, k) <= 10^7 (subset enumeration); larger instances are
-    refused outright.
+    refused outright.  The full sweep (``_split_sweep``) counts every one of
+    the 2^N masks once per shape (n, L, boundary), for all volumes, and is
+    cached.  ``optima`` holds the first ``MAX_OPTIMA`` minimizers by
+    ascending bitmask; ``config`` is the first.
     """
     L = frac(L)
     N = site_count(n, L)
@@ -263,18 +288,16 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
         raise ValueError(f"volume {k} outside [0, {N}]")
     if periodic and N < 2:
         raise ValueError("periodic energy needs at least 2 sites")
-
-    if N <= FULL_SWEEP_MAX_N:
-        mins = _sweep_min_table(n, (L.numerator, L.denominator), periodic)
-        target = int(mins[k])
-        masks, truncated = _sweep_argmin(n, L, k, periodic, target, MAX_OPTIMA)
-    elif math.comb(N, k) <= SUBSET_ENUM_MAX:
-        dists = pair_distances(n, N, periodic)
-        target, masks, truncated = _gosper_min(n, N, k, dists)
-    else:
+    if not _brute_force_fits(N, k):
         raise SolverGuardError(
             f"instance too large for brute force: N={N}, C(N,k)={math.comb(N, k)}"
         )
+
+    if N <= FULL_SWEEP_MAX_N:
+        mins, found, flags = _sweep_table(n, (L.numerator, L.denominator), periodic)
+        target, masks, truncated = int(mins[k]), found[k], flags[k]
+    else:
+        target, masks, truncated = _gosper_min(n, N, k, pair_distances(n, N, periodic))
 
     optima = [SpinConfig.from_bitmask(n, L, m) for m in masks]
     cfg = optima[0]
@@ -626,10 +649,8 @@ def periodic_min(n: int, L, k: int) -> SolveResult:
     res = _transfer_periodic(n, L, k)
     if res is not None:
         return res
-    try:
+    if _brute_force_fits(N, k):
         return brute_force_min(n, L, k, boundary="periodic")
-    except SolverGuardError:
-        pass
     res = _cyclic_dp(n, L, k)
     if res is not None:
         return res

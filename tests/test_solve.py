@@ -28,11 +28,13 @@ from spinchain import (
     volume,
 )
 from spinchain import solve
+from spinchain.lattice import pair_distances
 from spinchain.solve import (
     TRANSFER_BUDGET,
     _column_dp,
     _cyclic_dp,
-    _sweep_min_table,
+    _split_sweep,
+    _sweep_table,
     _transfer_periodic,
 )
 
@@ -102,6 +104,67 @@ class TestBruteForce:
         # "Periodic" used to fall through to the open value 3/2
         with pytest.raises(ValueError, match="boundary must be open or periodic"):
             brute_force_min(2, 1, 2, boundary)
+
+
+# --- split-cut sweep against the plain per-mask sweep ---------------------------
+#
+# The sweep the split-cut kernel replaced: every bitmask's mismatch count by
+# xor/popcount over the distance classes, then per volume the least count,
+# the first `cap` bitmasks reaching it in ascending order, and whether more do.
+
+
+def reference_sweep(N, dists, cap):
+    c = np.arange(1 << N, dtype=np.uint32)
+    e = np.zeros(1 << N, np.uint8)
+    for d in dists:
+        window = np.uint32((1 << (N - d)) - 1)
+        e += np.bitwise_count((c ^ (c >> np.uint32(d))) & window).astype(np.uint8)
+    volumes = np.bitwise_count(c)
+    mins = np.full(N + 1, 255, np.uint8)
+    np.minimum.at(mins, volumes, e)
+    hits = [c[(volumes == k) & (e == mins[k])] for k in range(N + 1)]
+    return mins.tolist(), [h[:cap].tolist() for h in hits], [len(h) > cap for h in hits]
+
+
+class TestSplitSweep:
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_cut_equals_plain_sweep(self, n, periodic):
+        # every N <= 20: rings with N <= 2n, where distance classes coincide,
+        # and lattices with a partial last column (N not a multiple of n);
+        # every cut _sweep_table may pick, m >= N / 2
+        for N in range(2 if periodic else 1, 21):
+            dists = pair_distances(n, N, periodic)
+            want = {cap: reference_sweep(N, dists, cap) for cap in (2, solve.MAX_OPTIMA)}
+            for m in range((N + 1) // 2, N + 1):
+                # odd cuts truncate at two minimizers, even ones keep them all
+                cap = 2 if m % 2 else solve.MAX_OPTIMA
+                mins, optima, truncated = _split_sweep(N, dists, m, cap)
+                assert (mins.tolist(), optima, truncated) == want[cap], (N, m)
+
+
+class TestTruncation:
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        solve._sweep_table.cache_clear()
+        yield
+        solve._sweep_table.cache_clear()
+
+    @pytest.mark.parametrize("n,L,k,count", [
+        (5, F(21, 25), 5, 189),  # N = 21: full sweep
+        (5, F(6, 5), 2, 60),     # N = 30: subset enumeration
+    ])
+    def test_first_minimizers_and_flag(self, n, L, k, count, monkeypatch):
+        full = brute_force_min(n, L, k, "periodic")
+        masks = [c.bitmask() for c in full.optima]
+        assert not full.optima_truncated and masks == sorted(masks) and len(masks) == count
+        for cap in (3, len(masks) - 1, len(masks), len(masks) + 1):
+            solve._sweep_table.cache_clear()
+            monkeypatch.setattr(solve, "MAX_OPTIMA", cap)
+            res = brute_force_min(n, L, k, "periodic")
+            assert [c.bitmask() for c in res.optima] == masks[:cap]
+            assert res.optima_truncated == (cap < len(masks))
+            assert (res.value, res.config) == (full.value, full.optima[0])
 
 
 class TestBlockRearrange:
@@ -416,7 +479,7 @@ class TestTransferMatrix:
         # the lattice only through n and N
         for N in range(2 * n + 1, 23):
             L = F(N, n * n)
-            table = _sweep_min_table(n, (L.numerator, L.denominator), True)
+            table = _sweep_table(n, (L.numerator, L.denominator), True)[0]
             for k in range(N + 1):
                 res = _transfer_periodic(n, L, k)
                 assert res.value == F(int(table[k]), n), (n, N, k)
