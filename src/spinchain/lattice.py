@@ -31,6 +31,7 @@ __all__ = [
     "full_columns",
     "lambda_defect",
     "column_heights",
+    "check_shape",
     "is_periodic",
     "energy_open",
     "energy_periodic",
@@ -70,6 +71,14 @@ def column_heights(n: int, L) -> tuple[int, ...]:
     return tuple(heights)
 
 
+def check_shape(n: int, L) -> None:
+    """Reject a lattice with n < 1 or L <= 0."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if L <= 0:
+        raise ValueError("L must be positive")
+
+
 def is_periodic(boundary: str) -> bool:
     """Validate a boundary name, "open" or "periodic"; True for "periodic".
 
@@ -79,6 +88,16 @@ def is_periodic(boundary: str) -> bool:
     if boundary not in ("open", "periodic"):
         raise ValueError(f"boundary must be open or periodic, got {boundary!r}")
     return boundary == "periodic"
+
+
+_BITS = frozenset((0, 1))
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _digits(values) -> str:
+    """0/1 values as a string of "0"/"1" characters."""
+    return bytes(values).translate(_TO_ASCII).decode()
 
 
 @dataclass(frozen=True)
@@ -91,12 +110,9 @@ class SpinConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "L", frac(self.L))
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
-        if any(v not in (0, 1) for v in self.values):
+        object.__setattr__(self, "values", tuple(map(int, self.values)))
+        check_shape(self.n, self.L)
+        if not _BITS.issuperset(self.values):
             raise ValueError("values must be 0/1")
         expected = site_count(self.n, self.L)
         if len(self.values) != expected:
@@ -110,16 +126,15 @@ class SpinConfig:
 
     def bitmask(self) -> int:
         """Pack the configuration into an int, site i at bit i-1."""
-        m = 0
-        for i, v in enumerate(self.values):
-            if v:
-                m |= 1 << i
-        return m
+        return int(_digits(self.values)[::-1] or "0", 2)
 
     @staticmethod
     def from_bitmask(n: int, L, mask: int) -> "SpinConfig":
         N = site_count(n, L)
-        return SpinConfig(n, frac(L), tuple((mask >> i) & 1 for i in range(N)))
+        # the low N bits of mask, site 1 first: bin() with a 1 set above
+        # them, reversed, up to the leading "0b1"
+        low = bin(mask & ((1 << N) - 1) | (1 << N))[:2:-1]
+        return SpinConfig(n, frac(L), tuple(low.encode().translate(_FROM_ASCII)))
 
     def complement(self) -> "SpinConfig":
         return SpinConfig(self.n, self.L, tuple(1 - v for v in self.values))
@@ -285,6 +300,7 @@ def grid_energy(grid: GridSet, window: Window) -> Fraction:
 
 # --- text serialization -------------------------------------------------
 
+_RUN_RE = re.compile(r"0+|1+")
 _HEADER_RE = re.compile(
     r"^n=(?P<n>\d+)\s+L=(?P<L>\d+(?:/\d+)?)\s+boundary=(?P<b>open|periodic)\s*$"
 )
@@ -296,17 +312,9 @@ def config_to_text(cfg: SpinConfig, boundary: str = "open", rle: bool = False) -
     L = frac(cfg.L)
     header = f"n={cfg.n} L={L.numerator}/{L.denominator} boundary={boundary}"
     if not rle:
-        return header + "\n" + "".join(str(v) for v in cfg.values) + "\n"
-    runs = []
-    pos = 0
-    while pos < cfg.N:
-        bit = cfg.values[pos]
-        run = pos
-        while run < cfg.N and cfg.values[run] == bit:
-            run += 1
-        runs.append(f"{run - pos}x{bit}")
-        pos = run
-    return header + "\n" + ",".join(runs) + "\n"
+        return header + "\n" + _digits(cfg.values) + "\n"
+    runs = ",".join(f"{len(run)}x{run[0]}" for run in _RUN_RE.findall(_digits(cfg.values)))
+    return header + "\n" + runs + "\n"
 
 
 def parse_config(text: str) -> tuple[SpinConfig, str]:

@@ -22,8 +22,15 @@ chain goes to ``column_dp_min`` and a periodic one to ``periodic_min``;
 Both column DPs share one core (``_column_dp``): each column step takes
 the minimum over the previous column's count as an L1 distance transform,
 two running minima over the count axis vectorised over the volume axis,
-so a solve costs O(ncols n k) rather than O(ncols n^2 k).  The cyclic DP
-runs its pinned first-column counts through that core as one batch.
+so a solve costs O(ncols n k) rather than O(ncols n^2 k).  The running
+minima are a loop over counts, one elementwise ``np.minimum`` per count
+doing both directions at once, because numpy's cumulative minimum (the
+``accumulate`` method of ``np.minimum``) costs 3 to 5 ns per element
+whatever the axis or dtype, and a row of ``np.minimum`` 0.3 to 0.6 ns
+(81 x 3200 states).  States are int32 while
+(4N + 4n + 8) * unit * 4 < 2^31 (``_state_type``), int64 past that.  The
+cyclic DP runs its pinned first-column counts through that core as one
+batch.
 
 The DP searches prefix profiles only: within each column the occupied
 sites form a bottom prefix.  Moving every column's sites to the bottom
@@ -48,6 +55,7 @@ import numpy as np
 
 from .lattice import (
     SpinConfig,
+    check_shape,
     column_heights,
     config_to_text,
     energy_open,
@@ -75,7 +83,7 @@ FULL_SWEEP_MAX_N = 28
 SUBSET_ENUM_MAX = 10**7
 MAX_OPTIMA = 10**4
 TRANSFER_BUDGET = 1 << 23  # 4^n N (k + 1) state updates of the periodic transfer matrix
-_PIN_BATCH = 1 << 15  # int64 states per batch of the cyclic DP's pinned runs
+_PIN_BATCH = 1 << 15  # states per batch of the cyclic DP's pinned runs
 _BLOCK = 1 << 20  # masks per broadcast add of the brute-force sweep
 _INF = 1 << 30
 
@@ -282,6 +290,7 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
     ascending bitmask; ``config`` is the first.
     """
     L = frac(L)
+    check_shape(n, L)
     N = site_count(n, L)
     periodic = is_periodic(boundary)
     if not 0 <= k <= N:
@@ -318,65 +327,121 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
 # --- column dynamic program ---------------------------------------------------
 
 
-def _step_terms(h: int, unit: int, wrap: bool) -> tuple[np.ndarray, ...]:
-    """Cost columns over a2 = 0..h for ``_column_step`` into a column of height h.
+def _state_type(N: int, n: int, unit: int) -> tuple[type, int]:
+    """The state dtype of a column DP over N sites and its sentinel ``inf``.
 
-    Returns ``(ramp, up, down, top)`` scaled by ``unit``: ``ramp`` is a2,
-    ``up``/``down`` are the wrap and internal terms of the rows a1 < h_prev
-    plus/minus a2, and ``top`` is the whole cost of the row a1 == h_prev.
+    Unreachable states start at ``big = inf * unit``.  A reachable state
+    counts at most 2N pairs, seam included, so it stays below
+    (2N + 1) * unit.  An unreachable one rises by at most (n + 2) * unit + n
+    a step, about 3N units over all steps; the cyclic seam adds at most
+    (2n + 1) * unit and a step's sums (2n + 2) * unit more.  With
+    inf = 2^29 // unit every value then stays below
+    2^29 + (4N + 4n + 8) * unit, which is under 2^30 while
+    (4N + 4n + 8) * unit * 4 < 2^31: int32 states, half the bytes of int64.
+    Past that bound the states are int64 with ``inf = _INF``.
     """
-    a2 = np.arange(h + 1)[:, None]
-    internal = ((0 < a2) & (a2 < h)).astype(np.int64)
-    rest = unit * (int(wrap) * (a2 >= 1) + internal)
-    top = unit * (h - a2 + int(wrap) * (a2 == 0) + internal)
-    return unit * a2, rest + unit * a2, rest - unit * a2, top
+    if (4 * N + 4 * n + 8) * unit * 4 < 1 << 31:
+        return np.int32, (1 << 29) // unit
+    return np.int64, _INF
 
 
-def _column_step(enc: np.ndarray, h_prev: int, terms, big: int) -> np.ndarray:
+def _step_terms(h_prev: int, h: int, unit: int, wrap: bool, encode: bool,
+                dtype) -> tuple[np.ndarray, ...]:
+    """Cost terms for ``_column_step`` from a column of height h_prev to one of h.
+
+    Returns ``(forward, backward, fold, updown, top)`` in ``dtype``, laid out
+    to broadcast against ``_column_step``'s count-major arrays.  ``forward``
+    and ``backward`` (the latter in reversed count order) add -unit * a1 and
+    +unit * a1 to the rows a1 = 0..h of the previous column before the two
+    running minima; ``fold`` is added to the rows h .. h_prev-1 that a
+    partial column folds onto position h.  With ``encode`` these and ``top``
+    also add a1 itself, which then sits in the low bits.  ``updown`` holds
+    the wrap and internal terms plus and minus unit * a2, over a2 = 0..h,
+    for the two halves, and ``top`` is the whole cost of the row
+    a1 == h_prev.
+
+    When h == h_prev, row a1 = h is that top row, so it enters both running
+    minima.  Its backward term carries one extra wrap unit, which makes its
+    candidate exact at a2 = 0; at every a2 >= 1 its candidates are too high,
+    and ``top`` is exact there.
+    """
+    a = np.arange(h + 1, dtype=dtype)
+    e, w = int(encode), unit * int(wrap)
+    inner = np.full(h + 1, unit, dtype)  # internal jump, 0 < a < h
+    inner[[0, h]] = 0
+    rest = inner + w
+    rest[0] = 0
+    top = unit * (h - a) + inner + e * h_prev
+    top[0] += w
+    forward, backward = (e - unit) * a, (unit + e) * a
+    backward[h] += w
+    updown = np.stack([rest + unit * a, (rest - unit * a)[::-1]], axis=1)
+    column = (-1, 1, 1)
+    return (forward.reshape(column), backward[::-1].reshape(column),
+            (e * np.arange(h, h_prev, dtype=dtype)).reshape(column),
+            updown.reshape(-1, 1, 2, 1), top.reshape(column))
+
+
+def _column_step(enc: np.ndarray, h_prev: int, terms, unit: int, big: int) -> np.ndarray:
     """One step of the column DP: a column of height h after one of height h_prev.
 
-    ``enc[p, a1, c]`` is ``value * unit + a1``, where ``value`` is the least
+    ``enc[p, a1, c]`` is ``value * unit``, where ``value`` is the least
     mismatch count of a prefix profile of run p whose current column holds
     a1 ones and whose columns so far hold ``lo + c`` ones (``lo`` is the
-    caller's window start).  Since unit > n, a minimum over encoded states
-    also keeps the smallest a1.  Rows above h_prev are unreachable (>= big).
+    caller's window start).  Rows above h_prev are unreachable (>= big).
     Only the last column may be shorter, so h <= h_prev.  ``terms`` is
-    ``_step_terms(h, unit, wrap)``.  Returns ``out`` of shape
-    (P, n + 1, C + n) with
+    ``_step_terms(h_prev, h, unit, wrap, encode, enc.dtype)``.  Returns
+    ``out`` of shape (P, n + 1, C + n) with
 
-        out[p, a2, c] = min over a1 of enc[p, a1, c - a2] + unit * cost(a1, a2),
+        out[p, a2, c] = min over a1 of enc[p, a1, c - a2] + unit * cost(a1, a2) [+ a1],
         cost(a1, a2) = |min(a1, h) - a2|              horizontal pairs
                      + [(a1 == h_prev) != (a2 >= 1)]  wrap pair (if ``wrap``)
                      + [0 < a2 < h]                   internal jump,
 
-    whose low bits hold the minimizing a1.  The horizontal term makes the
-    minimum over a1 an L1 distance transform (Felzenszwalb & Huttenlocher,
-    "Distance Transforms of Sampled Functions", Theory of Computing 8,
-    2012): one forward and one backward running minimum over the count
-    axis, vectorised over the run and volume axes, so a step costs O(n C)
-    per run rather than O(n^2 C).  The a1 == h_prev row differs in its wrap
-    term and is taken on its own.
+    where the bracketed a1, added with ``encode``, puts the minimizing a1 in
+    the low bits: since unit > n, a minimum over encoded states keeps the
+    smallest a1 among equal values.
+
+    The horizontal term makes the minimum over a1 an L1 distance transform
+    (Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled
+    Functions", Theory of Computing 8, 2012): a forward and a backward
+    running minimum over the count axis, so a step costs O(n C) per run
+    rather than O(n^2 C).  Both minima run in one count-major buffer of
+    shape (h + 1, P, 2, C), the backward rows in reversed count order, so
+    one contiguous ``np.minimum`` per count advances both, for every run
+    and volume; numpy's cumulative minimum costs about ten times as much
+    per element.  The a1 == h_prev row differs in its wrap term and is also
+    taken on its own.
     """
-    ramp, up, down, top = terms
-    h = len(ramp) - 1
+    forward, backward, fold, updown, top = terms
+    h = len(top) - 1
     P, R, C = enc.shape
+    rows = enc.transpose(1, 0, 2)  # rows[a1, p, c]
 
-    # rows a1 < h_prev at position min(a1, h), minus the ramp; on a partial
-    # column (h < h_prev) rows h .. h_prev-1 all land on position h
-    forward = enc[:, : h + 1] - ramp
-    forward[:, h] = enc[:, h:h_prev].min(axis=1) - ramp[h] if h < h_prev else big
-    backward = forward + 2 * ramp
-    np.minimum.accumulate(forward, axis=1, out=forward)
-    np.minimum.accumulate(backward[:, ::-1], axis=1, out=backward[:, ::-1])
-    forward += up
-    backward += down
+    # buf[i, :, 0] holds row a1 = i, buf[i, :, 1] row a1 = h - i; on a
+    # partial column (h < h_prev) rows h .. h_prev-1 all land on position h
+    buf = np.empty((h + 1, P, 2, C), enc.dtype)
+    np.add(rows[: h + 1], forward, out=buf[:, :, 0])
+    np.add(rows[h::-1], backward, out=buf[:, :, 1])
+    if h < h_prev:
+        folded = (rows[h:h_prev] + fold).min(axis=0)
+        np.subtract(folded, unit * h, out=buf[h, :, 0])
+        np.add(folded, unit * h, out=buf[0, :, 1])
+    counts = list(buf)
+    for prev, row in zip(counts, counts[1:]):
+        np.minimum(prev, row, out=row)
+    np.add(buf, updown, out=buf)
 
-    # best[p, a2] is written into a padded buffer whose rows, read back with
+    # best[a2, p] is written into a padded buffer whose rows, read back with
     # a row stride one element shorter, come out shifted right by a2
-    padded = np.full((P, R, C + R), big, np.int64)
-    best = padded[:, : h + 1, R:]
-    np.minimum(forward, backward, out=best)
-    np.minimum(best, enc[:, h_prev : h_prev + 1] + top, out=best)
+    padded = np.empty((P, R, C + R), enc.dtype)
+    padded[:, :, :R] = big
+    if h < R - 1:
+        padded[:, h + 1 :, R:] = big
+    best = padded[:, : h + 1, R:].transpose(1, 0, 2)
+    np.minimum(buf[:, :, 0], buf[::-1, :, 1], out=best)
+    np.add(rows[h_prev], top, out=buf[:, :, 1])
+    np.minimum(best, buf[:, :, 1], out=best)
     return padded.reshape(P, R * (C + R))[:, R:].reshape(P, R, C + R - 1)
 
 
@@ -393,7 +458,10 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
     same pair, so it is counted once.  Only volumes that can still reach k
     are kept: after columns 0..ci, holding S sites, the window is
     [k - (N - S), S] within [0, k], so the work is O(ncols n min(k, N - k))
-    per run.
+    per run.  The states are int32 or, on large shapes, int64
+    (``_state_type``).  With ``backtrack`` each step's minimizing a1 comes
+    out of the low bits into a uint8 (uint16 past n = 255) parent array and
+    is then cleared; without it the low bits stay 0.
 
     Returns ``(totals, counts)``: ``totals[p]`` is run p's least count
     (>= ``_INF`` when no profile of volume k exists), and ``counts`` the
@@ -403,9 +471,10 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
     """
     N = sum(heights)
     unit = 1 << n.bit_length()
-    big = _INF * unit
-    rows = np.arange(n + 1)[:, None]
-    terms = {h: _step_terms(h, unit, n > 1) for h in set(heights)}
+    dtype, inf = _state_type(N, n, unit)
+    big = inf * unit
+    terms = {(hp, h): _step_terms(hp, h, unit, n > 1, backtrack, dtype)
+             for hp, h in set(zip(heights, heights[1:]))}
     parent_type = np.min_scalar_type(n)
     ends = np.cumsum(heights)
 
@@ -413,32 +482,33 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
         return max(0, k - (N - int(ends[ci]))), min(k, int(ends[ci]))
 
     lo, hi = window(0)
-    enc = np.full((len(pins), n + 1, hi - lo + 1), big, np.int64)
+    enc = np.full((len(pins), n + 1, hi - lo + 1), big, dtype)
     for p, first in enumerate(pins):
         for a in first:
             if lo <= a <= hi:
-                enc[p, a, a - lo] = unit * (0 < a < heights[0]) + a
+                enc[p, a, a - lo] = unit * (0 < a < heights[0])
 
     parents = [(lo, None)]
     for ci in range(1, len(heights)):
         if seam is not None and ci == len(heights) - 1:
-            enc = enc + unit * seam[0][:, :, None]
-        out = _column_step(enc, heights[ci - 1], terms[heights[ci]], big)
+            enc = enc + (unit * seam[0][:, :, None]).astype(dtype)
+        h_prev = heights[ci - 1]
+        out = _column_step(enc, h_prev, terms[h_prev, heights[ci]], unit, big)
         lo_next, hi = window(ci)
-        out = out[:, :, lo_next - lo : hi - lo + 1]
+        enc = out[:, :, lo_next - lo : hi - lo + 1]
         lo = lo_next
         if backtrack:
-            low = out & (unit - 1)
-            parents.append((lo, low.astype(parent_type)))
-            enc = out ^ low
-            enc |= rows
-        else:  # stale low bits stay below unit, so the values are unchanged
-            enc = out
+            parent = np.empty(enc.shape, parent_type)
+            np.bitwise_and(enc, unit - 1, out=parent, casting="unsafe")
+            enc &= ~(unit - 1)
+            parents.append((lo, parent))
     if seam is not None:
-        enc = enc + unit * seam[1][:, :, None]
+        enc = enc + (unit * seam[1][:, :, None]).astype(dtype)
 
-    best = enc[:, :, k - lo].min(axis=1)  # the last window is [k, k]
-    totals = best // unit
+    # the last window is [k, k]; the count in the low bits breaks ties
+    best = (enc[:, :, k - lo] + np.arange(n + 1, dtype=dtype)).min(axis=1)
+    totals = best.astype(np.int64) // unit
+    totals[totals >= inf] = _INF
     p = int(best.argmin())
     if not backtrack or totals[p] >= _INF:
         return totals, None
@@ -469,12 +539,19 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
     Prefix profiles do not always contain an open minimizer: at
     (n, L, k) = (6, 5/4, 39) this returns 7/6, while a configuration of
     volume 39 with energy 1 exists.  The ``exact`` flag does not say so yet.
+
+    n < 1 or L <= 0 is a ``ValueError``; a chain without sites (L n^2 < 1)
+    has the empty configuration, energy 0.
     """
     L = frac(L)
+    check_shape(n, L)
     N = site_count(n, L)
     if not 0 <= k <= N:
         raise ValueError(f"volume {k} outside [0, {N}]")
     heights = column_heights(n, L)
+    if not heights:  # N = 0: the empty chain
+        return SolveResult(Fraction(0), SpinConfig(n, L, ()), "ColumnDP", True,
+                           profile=ColumnProfile(n, (), ()))
     totals, counts = _column_dp(n, heights, k, [range(min(heights[0], k) + 1)])
     if counts is None:
         raise ValueError(f"volume {k} not representable over {len(heights)} columns")
@@ -592,6 +669,7 @@ def _cyclic_dp(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
     the least total, keeping parents to backtrack.  Returns None for n = 1
     or N <= 2n, where distance classes collide.
     """
+    check_shape(n, L)
     N = site_count(n, L)
     if not 0 <= k <= N:
         raise ValueError(f"volume {k} outside [0, {N}]")
@@ -640,6 +718,7 @@ def periodic_min(n: int, L, k: int) -> SolveResult:
     last two are flagged exact=False: upper bounds on the true minimum.
     """
     L = frac(L)
+    check_shape(n, L)
     N = site_count(n, L)
     if not 0 <= k <= N:
         raise ValueError(f"volume {k} outside [0, {N}]")

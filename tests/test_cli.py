@@ -166,6 +166,28 @@ class TestMainEntry:
                      "--periodic", "--method", "dp"]) == 2
         assert f"volume {k} outside [0, 16]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "0", "--L", "1"], "n must be >= 1"),
+        (["--n", "-2", "--L", "1"], "n must be >= 1"),
+        (["--n", "3", "--L", "0"], "L must be positive"),
+        (["--n", "3", "--L=-1/2"], "L must be positive"),
+        (["--n", "3", "--L=-1/2", "--periodic"], "L must be positive"),
+    ])
+    @pytest.mark.parametrize("method", ["auto", "dp", "brute"])
+    def test_minimize_bad_shape_exit_code(self, capsys, argv, message, method):
+        # the column DP raised an IndexError on such input (exit 1)
+        assert main(["minimize"] + argv + ["--k", "0", "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("method", ["auto", "dp", "brute"])
+    def test_minimize_empty_chain(self, capsys, method):
+        # L n^2 < 1: no site, the empty configuration at energy 0
+        assert main(["minimize", "--n", "3", "--L", "1/100", "--k", "0",
+                     "--method", method]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["value"], doc["config"], doc["exact"]) == ("0/1", "", True)
+
     def test_sweep_unknown_boundary_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(

@@ -219,6 +219,34 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_config("not a header\n0101\n")
 
+    def test_packing_and_text_match_site_loops(self):
+        # the per-site loops the C-level packing and run-length code replaced
+        def runs(values):
+            out, pos = [], 0
+            while pos < len(values):
+                end = pos
+                while end < len(values) and values[end] == values[pos]:
+                    end += 1
+                out.append(f"{end - pos}x{values[pos]}")
+                pos = end
+            return ",".join(out)
+
+        rng = random.Random(23)
+        shapes = [(1, 1), (1, 5), (2, Fraction(3, 2)), (3, Fraction(1, 9)), (5, Fraction(7, 5)),
+                  (7, 3), (10, Fraction(1, 100)), (12, Fraction(9, 4))]
+        for n, L in shapes:
+            N = site_count(n, L)
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+                values = tuple(int(rng.random() < p) for _ in range(N))
+                cfg = SpinConfig(n, L, values)
+                mask = sum(v << i for i, v in enumerate(values))
+                assert cfg.bitmask() == mask
+                assert SpinConfig.from_bitmask(n, L, mask) == cfg
+                assert SpinConfig.from_bitmask(n, L, mask | (rng.getrandbits(8) << N)) == cfg
+                header = f"n={n} L={L.numerator}/{L.denominator} boundary=open\n"
+                assert config_to_text(cfg) == header + "".join(str(v) for v in values) + "\n"
+                assert config_to_text(cfg, rle=True) == header + runs(values) + "\n"
+
 
 class TestValidation:
     def test_wrong_length(self):
@@ -228,6 +256,20 @@ class TestValidation:
     def test_bad_bits(self):
         with pytest.raises(ValueError):
             SpinConfig(2, 1, (1, 0, 2, 0))
+        with pytest.raises(ValueError, match="values must be 0/1"):
+            SpinConfig(2, 1, (1, 0, -1, 0))
+
+    @pytest.mark.parametrize("n,L,message", [
+        (0, 1, "n must be >= 1"), (-2, 1, "n must be >= 1"),
+        (3, 0, "L must be positive"), (3, Fraction(-1, 2), "L must be positive"),
+    ])
+    def test_bad_shape(self, n, L, message):
+        with pytest.raises(ValueError, match=message):
+            SpinConfig(n, L, ())
+
+    def test_bool_values_become_ints(self):
+        cfg = SpinConfig(1, 2, (True, False))
+        assert cfg.values == (1, 0) and type(cfg.values[0]) is int
 
     def test_n_one_single_distance_class(self):
         # n=1: both coupling distances collapse onto nearest neighbours

@@ -257,6 +257,34 @@ class TestColumnDP:
         res = column_dp_min(10, 1, 50)
         assert res.value == F(11, 10)
 
+    @pytest.mark.parametrize("n,L,k,value", [
+        (20, 1, 200, F(21, 20)), (40, 1, 800, F(41, 40)), (60, 1, 1800, F(61, 60)),
+        (80, 1, 3200, F(81, 80)), (40, 3, 2400, F(41, 40)),
+    ])
+    def test_bench_anchor_values(self, n, L, k, value):
+        # the benchmark's column-DP anchors, at the values the int64 kernel gave
+        res = column_dp_min(n, L, k)
+        cfg = profile_to_config(res.profile, L)
+        assert res.value == value
+        assert energy_open(cfg) == value and volume(cfg) == k
+
+    @pytest.mark.parametrize("n,L,message", [
+        (0, 1, "n must be >= 1"), (-2, 1, "n must be >= 1"),
+        (3, 0, "L must be positive"), (3, F(-1, 2), "L must be positive"),
+    ])
+    def test_rejects_bad_shape(self, n, L, message):
+        for solver in (column_dp_min, brute_force_min, periodic_min):
+            with pytest.raises(ValueError, match=message):
+                solver(n, L, 0)
+
+    def test_empty_chain_agrees_with_brute_force(self):
+        # L n^2 < 1: no site at all
+        res, want = column_dp_min(3, F(1, 100), 0), brute_force_min(3, F(1, 100), 0)
+        assert (res.value, res.config) == (want.value, want.config) == (0, SpinConfig(3, F(1, 100), ()))
+        assert res.profile.counts == ()
+        with pytest.raises(ValueError, match=r"volume 1 outside \[0, 0\]"):
+            column_dp_min(3, F(1, 100), 1)
+
 
 # --- dense reference for the column DP ----------------------------------------
 #
@@ -391,6 +419,47 @@ class TestColumnStepAgainstDense:
         res = column_dp_min(n, L, k)
         assert res.value == F(total, n) == value
         assert res.profile.counts == counts
+
+
+class TestColumnStepInt64(TestColumnStepAgainstDense):
+    """The dense-reference grid again with int64 states, as on shapes past
+    the int32 bound of ``_state_type``."""
+
+    @pytest.fixture(autouse=True)
+    def int64_states(self, monkeypatch):
+        picked = []
+
+        def state_type(N, n, unit):
+            picked.append(N)
+            return np.int64, solve._INF
+
+        monkeypatch.setattr(solve, "_state_type", state_type)
+        yield
+        assert picked
+
+
+class TestStateType:
+    @pytest.mark.parametrize("n", [1, 2, 7, 80, 300, 1000])
+    def test_int64_past_the_bound(self, n):
+        unit = 1 << n.bit_length()
+        last = ((1 << 31) // (4 * unit) - 4 * n - 9) // 4  # (4N + 4n + 8) 4 unit < 2^31
+        dtype, inf = solve._state_type(last, n, unit)
+        assert dtype is np.int32 and inf * unit <= 1 << 29
+        # reachable states stay below big, unreachable ones below 2^30
+        assert (2 * last + 1) * unit < inf * unit
+        assert inf * unit + (4 * last + 4 * n + 8) * unit <= 1 << 30
+        assert solve._state_type(last + 1, n, unit) == (np.int64, solve._INF)
+
+    def test_run_past_the_bound(self, monkeypatch):
+        # N = 131000 sites at n = 1000 needs int64 states; five ones at the
+        # bottom of the first column cost one jump and five horizontal pairs
+        picked = []
+        state_type = solve._state_type
+        monkeypatch.setattr(solve, "_state_type",
+                            lambda *args: picked.append(state_type(*args)) or picked[-1])
+        res = column_dp_min(1000, F(131, 1000), 5)
+        assert picked == [(np.int64, solve._INF)]
+        assert res.value == F(6, 1000)
 
 
 class TestProfiles:
