@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .continuum import (
     PiecewiseConstant,
     TauParams,
+    _as_tau,
     continuum_energy,
     continuum_energy_periodic,
 )
@@ -75,7 +77,12 @@ class MinimizerReport:
         """Energy of u in this report's problem: open, or periodic at ``tau``."""
         if self.boundary == "open":
             return continuum_energy(u)
-        return continuum_energy_periodic(u, self.tau)
+        return continuum_energy_periodic(u, self._tau_params)
+
+    @cached_property
+    def _tau_params(self) -> TauParams:
+        """``tau`` validated once per report, not once per evaluation."""
+        return TauParams(self.tau)
 
 
 def _sqrt_value(sq: Fraction):
@@ -115,10 +122,10 @@ def classify_open(L, sigma) -> MinimizerReport:
     # squared candidate values; every candidate shape is feasible whenever
     # it is minimal (its optimal block then fits inside the domain)
     squared = {
-        "A": 4 * L * L,
+        "A": L * L * 4,
         "B": Fraction(1),
-        "C": 8 * sigma * L,
-        "D": 8 * (1 - sigma) * L,
+        "C": sigma * L * 8,
+        "D": (1 - sigma) * L * 8,
     }
     best_sq = min(squared.values())
     winners = tuple(c for c in "ABCD" if squared[c] == best_sq)
@@ -155,14 +162,14 @@ def classify_open(L, sigma) -> MinimizerReport:
 
 def _periodic_candidates(L: Fraction, sigma: Fraction, tau_lo: Fraction):
     """Squared candidate values for the periodic problem, None = shape not feasible."""
-    m = min(sigma, 1 - sigma, tau_lo)
-    out = {
-        "A": (2 * L + 2 * m) ** 2,
+    rest = 1 - sigma
+    block, hole = sigma * L, rest * L
+    return {
+        "A": (L + min(sigma, rest, tau_lo)) ** 2 * 4,
         "B": Fraction(4),
-        "C": 16 * sigma * L if (sigma <= L and sigma * L <= 1) else None,
-        "D": 16 * (1 - sigma) * L if (1 - sigma <= L and (1 - sigma) * L <= 1) else None,
+        "C": block * 16 if (sigma <= L and block <= 1) else None,
+        "D": hole * 16 if (rest <= L and hole <= 1) else None,
     }
-    return out
 
 
 def classify_periodic(L, sigma, tau) -> MinimizerReport:
@@ -171,11 +178,12 @@ def classify_periodic(L, sigma, tau) -> MinimizerReport:
     Candidate values: 2L + 2*min(sigma, 1-sigma, tau_*) (A), 2 (B),
     4*sqrt(sigma*L) (C, needs sigma <= L and sigma*L <= 1),
     4*sqrt((1-sigma)*L) (D, mirror condition).  For sigma >= tau_* > 0 the
-    A-minimizer is one member of an infinite monotone family.
+    A-minimizer is one member of an infinite monotone family.  tau may be
+    given as a TauParams, so that a grid validates it once.
     """
-    p = ProblemParams(L, sigma, tau)
+    t = _as_tau(tau)
+    p = ProblemParams(L, sigma, t.tau)
     L, sigma = p.L, p.sigma
-    t = TauParams(p.tau)
 
     if sigma == 0 or sigma == 1:
         u = PiecewiseConstant.constant(L, sigma)
@@ -205,7 +213,8 @@ def classify_periodic(L, sigma, tau) -> MinimizerReport:
                 # most tau_*, falling across the seam for tau <= 1/2 and rising
                 # for tau > 1/2 (the two are exchanged by reflection)
                 degenerate = True
-                c1, c2 = s + t.lo / 2, s - t.lo / 2
+                half_step = t.lo / 2
+                c1, c2 = s + half_step, s - half_step
                 falling = t.tau <= Fraction(1, 2)
                 steps = [(L / 2, c1), (L, c2)] if falling else [(L / 2, c2), (L, c1)]
                 reps.append(PiecewiseConstant.from_pieces(L, steps))
@@ -217,9 +226,10 @@ def classify_periodic(L, sigma, tau) -> MinimizerReport:
                 notes.append("unique constant")
         elif c == "B":
             degenerate = True
-            reps.append(PiecewiseConstant.indicator(L, 0, s * L))
-            lo = (L - s * L) / 2
-            reps.append(PiecewiseConstant.indicator(L, lo, lo + s * L))
+            slab = s * L
+            reps.append(PiecewiseConstant.indicator(L, 0, slab))
+            lo = (L - slab) / 2
+            reps.append(PiecewiseConstant.indicator(L, lo, lo + slab))
             notes.append("all cyclic translations of a full-height slab")
         elif c == "C":
             w = sqrt_exact(s * L)
@@ -253,7 +263,9 @@ def classify_periodic(L, sigma, tau) -> MinimizerReport:
 
     if mirrored:
         # u -> 1 - u(L - x) preserves the energy and the monotonicity direction
-        reps = [u.reflect().complement() for u in reps]
+        reps = [PiecewiseConstant(L, tuple(L - b for b in reversed(u.breakpoints)),
+                                  tuple(1 - v for v in reversed(u.values)))
+                for u in reps]
         winners = tuple({"C": "D", "D": "C"}.get(c, c) for c in winners)
 
     rep = MinimizerReport(winners[0], winners, value, value_exact, reps,
@@ -296,13 +308,7 @@ def phase_diagram(L_grid, sigma_grid, tau=None) -> list:
     """Classify every (L, sigma) cell; returns a row-major list of report rows."""
     if not L_grid or not sigma_grid:
         raise ValueError("grids must be non-empty")
-    rows = []
-    for L in L_grid:
-        row = []
-        for s in sigma_grid:
-            if tau is None:
-                row.append(classify_open(L, s))
-            else:
-                row.append(classify_periodic(L, s, tau))
-        rows.append(row)
-    return rows
+    if tau is None:
+        return [[classify_open(L, s) for s in sigma_grid] for L in L_grid]
+    t = _as_tau(tau)
+    return [[classify_periodic(L, s, t) for s in sigma_grid] for L in L_grid]

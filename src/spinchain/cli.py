@@ -59,7 +59,10 @@ class SweepSpec:
     def __post_init__(self):
         object.__setattr__(self, "L", frac(self.L))
         object.__setattr__(self, "sigma", frac(self.sigma))
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        if not isinstance(self.n_list, (list, tuple)) or not all(
+                type(n) is int and n >= 1 for n in self.n_list):
+            raise ValueError("n_list must be a list of integers >= 1")
+        object.__setattr__(self, "n_list", tuple(self.n_list))
         is_periodic(self.boundary)
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ValueError("n_list must be strictly increasing")
@@ -72,10 +75,12 @@ class SweepSpec:
     @staticmethod
     def from_json(text: str) -> "SweepSpec":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("sweep spec must be a JSON object")
         return SweepSpec(
             L=Fraction(str(doc["L"])),
             sigma=Fraction(str(doc["sigma"])),
-            n_list=tuple(doc["n_list"]),
+            n_list=doc["n_list"],
             boundary=doc.get("boundary", "open"),
         )
 
@@ -368,6 +373,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_phase(args) -> int:
     with open(args.grid_json) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("phase grid must be a JSON object")
+    if not (isinstance(doc["L"], list) and isinstance(doc["sigma"], list)):
+        raise ValueError("phase grid L and sigma must be lists")
     L_grid = [Fraction(str(x)) for x in doc["L"]]
     sigma_grid = [Fraction(str(x)) for x in doc["sigma"]]
     tau = Fraction(str(doc["tau"])) if doc.get("tau") is not None else None

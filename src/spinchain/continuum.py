@@ -6,9 +6,11 @@ The scaled chain energies converge to
     F#(u)  = F(u) + boundary_term(tau, u(0+), u(L-))     (periodic chain)
 
 for u: (0, L) -> [0, 1].  Everything here is evaluated on piecewise
-constant u with exact interval arithmetic, so equalities between the two
-routes (functional formula vs. geometric perimeter accounting) can be
-asserted without tolerances when the data are rational.
+constant u in exact arithmetic: every result is a Fraction, or a float
+only when an irrational C/D shape (a square-root height or width) enters,
+so equalities between the two routes (functional formula vs. geometric
+perimeter accounting) can be asserted without tolerances when the data
+are rational.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .rationals import frac
@@ -29,6 +32,14 @@ __all__ = [
     "boundary_term",
     "periodic_cell_perimeter",
 ]
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _number(x):
+    """x as an exact Fraction; floats (irrational C/D shapes) pass unchanged."""
+    return x if type(x) is Fraction or isinstance(x, float) else frac(x)
 
 
 # --- exact interval sets ---------------------------------------------------
@@ -110,27 +121,30 @@ class PiecewiseConstant:
     values: tuple
 
     def __post_init__(self):
+        # validate and merge adjacent equal values in one pass
         L = frac(self.L)
-        bps = [b if isinstance(b, float) else frac(b) for b in self.breakpoints]
-        vals = [v if isinstance(v, float) else frac(v) for v in self.values]
         if L <= 0:
             raise ValueError("L must be positive")
-        if len(bps) != len(vals) + 1:
+        if len(self.breakpoints) != len(self.values) + 1:
             raise ValueError("need one more breakpoint than values")
-        if bps[0] != 0 or bps[-1] != L:
+        prev = _number(self.breakpoints[0])
+        if prev != 0:
             raise ValueError("breakpoints must run from 0 to L")
-        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
-            raise ValueError("breakpoints must increase strictly")
-        if any(v < 0 or v > 1 for v in vals):
-            raise ValueError("values must lie in [0, 1]")
-        # merge adjacent equal values
-        mb, mv = [bps[0]], []
-        for i, v in enumerate(vals):
+        mb, mv = [prev], []
+        for b, v in zip(self.breakpoints[1:], self.values):
+            b, v = _number(b), _number(v)
+            if b <= prev:
+                raise ValueError("breakpoints must increase strictly")
+            if v < 0 or v > 1:
+                raise ValueError("values must lie in [0, 1]")
             if mv and v == mv[-1]:
-                mb[-1] = bps[i + 1]
+                mb[-1] = b
             else:
                 mv.append(v)
-                mb.append(bps[i + 1])
+                mb.append(b)
+            prev = b
+        if prev != L:
+            raise ValueError("breakpoints must run from 0 to L")
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "breakpoints", tuple(mb))
         object.__setattr__(self, "values", tuple(mv))
@@ -146,22 +160,22 @@ class PiecewiseConstant:
         L, a, b = frac(L), frac(a), frac(b)
         if not 0 <= a < b <= L:
             raise ValueError("need 0 <= a < b <= L")
-        bps = [Fraction(0)]
+        bps = [_ZERO]
         vals = []
         if a > 0:
             bps.append(a)
-            vals.append(Fraction(0))
+            vals.append(_ZERO)
         bps.append(b)
-        vals.append(Fraction(1))
+        vals.append(_ONE)
         if b < L:
             bps.append(L)
-            vals.append(Fraction(0))
+            vals.append(_ZERO)
         return PiecewiseConstant(L, tuple(bps), tuple(vals))
 
     @staticmethod
     def from_pieces(L, pieces: Sequence[tuple]) -> "PiecewiseConstant":
         """pieces = [(to, value), ...] with increasing 'to' ending at L."""
-        bps = [Fraction(0)] + [p[0] for p in pieces]
+        bps = [_ZERO] + [p[0] for p in pieces]
         vals = [p[1] for p in pieces]
         return PiecewiseConstant(frac(L), tuple(bps), tuple(vals))
 
@@ -220,6 +234,11 @@ class PiecewiseConstant:
     @staticmethod
     def from_json(text: str) -> "PiecewiseConstant":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("step function must be a JSON object")
+        if not (isinstance(doc["pieces"], list)
+                and all(isinstance(p, dict) for p in doc["pieces"])):
+            raise ValueError("pieces must be a list of {to, value} objects")
 
         def dec(x):
             return Fraction(x) if isinstance(x, str) else frac(x)
@@ -235,17 +254,17 @@ class TauParams:
     tau: Fraction
 
     def __post_init__(self):
-        t = self.tau if isinstance(self.tau, float) else frac(self.tau)
+        t = _number(self.tau)
         if not 0 <= t <= 1:
             raise ValueError("tau must lie in [0, 1]")
         object.__setattr__(self, "tau", t)
 
-    @property
+    @cached_property
     def lo(self):
         """tau_* = min(tau, 1 - tau) <= 1/2."""
         return min(self.tau, 1 - self.tau)
 
-    @property
+    @cached_property
     def hi(self):
         """tau^* = max(tau, 1 - tau) >= 1/2."""
         return max(self.tau, 1 - self.tau)
@@ -260,14 +279,13 @@ def _as_tau(t) -> TauParams:
 
 def total_variation(u: PiecewiseConstant):
     """Sum of interior jump magnitudes on (0, L)."""
-    return sum(
-        abs(u.values[m + 1] - u.values[m]) for m in range(len(u.values) - 1)
-    )
+    return sum(abs(b - a) for a, b in zip(u.values, u.values[1:]))
 
 
 def continuum_energy(u: PiecewiseConstant):
     """2 * (length where 0 < u < 1) + total variation, no boundary contribution."""
-    fractional = sum(b - a for a, b, v in u.pieces() if 0 < v < 1)
+    bps = u.breakpoints
+    fractional = sum(b - a for a, b, v in zip(bps, bps[1:], u.values) if 0 < v < 1)
     return 2 * fractional + total_variation(u)
 
 
@@ -275,19 +293,23 @@ def boundary_term(t, x, y):
     """Mismatch measure between the boundary traces of a periodic extension.
 
     With A = [0, y] and B = [-tau, x - tau] u [1 - tau, x + 1 - tau],
-    returns |[0,1] ^ (B symdiff A)|.  Equivalently: the circle (R mod 1)
-    symmetric difference between the arc [0, y] and the arc of length x
-    starting at 1 - tau.
+    returns |[0,1] ^ (B symdiff A)|: on the circle R mod 1, the symmetric
+    difference x + y - 2|[0, y] n arc| of [0, y] and the arc of length x
+    from s = 1 - tau to end = s + x.  The overlap is max(0, min(end, y) - s)
+    if end <= 1, else max(0, y - s) + min(end - 1, y); floats use the same
+    formula.  The interval sets serve only periodic_cell_perimeter.
     """
     t = _as_tau(t)
-    x = x if isinstance(x, float) else frac(x)
-    y = y if isinstance(y, float) else frac(y)
+    x, y = _number(x), _number(y)
     if not (0 <= x <= 1 and 0 <= y <= 1):
         raise ValueError("arguments must lie in [0, 1]")
-    tau = t.tau
-    shifted = _normalize([(-tau, x - tau), (1 - tau, x + 1 - tau)])
-    base = _normalize([(0, y)])
-    return _measure(_symmetric_difference(shifted, base, 0, 1))
+    s = 1 - t.tau
+    end = s + x
+    if end <= 1:
+        overlap = max(0, min(end, y) - s)
+    else:
+        overlap = max(0, y - s) + min(end - 1, y)
+    return x + y - 2 * overlap
 
 
 def continuum_energy_periodic(u: PiecewiseConstant, t):

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 def frac(x) -> Fraction:
     """Coerce ints, Fractions, floats and strings like '3/2' to Fraction."""
+    if type(x) is int:  # ahead of isinstance(x, Fraction), which asks the numbers ABC
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):

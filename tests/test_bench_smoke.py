@@ -29,3 +29,8 @@ def test_brute_all_k_runs_and_checks_out():
 def test_column_dp_workload_runs_and_checks_out(workload):
     # both run the column DP: a kernel that breaks an answer fails here
     _smoke(workload)
+
+
+def test_continuum_runs_and_checks_out():
+    # phase, classify and recover against the closed forms in perfbench/checks.py
+    _smoke("continuum")

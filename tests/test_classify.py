@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spinchain import (
+    TauParams,
     classify_open,
     classify_periodic,
     periodicity_defects,
@@ -154,6 +156,18 @@ class TestClassifyPeriodic:
             assert a.value == pytest.approx(b.value, abs=1e-14)
             assert tuple(sorted(swap[c] for c in a.cases)) == tuple(sorted(b.cases))
 
+    @given(st.fractions(min_value=F(1, 20), max_value=3, max_denominator=20),
+           st.fractions(min_value=0, max_value=1, max_denominator=20),
+           st.fractions(min_value=0, max_value=1, max_denominator=20))
+    def test_sigma_mirror_value_property(self, L, s, t):
+        assert classify_periodic(L, s, t).value == classify_periodic(L, 1 - s, t).value
+
+    def test_tau_params_argument(self):
+        # a grid passes one validated TauParams; the report is the same
+        for L, s, t in [(F(1, 5), F(3, 10), F(3, 10)), (F(3, 2), F(7, 10), F(9, 10)),
+                        (F(1, 10), F(19, 20), F(1, 10))]:
+            assert classify_periodic(L, s, TauParams(t)) == classify_periodic(L, s, t)
+
     def test_representatives_attain_value(self):
         rng = random.Random(12)
         for _ in range(150):
@@ -255,6 +269,11 @@ class TestPhaseDiagram:
                 rep = classify_periodic(L, s, 0)
                 inside = L / 4 <= s <= 1 - L / 4
                 assert inside == ("A" in rep.cases), (L, s, rep.cases)
+
+    def test_periodic_rows_match_cells(self):
+        Ls, sigmas = [F(1, 10), F(1, 2), F(3, 2)], [F(1, 20), F(1, 2), F(7, 10)]
+        rows = phase_diagram(Ls, sigmas, tau=F(1, 10))
+        assert rows == [[classify_periodic(L, s, F(1, 10)) for s in sigmas] for L in Ls]
 
     def test_grid_shape(self):
         rows = phase_diagram([1, 2], [F(1, 4), F(1, 2)], tau=F(1, 2))

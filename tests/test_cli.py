@@ -1,6 +1,7 @@
 """CLI and rendering tests."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -285,3 +286,59 @@ class TestMainEntry:
             main(["minimize", "--n", "4", "--L", "1", "--k", "8", "--periodic"] + argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+class TestMalformedJson:
+    """A document of the wrong shape is invalid input: exit 2, no traceback."""
+
+    @pytest.mark.parametrize("command,doc,message", [
+        ("phase", {"L": 1, "sigma": ["1/2"]}, "L and sigma must be lists"),
+        ("phase", [{"L": ["1"], "sigma": ["1/2"]}], "must be a JSON object"),
+        ("sweep", {"L": "1", "sigma": "1/2", "n_list": 5}, "n_list must be a list"),
+        ("sweep", [{"L": "1", "sigma": "1/2", "n_list": [2]}], "must be a JSON object"),
+        ("sweep", {"L": "1", "sigma": "1/2", "n_list": [0, 2]}, "integers >= 1"),
+        ("sweep", {"L": "1", "sigma": "1/2", "n_list": [3.5]}, "integers >= 1"),
+        ("recover", {"L": "1", "pieces": 3}, "pieces must be a list"),
+    ])
+    def test_exit_code(self, tmp_path, capsys, command, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = ([command, "--target", str(path), "--n", "4"] if command == "recover"
+                else [command, str(path)])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_sweep_spec_refuses_bools(self):
+        with pytest.raises(ValueError):
+            SweepSpec(L=1, sigma=F(1, 2), n_list=(True, 2))
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                      "continuum_golden.json")
+
+
+class TestContinuumGolden:
+    """`phase` CSVs and `classify --tau` JSON, byte for byte as recorded from
+    the interval-set boundary term (commit 3538154): the README grid, open and
+    periodic; a grid with mirrored cells (sigma > 1/2) at tau = 0, 1/10, 1/2
+    and 9/10; and one classify cell of each case A-D, irrational C and D
+    values included."""
+
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+
+    @pytest.mark.parametrize("case", golden["phase"],
+                             ids=lambda c: f"tau={c['grid'].get('tau')}")
+    def test_phase_csv(self, tmp_path, capsys, case):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(case["grid"]))
+        assert main(["phase", str(path)]) == 0
+        assert capsys.readouterr().out == case["csv"]
+
+    @pytest.mark.parametrize("case", golden["classify"],
+                             ids=lambda c: "/".join(c["argv"][2::2]))
+    def test_classify_json(self, capsys, case):
+        assert main(case["argv"]) == 0
+        assert capsys.readouterr().out == case["stdout"]

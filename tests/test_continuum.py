@@ -1,10 +1,12 @@
 """Continuum functional tests; the closed-form diagonal of the boundary term
 and the geometric perimeter accounting serve as mutual oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinchain import (
     PiecewiseConstant,
@@ -15,8 +17,18 @@ from spinchain import (
     periodic_cell_perimeter,
     total_variation,
 )
+from spinchain.continuum import _measure, _normalize, _symmetric_difference
 
 F = Fraction
+
+
+def reference_boundary_term(tau, x, y):
+    """The seam term by interval sets: with A = [0, y] and
+    B = [-tau, x - tau] u [1 - tau, x + 1 - tau], the measure of
+    [0, 1] n (A symdiff B).  boundary_term computes it in closed form."""
+    shifted = _normalize([(-tau, x - tau), (1 - tau, x + 1 - tau)])
+    base = _normalize([(0, y)])
+    return _measure(_symmetric_difference(shifted, base, 0, 1))
 
 
 def random_step(rng, max_pieces=6, L=None):
@@ -126,9 +138,75 @@ class TestBoundaryTerm:
                     if x >= y:
                         assert boundary_term(t, x, y) <= boundary_term(t, y, x)
 
-    def test_range_check(self):
+    @pytest.mark.parametrize("x,y", [(F(3, 2), F(1, 2)), (F(1, 2), F(-1, 3)),
+                                     (-0.25, F(1, 2)), (F(1, 2), 1.5)])
+    def test_range_check(self, x, y):
         with pytest.raises(ValueError):
-            boundary_term(F(1, 4), F(3, 2), F(1, 2))
+            boundary_term(F(1, 4), x, y)
+
+
+class TestBoundaryTermReference:
+    """The closed form against the interval-set reference."""
+
+    def test_twelfths_exact(self):
+        grid = [F(i, 12) for i in range(13)]
+        for t, x, y in itertools.product(grid, repeat=3):
+            assert boundary_term(t, x, y) == reference_boundary_term(t, x, y), (t, x, y)
+
+    def test_random_rationals_exact(self):
+        rng = random.Random(5)
+
+        def draw():
+            q = rng.randint(1, 1000)
+            return F(rng.randint(0, q), q)
+
+        for _ in range(2000):
+            t, x, y = draw(), draw(), draw()
+            assert boundary_term(t, x, y) == reference_boundary_term(t, x, y), (t, x, y)
+
+    def test_random_floats_close(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            t = F(rng.randint(0, 1000), 1000)
+            x, y = rng.random(), rng.random()
+            got = boundary_term(t, x, y)
+            assert isinstance(got, float)
+            assert abs(got - reference_boundary_term(t, x, y)) <= 1e-12, (t, x, y)
+
+
+unit = st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+
+class TestBoundaryTermProperties:
+    @given(unit, unit)
+    def test_tau_zero_is_distance(self, x, y):
+        assert boundary_term(0, x, y) == abs(x - y)
+
+    @given(unit, unit, unit)
+    def test_swap_symmetry(self, t, x, y):
+        assert boundary_term(t, x, y) == boundary_term(1 - t, y, x)
+
+    @given(unit, unit, unit)
+    def test_bounded(self, t, x, y):
+        assert 0 <= boundary_term(t, x, y) <= 2
+
+
+@st.composite
+def step_functions(draw):
+    """Rational step functions with up to four pieces on (0, L)."""
+    L = draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=8))
+    cuts = draw(st.lists(st.integers(1, 23), max_size=3, unique=True))
+    bps = [F(0)] + [L * c / 24 for c in sorted(cuts)] + [L]
+    vals = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12),
+                         min_size=len(bps) - 1, max_size=len(bps) - 1))
+    return PiecewiseConstant(L, tuple(bps), tuple(vals))
+
+
+class TestPerimeterProperty:
+    @settings(max_examples=40)
+    @given(step_functions(), unit)
+    def test_perimeter_matches_functional(self, u, t):
+        assert periodic_cell_perimeter(u, t) == continuum_energy_periodic(u, t)
 
 
 class TestPeriodicEnergy:
