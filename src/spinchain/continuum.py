@@ -254,7 +254,7 @@ class TauParams:
     tau: Fraction
 
     def __post_init__(self):
-        t = _number(self.tau)
+        t = frac(self.tau)
         if not 0 <= t <= 1:
             raise ValueError("tau must lie in [0, 1]")
         object.__setattr__(self, "tau", t)
@@ -271,7 +271,7 @@ class TauParams:
 
 
 def _as_tau(t) -> TauParams:
-    return t if isinstance(t, TauParams) else TauParams(frac(t))
+    return t if isinstance(t, TauParams) else TauParams(t)
 
 
 # --- functionals ------------------------------------------------------------

@@ -167,6 +167,8 @@ class TestClassifyPeriodic:
         for L, s, t in [(F(1, 5), F(3, 10), F(3, 10)), (F(3, 2), F(7, 10), F(9, 10)),
                         (F(1, 10), F(19, 20), F(1, 10))]:
             assert classify_periodic(L, s, TauParams(t)) == classify_periodic(L, s, t)
+            # a float tau is taken as the nearby rational, as everywhere else
+            assert classify_periodic(L, s, TauParams(float(t))) == classify_periodic(L, s, t)
 
     def test_representatives_attain_value(self):
         rng = random.Random(12)
