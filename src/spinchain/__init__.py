@@ -2,9 +2,11 @@
 volume-constrained ground states, and their continuum limits."""
 
 from .lattice import (
+    ColumnProfile,
     GridSet,
     SpinConfig,
     Window,
+    block_rearrange,
     column_heights,
     config_to_text,
     energy_decomposition,
@@ -15,6 +17,7 @@ from .lattice import (
     grid_energy,
     lambda_defect,
     parse_config,
+    profile_to_config,
     site_count,
     to_grid,
     volume,
@@ -37,15 +40,12 @@ from .classify import (
     phase_diagram,
 )
 from .solve import (
-    ColumnProfile,
     SolveResult,
     SolverGuardError,
-    block_rearrange,
     brute_force_min,
     column_dp_min,
     minimize,
     periodic_min,
-    profile_to_config,
 )
 from .recover import (
     RecoveryPlan,

@@ -97,9 +97,10 @@ def _check_representatives(report: MinimizerReport):
     for u in report.representatives:
         got = report.evaluate(u)
         if report.value_exact is not None and not isinstance(got, float):
-            assert got == report.value_exact, (got, report.value_exact)
-        else:
-            assert abs(float(got) - report.value) <= 1e-12 * max(1.0, report.value)
+            if got != report.value_exact:
+                raise AssertionError((got, report.value_exact))
+        elif not abs(float(got) - report.value) <= 1e-12 * max(1.0, report.value):
+            raise AssertionError((got, report.value))
 
 
 def classify_open(L, sigma) -> MinimizerReport:

@@ -227,8 +227,7 @@ def render_minimizer(report: MinimizerReport, fmt: str = "svg") -> str:
     return "".join(parts) + "\n"
 
 
-def _phase_csv(L_grid, sigma_grid, tau, out) -> None:
-    rows = phase_diagram(L_grid, sigma_grid, tau)
+def _phase_csv(L_grid, sigma_grid, tau, rows, out) -> None:
     writer = csv.writer(out)
     writer.writerow(["L", "sigma", "tau", "case", "value"])
     for L, row in zip(L_grid, rows):
@@ -242,8 +241,7 @@ def _phase_csv(L_grid, sigma_grid, tau, out) -> None:
 _CASE_COLORS = {"A": "#e6a03c", "B": "#4878c9", "C": "#53a356", "D": "#b5543e"}
 
 
-def _phase_svg(L_grid, sigma_grid, tau) -> str:
-    rows = phase_diagram(L_grid, sigma_grid, tau)
+def _phase_svg(L_grid, sigma_grid, rows) -> str:
     cell = 14
     W, H = len(sigma_grid) * cell + 60, len(L_grid) * cell + 40
     parts = [
@@ -380,11 +378,12 @@ def _cmd_phase(args) -> int:
     L_grid = [Fraction(str(x)) for x in doc["L"]]
     sigma_grid = [Fraction(str(x)) for x in doc["sigma"]]
     tau = Fraction(str(doc["tau"])) if doc.get("tau") is not None else None
+    rows = phase_diagram(L_grid, sigma_grid, tau)
     buf = io.StringIO()
-    _phase_csv(L_grid, sigma_grid, tau, buf)
+    _phase_csv(L_grid, sigma_grid, tau, rows, buf)
     _write(buf.getvalue(), args.output)
     if args.svg:
-        _write(_phase_svg(L_grid, sigma_grid, tau), args.svg)
+        _write(_phase_svg(L_grid, sigma_grid, rows), args.svg)
     return 0
 
 

@@ -68,25 +68,11 @@ def _clip(segs, lo, hi):
     return [(max(a, lo), min(b, hi)) for a, b in segs if max(a, lo) < min(b, hi)]
 
 
-def _complement_within(segs, lo, hi):
-    out = []
-    cur = lo
-    for a, b in _clip(segs, lo, hi):
-        if cur < a:
-            out.append((cur, a))
-        cur = b
-    if cur < hi:
-        out.append((cur, hi))
-    return out
-
-
-def _symmetric_difference(a, b, lo, hi):
-    """(a ^ b) restricted to [lo, hi], both inputs normalized."""
+def _symmetric_difference_measure(a, b, lo, hi):
+    """|A ^ B| within [lo, hi] as |A| + |B| - 2 |A & B|, both inputs normalized."""
     a = _clip(a, lo, hi)
     b = _clip(b, lo, hi)
-    a_not_b = _intersect(a, _complement_within(b, lo, hi))
-    b_not_a = _intersect(b, _complement_within(a, lo, hi))
-    return _normalize(a_not_b + b_not_a)
+    return _measure(a) + _measure(b) - 2 * _measure(_intersect(a, b))
 
 
 def _intersect(a, b):
@@ -373,7 +359,7 @@ def periodic_cell_perimeter(u: PiecewiseConstant, t):
     for x0 in xs:
         left = _occupancy_column(u, t, x0 - dx)
         right = _occupancy_column(u, t, x0 + dx)
-        total += _measure(_symmetric_difference(left, right, 0, 1))
+        total += _symmetric_difference_measure(left, right, 0, 1)
 
     # horizontal boundary: piece values (and 0) shifted by whole periods
     ys = set()
@@ -388,5 +374,5 @@ def periodic_cell_perimeter(u: PiecewiseConstant, t):
     for y0 in sorted(ys):
         below = _occupancy_row(u, t, y0 - dy)
         above = _occupancy_row(u, t, y0 + dy)
-        total += _measure(_symmetric_difference(below, above, 0, L))
+        total += _symmetric_difference_measure(below, above, 0, L)
     return total

@@ -11,6 +11,11 @@ a subset of an n-row grid of cell size 1/n: distance-1 pairs are vertical
 neighbours inside a column (or the top of one column against the bottom
 of the next, the "wrap" pairs), and distance-n pairs are horizontal
 neighbours between adjacent columns.  `to_grid` materializes the picture.
+
+This module owns that picture for the whole package: the column heights,
+the prefix profiles (`ColumnProfile`, each column filled bottom-up), the
+pair windows the mismatch counts run over (`pair_windows`), and the
+instance check (`check_volume`).
 """
 
 from __future__ import annotations
@@ -32,10 +37,12 @@ __all__ = [
     "lambda_defect",
     "column_heights",
     "check_shape",
+    "check_volume",
     "is_periodic",
     "energy_open",
     "energy_periodic",
     "pair_distances",
+    "pair_windows",
     "volume",
     "energy_decomposition",
     "to_grid",
@@ -45,6 +52,10 @@ __all__ = [
     "cell_to_site",
     "config_to_text",
     "parse_config",
+    "ColumnProfile",
+    "profile_to_config",
+    "config_to_profile",
+    "block_rearrange",
 ]
 
 
@@ -77,6 +88,18 @@ def check_shape(n: int, L) -> None:
         raise ValueError("n must be >= 1")
     if L <= 0:
         raise ValueError("L must be positive")
+
+
+def check_volume(n: int, L, k: int) -> int:
+    """Validate an instance (n, L, k) and return its site count N.
+
+    ``check_shape`` first, then 0 <= k <= N.
+    """
+    check_shape(n, L)
+    N = site_count(n, L)
+    if not 0 <= k <= N:
+        raise ValueError(f"volume {k} outside [0, {N}]")
+    return N
 
 
 def is_periodic(boundary: str) -> bool:
@@ -155,14 +178,6 @@ def volume(cfg: SpinConfig) -> int:
     return sum(cfg.values)
 
 
-def _mismatches_at_distance(mask: int, N: int, d: int) -> int:
-    """Mismatched pairs {i, i+d} within 1..N, via xor/popcount on the packed bits."""
-    if d <= 0 or d >= N:
-        return 0
-    window = (1 << (N - d)) - 1
-    return ((mask ^ (mask >> d)) & window).bit_count()
-
-
 def pair_distances(n: int, N: int, periodic: bool) -> tuple[int, ...]:
     """Interacting index distances inside 1..N-1, ascending, each class once.
 
@@ -173,23 +188,32 @@ def pair_distances(n: int, N: int, periodic: bool) -> tuple[int, ...]:
     return tuple(sorted({d for d in classes if 1 <= d <= N - 1}))
 
 
+def pair_windows(n: int, N: int, periodic: bool) -> tuple[tuple[int, int], ...]:
+    """``(d, window)`` per class of ``pair_distances``: bit i of the window is set
+    iff the pair (i, i + d) of 0-based sites lies inside the chain.
+
+    With site i at bit i of a mask, the class counts
+    ``((mask ^ mask >> d) & window).bit_count()`` mismatched pairs.
+    """
+    return tuple((d, (1 << (N - d)) - 1) for d in pair_distances(n, N, periodic))
+
+
+def _pair_mismatches(cfg: SpinConfig, periodic: bool) -> int:
+    mask = cfg.bitmask()
+    return sum(((mask ^ mask >> d) & w).bit_count()
+               for d, w in pair_windows(cfg.n, cfg.N, periodic))
+
+
 def energy_open(cfg: SpinConfig) -> Fraction:
     """Open-chain energy: (mismatched pairs at distances 1 and n) / n."""
-    mask = cfg.bitmask()
-    total = sum(_mismatches_at_distance(mask, cfg.N, d)
-                for d in pair_distances(cfg.n, cfg.N, False))
-    return Fraction(total, cfg.n)
+    return Fraction(_pair_mismatches(cfg, False), cfg.n)
 
 
 def energy_periodic(cfg: SpinConfig) -> Fraction:
     """Ring energy over distances {1, N-1, n, N-n}, each unordered pair counted once."""
     if cfg.N < 2:
         raise ValueError("periodic energy needs at least 2 sites")
-    mask = cfg.bitmask()
-    total = sum(
-        _mismatches_at_distance(mask, cfg.N, d) for d in pair_distances(cfg.n, cfg.N, True)
-    )
-    return Fraction(total, cfg.n)
+    return Fraction(_pair_mismatches(cfg, True), cfg.n)
 
 
 def energy_decomposition(cfg: SpinConfig) -> tuple[int, int, int]:
@@ -202,20 +226,64 @@ def energy_decomposition(cfg: SpinConfig) -> tuple[int, int, int]:
 
     n * energy_open(cfg) == vertical + horizontal + wrap, exactly.
     """
-    v = cfg.values
-    N = cfg.N
-    n = cfg.n
-    vertical = wrap = 0
-    for i in range(1, N):  # pair {i, i+1}, 1-based i
-        if v[i - 1] != v[i]:
-            if i % n == 0:
-                wrap += 1
-            else:
-                vertical += 1
-    horizontal = 0
-    if n > 1:
-        horizontal = _mismatches_at_distance(cfg.bitmask(), N, n)
-    return vertical, horizontal, wrap
+    n, N, mask = cfg.n, cfg.N, cfg.bitmask()
+    windows = dict(pair_windows(n, N, False))
+    steps = (mask ^ mask >> 1) & windows.get(1, 0)
+    tops = int(("1" + "0" * (n - 1)) * (N // n + 1), 2)  # bits n-1, 2n-1, ...
+    wrap = (steps & tops).bit_count()
+    horizontal = ((mask ^ mask >> n) & windows[n]).bit_count() if 1 < n < N else 0
+    return steps.bit_count() - wrap, horizontal, wrap
+
+
+# --- prefix profiles ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ColumnProfile:
+    """Per-column occupation counts of a prefix-form configuration."""
+
+    n: int
+    heights: tuple[int, ...]
+    counts: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.heights) != len(self.counts):
+            raise ValueError("heights and counts must align")
+        for h, a in zip(self.heights, self.counts):
+            if not (0 <= a <= h <= self.n):
+                raise ValueError(f"count {a} outside column of height {h}")
+
+    def volume(self) -> int:
+        return sum(self.counts)
+
+
+def profile_to_config(profile: ColumnProfile, L=None) -> SpinConfig:
+    """Materialize a profile: column j gets ones on its first counts[j] sites.
+
+    ``L`` defaults to N / n^2, the shortest length with the profile's sites.
+    """
+    values: list[int] = []
+    for h, a in zip(profile.heights, profile.counts):
+        values.extend([1] * a + [0] * (h - a))
+    if L is None:
+        L = Fraction(len(values), profile.n * profile.n)
+    return SpinConfig(profile.n, frac(L), tuple(values))
+
+
+def config_to_profile(cfg: SpinConfig) -> ColumnProfile:
+    """The column heights and per-column counts of a configuration."""
+    return ColumnProfile(cfg.n, column_heights(cfg.n, cfg.L), cfg.column_counts())
+
+
+def block_rearrange(cfg: SpinConfig) -> SpinConfig:
+    """Move the ones of every column to that column's bottom prefix.
+
+    Preserves per-column (hence total) volume and is idempotent.  Note:
+    this does NOT always decrease the open energy; the wrap pair between
+    a column's top site and the next column's bottom site can flip from
+    matched to mismatched (e.g. n=2, (0,1,1,1) -> (1,0,1,1)).
+    """
+    return profile_to_config(config_to_profile(cfg), cfg.L)
 
 
 def site_to_cell(i: int, n: int) -> tuple[int, int]:

@@ -16,12 +16,14 @@ from typing import Optional, Sequence
 
 from .continuum import PiecewiseConstant, continuum_energy
 from .lattice import (
+    ColumnProfile,
     SpinConfig,
+    check_volume,
     column_heights,
     energy_open,
     full_columns,
     lambda_defect,
-    site_count,
+    profile_to_config,
 )
 from .rationals import frac
 
@@ -56,9 +58,7 @@ class RecoveryPlan:
     @staticmethod
     def for_volume(n: int, L, k: int) -> "RecoveryPlan":
         L = frac(L)
-        N = site_count(n, L)
-        if not 0 <= k <= N:
-            raise ValueError(f"volume {k} outside [0, {N}]")
+        check_volume(n, L, k)
         m0 = full_columns(n, L)
         lam = lambda_defect(n, L)
         a, b = divmod(k, m0 + 1)
@@ -68,7 +68,7 @@ class RecoveryPlan:
         return RecoveryPlan(n, L, k, a, b, lam, gamma, delta)
 
 
-def _column_piece_counts(u: PiecewiseConstant, n: int) -> list[int]:
+def _column_profile(u: PiecewiseConstant, n: int) -> ColumnProfile:
     """Per-column occupation counts floor(n * c) of the snapped target."""
     snapped_cuts = [Fraction(math.floor(n * x), n) for x in u.breakpoints]
     heights = column_heights(n, u.L)
@@ -85,7 +85,7 @@ def _column_piece_counts(u: PiecewiseConstant, n: int) -> list[int]:
         c = u.values[m]
         count = min(math.floor(n * c), h)
         counts.append(count)
-    return counts
+    return ColumnProfile(n, heights, tuple(counts))
 
 
 def recovery_unconstrained(u: PiecewiseConstant, n: int) -> SpinConfig:
@@ -104,11 +104,7 @@ def recovery_unconstrained(u: PiecewiseConstant, n: int) -> SpinConfig:
         raise ValueError(
             f"n={n} too coarse for this partition; need n >= {needed}"
         )
-    counts = _column_piece_counts(u, n)
-    values: list[int] = []
-    for h, a in zip(column_heights(n, u.L), counts):
-        values.extend([1] * a + [0] * (h - a))
-    return SpinConfig(n, u.L, tuple(values))
+    return profile_to_config(_column_profile(u, n), u.L)
 
 
 def recovery_constrained(n: int, L, k: int) -> SpinConfig:
@@ -133,14 +129,10 @@ def recovery_constrained(n: int, L, k: int) -> SpinConfig:
             for j in range(1, ncols + 1)
         ]
 
-    values: list[int] = []
-    heights = list(column_heights(n, plan.L))
-    if len(heights) < ncols:
-        heights.append(0)  # lam == 0: the virtual extra column vanishes entirely
-    for h, a in zip(heights, per_col):
-        a = min(a, h)
-        values.extend([1] * a + [0] * (h - a))
-    cfg = SpinConfig(n, plan.L, tuple(values))
+    # with lam == 0 the virtual extra column has no sites; zip drops it
+    heights = column_heights(n, plan.L)
+    counts = tuple(min(a, h) for h, a in zip(heights, per_col))
+    cfg = profile_to_config(ColumnProfile(n, heights, counts), plan.L)
     if sum(cfg.values) != k:
         raise AssertionError("construction lost volume")
     return cfg

@@ -54,15 +54,20 @@ from typing import Optional
 import numpy as np
 
 from .lattice import (
+    ColumnProfile,
     SpinConfig,
-    check_shape,
+    block_rearrange,  # re-exported, as is config_to_profile
+    check_volume,
     column_heights,
+    config_to_profile,
     config_to_text,
     energy_open,
     energy_periodic,
     is_periodic,
     lambda_defect,
     pair_distances,
+    pair_windows,
+    profile_to_config,
     site_count,
 )
 from .rationals import frac
@@ -90,56 +95,6 @@ _INF = 1 << 30
 
 class SolverGuardError(ValueError):
     """Instance too large for the requested exact method."""
-
-
-@dataclass(frozen=True)
-class ColumnProfile:
-    """Per-column occupation counts of a prefix-form configuration."""
-
-    n: int
-    heights: tuple[int, ...]
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.heights) != len(self.counts):
-            raise ValueError("heights and counts must align")
-        for h, a in zip(self.heights, self.counts):
-            if not (0 <= a <= h <= self.n):
-                raise ValueError(f"count {a} outside column of height {h}")
-
-    def volume(self) -> int:
-        return sum(self.counts)
-
-
-def profile_to_config(profile: ColumnProfile, L=None) -> SpinConfig:
-    """Materialize a profile: column j gets ones on its first counts[j] sites."""
-    values: list[int] = []
-    for h, a in zip(profile.heights, profile.counts):
-        values.extend([1] * a + [0] * (h - a))
-    if L is None:
-        L = Fraction(len(values), profile.n * profile.n)
-    return SpinConfig(profile.n, frac(L), tuple(values))
-
-
-def config_to_profile(cfg: SpinConfig) -> ColumnProfile:
-    return ColumnProfile(cfg.n, column_heights(cfg.n, cfg.L), cfg.column_counts())
-
-
-def block_rearrange(cfg: SpinConfig) -> SpinConfig:
-    """Move the ones of every column to that column's bottom prefix.
-
-    Preserves per-column (hence total) volume and is idempotent.  Note:
-    this does NOT always decrease the open energy; the wrap pair between
-    a column's top site and the next column's bottom site can flip from
-    matched to mismatched (e.g. n=2, (0,1,1,1) -> (1,0,1,1)).
-    """
-    values: list[int] = []
-    pos = 0
-    for h in column_heights(cfg.n, cfg.L):
-        a = sum(cfg.values[pos : pos + h])
-        values.extend([1] * a + [0] * (h - a))
-        pos += h
-    return SpinConfig(cfg.n, cfg.L, tuple(values))
 
 
 @dataclass
@@ -252,14 +207,17 @@ def _sweep_table(n: int, L_key: tuple, periodic: bool):
     return _split_sweep(N, dists, min(range((N + 1) // 2, N + 1), key=work), MAX_OPTIMA)
 
 
-def _gosper_min(n: int, N: int, k: int, dists) -> tuple[int, list[int], bool]:
-    """Enumerate volume-k bitmasks in increasing order, track the argmin set."""
+def _gosper_min(N: int, k: int, windows) -> tuple[int, list[int], bool]:
+    """Enumerate volume-k bitmasks in increasing order, track the argmin set.
+
+    ``windows`` are ``lattice.pair_windows``; the count is inlined, as a call
+    per subset would cost about as much as the count itself.
+    """
     if k == 0:
         return 0, [0], False
     best = None
     optima: list[int] = []
     truncated = False
-    windows = [(d, (1 << (N - d)) - 1) for d in dists]
     c = (1 << k) - 1
     limit = 1 << N
     while c < limit:
@@ -290,11 +248,8 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
     ascending bitmask; ``config`` is the first.
     """
     L = frac(L)
-    check_shape(n, L)
-    N = site_count(n, L)
+    N = check_volume(n, L, k)
     periodic = is_periodic(boundary)
-    if not 0 <= k <= N:
-        raise ValueError(f"volume {k} outside [0, {N}]")
     if periodic and N < 2:
         raise ValueError("periodic energy needs at least 2 sites")
     if not _brute_force_fits(N, k):
@@ -306,13 +261,14 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
         mins, found, flags = _sweep_table(n, (L.numerator, L.denominator), periodic)
         target, masks, truncated = int(mins[k]), found[k], flags[k]
     else:
-        target, masks, truncated = _gosper_min(n, N, k, pair_distances(n, N, periodic))
+        target, masks, truncated = _gosper_min(N, k, pair_windows(n, N, periodic))
 
     optima = [SpinConfig.from_bitmask(n, L, m) for m in masks]
     cfg = optima[0]
     value = Fraction(target, n)
     check = energy_periodic(cfg) if periodic else energy_open(cfg)
-    assert check == value, "sweep bookkeeping must match the energy"
+    if check != value:
+        raise AssertionError("sweep bookkeeping must match the energy")
     return SolveResult(
         value=value,
         config=cfg,
@@ -544,10 +500,7 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
     has the empty configuration, energy 0.
     """
     L = frac(L)
-    check_shape(n, L)
-    N = site_count(n, L)
-    if not 0 <= k <= N:
-        raise ValueError(f"volume {k} outside [0, {N}]")
+    check_volume(n, L, k)
     heights = column_heights(n, L)
     if not heights:  # N = 0: the empty chain
         return SolveResult(Fraction(0), SpinConfig(n, L, ()), "ColumnDP", True,
@@ -559,7 +512,8 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
     profile = ColumnProfile(n, heights, tuple(counts))
     cfg = profile_to_config(profile, L)
     value = Fraction(int(totals[0]), n)
-    assert energy_open(cfg) == value, "DP bookkeeping must match the energy"
+    if energy_open(cfg) != value:
+        raise AssertionError("DP bookkeeping must match the energy")
     return SolveResult(value, cfg, "ColumnDP", True, profile=profile)
 
 
@@ -641,7 +595,8 @@ def _transfer_periodic(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
     row = _transfer_pass(n, N, k, windows[first : first + 1], choices)[0, :, k] + seam[first]
     w = int(row.argmin())
     total = int(row[w])
-    assert total == int(totals[first].min()), "transfer-matrix rerun must match its pin"
+    if total != int(totals[first].min()):
+        raise AssertionError("transfer-matrix rerun must match its pin")
     mask, v = 0, k
     for i in range(N - 1, n - 1, -1):
         x = w >> (n - 1)
@@ -652,7 +607,8 @@ def _transfer_periodic(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
 
     cfg = SpinConfig.from_bitmask(n, L, mask)
     value = Fraction(total, n)
-    assert energy_periodic(cfg) == value, "transfer-matrix bookkeeping must match the energy"
+    if energy_periodic(cfg) != value:
+        raise AssertionError("transfer-matrix bookkeeping must match the energy")
     return SolveResult(value, cfg, "TransferMatrix", True)
 
 
@@ -669,10 +625,7 @@ def _cyclic_dp(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
     the least total, keeping parents to backtrack.  Returns None for n = 1
     or N <= 2n, where distance classes collide.
     """
-    check_shape(n, L)
-    N = site_count(n, L)
-    if not 0 <= k <= N:
-        raise ValueError(f"volume {k} outside [0, {N}]")
+    N = check_volume(n, L, k)
     if n < 2 or N <= 2 * n:  # distance classes collide; not worth special-casing
         return None
     heights = column_heights(n, L)
@@ -702,8 +655,8 @@ def _cyclic_dp(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
     profile = ColumnProfile(n, heights, tuple(best_counts))
     cfg = profile_to_config(profile, L)
     value = energy_periodic(cfg)
-    assert value == Fraction(int(found[0]), n) == Fraction(int(totals[p]), n), \
-        "cyclic DP seam accounting is off"
+    if not value == Fraction(int(found[0]), n) == Fraction(int(totals[p]), n):
+        raise AssertionError("cyclic DP seam accounting is off")
     return SolveResult(value, cfg, "ColumnDP", False, profile=profile)
 
 
@@ -718,10 +671,7 @@ def periodic_min(n: int, L, k: int) -> SolveResult:
     last two are flagged exact=False: upper bounds on the true minimum.
     """
     L = frac(L)
-    check_shape(n, L)
-    N = site_count(n, L)
-    if not 0 <= k <= N:
-        raise ValueError(f"volume {k} outside [0, {N}]")
+    N = check_volume(n, L, k)
     if k in (0, N):
         cfg = SpinConfig(n, L, tuple([1 if k else 0] * N))
         return SolveResult(Fraction(0), cfg, "BruteForce", True, optima=[cfg])

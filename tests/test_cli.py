@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinchain import SpinConfig, classify_open, config_to_text, minimize
+from spinchain import SpinConfig, classify_open, config_to_text, minimize, phase_diagram
 from spinchain.classify import MinimizerReport
 from spinchain import cli
 from spinchain.cli import (
@@ -213,7 +213,15 @@ class TestMainEntry:
         assert out[0] == "n,k_n,tau_n,discrete_min,method,exact,continuum_min,gap"
         assert out[1].startswith("2,2,0/1,1.5,ColumnDP,True,1.0,0.5")
 
-    def test_phase_command(self, tmp_path):
+    def test_phase_command(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return phase_diagram(*args)
+
+        # the CSV and the SVG are written from one classification of the grid
+        monkeypatch.setattr(cli, "phase_diagram", counted)
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"L": ["2/5"], "sigma": ["1/10", "3/10"]}))
         out = tmp_path / "phase.csv"
@@ -224,6 +232,8 @@ class TestMainEntry:
         assert lines[1].split(",")[3] == "C"
         assert lines[2].split(",")[3] == "A"
         assert svg.read_text().startswith("<svg")
+        assert svg.read_text().count("case=C") == 1
+        assert len(calls) == 1
 
     def test_recover_command(self, tmp_path, capsys):
         target = tmp_path / "u.json"

@@ -17,7 +17,7 @@ from spinchain import (
     periodic_cell_perimeter,
     total_variation,
 )
-from spinchain.continuum import _measure, _normalize, _symmetric_difference
+from spinchain.continuum import _normalize, _symmetric_difference_measure
 
 F = Fraction
 
@@ -28,7 +28,7 @@ def reference_boundary_term(tau, x, y):
     [0, 1] n (A symdiff B).  boundary_term computes it in closed form."""
     shifted = _normalize([(-tau, x - tau), (1 - tau, x + 1 - tau)])
     base = _normalize([(0, y)])
-    return _measure(_symmetric_difference(shifted, base, 0, 1))
+    return _symmetric_difference_measure(shifted, base, 0, 1)
 
 
 def random_step(rng, max_pieces=6, L=None):

@@ -5,6 +5,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spinchain import (
     SpinConfig,
@@ -126,7 +127,34 @@ class TestVolume:
         assert volume(SpinConfig(2, Fraction(5, 4), (1, 0, 1, 0, 1))) == 3
 
 
+def reference_decomposition(cfg):
+    """energy_decomposition by a loop over the interacting pairs, site by site."""
+    v, N, n = cfg.values, cfg.N, cfg.n
+    vertical = wrap = 0
+    for i in range(1, N):  # pair {i, i+1}, 1-based i
+        if v[i - 1] != v[i]:
+            if i % n == 0:
+                wrap += 1
+            else:
+                vertical += 1
+    horizontal = sum(v[i] != v[i + n] for i in range(N - n)) if n > 1 else 0
+    return vertical, horizontal, wrap
+
+
+@st.composite
+def configs(draw):
+    """n = 1..9 and N = 0..6n sites: partial last columns and N < n included."""
+    n = draw(st.integers(1, 9))
+    N = draw(st.integers(0, 6 * n))
+    values = draw(st.lists(st.integers(0, 1), min_size=N, max_size=N))
+    return SpinConfig(n, Fraction(2 * N + 1, 2 * n * n), values)
+
+
 class TestDecomposition:
+    @given(configs())
+    def test_matches_reference(self, cfg):
+        assert energy_decomposition(cfg) == reference_decomposition(cfg)
+
     def test_half_split(self):
         assert energy_decomposition(SpinConfig(2, 1, (1, 1, 0, 0))) == (0, 2, 1)
 

@@ -44,6 +44,13 @@ class TestRecoveryPlan:
         with pytest.raises(ValueError):
             RecoveryPlan.for_volume(2, 1, 5)
 
+    def test_rejects_bad_shape(self):
+        # the shape is checked before the volume: L = -1 once read "volume 0 outside [0, -9]"
+        with pytest.raises(ValueError, match="L must be positive"):
+            recovery_constrained(3, -1, 0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            RecoveryPlan.for_volume(0, 1, 0)
+
 
 class TestRecoveryConstrained:
     def test_spec_instance(self):

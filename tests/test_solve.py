@@ -2,7 +2,10 @@
 periodic transfer matrix and heuristics."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -837,3 +840,41 @@ class TestMinimize:
         for method in ("exact", "anneal"):  # the annealer is gone
             with pytest.raises(ValueError, match=f"unknown method '{method}'"):
                 minimize(2, 1, 2, method=method)
+
+
+SELF_CHECKS = """
+from fractions import Fraction
+import spinchain.classify, spinchain.solve
+from spinchain.solve import _cyclic_dp, _transfer_periodic, brute_force_min, column_dp_min
+
+if __debug__:
+    raise SystemExit("not running under -O")
+
+def wrong(*args):
+    return Fraction(-1)
+
+spinchain.solve.energy_open = spinchain.solve.energy_periodic = wrong
+spinchain.classify.continuum_energy = wrong
+calls = [(column_dp_min, 3, 1, 4), (brute_force_min, 3, 1, 4),
+         (_transfer_periodic, 3, Fraction(5, 4), 5), (_cyclic_dp, 3, Fraction(1), 4),
+         (spinchain.classify.classify_open, 1, Fraction(3, 10))]
+for f, *args in calls:
+    try:
+        f(*args)
+    except AssertionError:
+        print(f.__name__, "raised")
+    else:
+        print(f.__name__, "passed")
+"""
+
+
+def test_self_checks_survive_python_O():
+    """The energy self-checks of the solvers and the classifier raise under
+    ``python -O``, which strips ``assert`` statements."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", SELF_CHECKS], env=env,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.split("\n")[:-1] == [
+        f"{name} raised" for name in ("column_dp_min", "brute_force_min",
+                                      "_transfer_periodic", "_cyclic_dp", "classify_open")]
