@@ -7,17 +7,21 @@ chain goes to ``column_dp_min`` and a periodic one to ``periodic_min``;
 
 * ``brute_force_min``   exhaustive oracle, exact and guarded: a split-cut
   sweep of all 2^N masks, run once per shape and cached, gives every
-  volume's minimum and minimizers; past N = 28, subset enumeration while
-  C(N, k) is small.
+  volume's minimum and minimizers; past N = 28, the transfer matrix
+  (``_transfer_min``) while it fits ``TRANSFER_BUDGET``.
 * ``column_dp_min``     open-chain minimum over prefix profiles by dynamic
   programming over per-column occupation counts, each column filled
   bottom-up.
 * ``periodic_min``      the ring, routed by size: a transfer-matrix search
-  over all configurations (``_transfer_periodic``, exact) while
-  4^n N (k + 1) fits ``TRANSFER_BUDGET``; else brute force while its guard
-  allows (exact); else the cyclic column DP (``_cyclic_dp``), or, on rings
-  it declines (n = 1 or N <= 2n), the open column-DP minimizer scored on
-  the ring, both flagged as upper bounds.
+  over all configurations (``_transfer_min``, exact) while
+  4^n N (min(k, N - k) + 1) fits ``TRANSFER_BUDGET``; else the split-cut
+  sweep while N <= 28 (exact); else the cyclic column DP (``_cyclic_dp``),
+  or, on rings it declines (n = 1 or N <= 2n), the open column-DP
+  minimizer scored on the ring, both flagged as upper bounds.
+
+The transfer matrix (``_transfer_pass``) is one search for both
+boundaries: the ring pins each first window in a run of its own and adds
+the seam, the open chain is one run that starts from every first window.
 
 Both column DPs share one core (``_column_dp``): each column step takes
 the minimum over the previous column's count as an L1 distance transform,
@@ -39,13 +43,13 @@ cross-column wrap pair can flip against it), and the minimum over prefix
 profiles is not always the open minimum either: at (n, L, k) = (6, 5/4, 39)
 it is 7/6, while a volume-39 configuration with zeros at sites 37-39 and
 43-45 has energy 1.  Every such case found so far has a partial last column
-and N > 28, beyond the brute-force oracle.
+and N > 28, past the split-cut sweep; ``brute_force_min`` finds the true
+minimum there by the transfer matrix.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -66,7 +70,6 @@ from .lattice import (
     is_periodic,
     lambda_defect,
     pair_distances,
-    pair_windows,
     profile_to_config,
     site_count,
 )
@@ -85,9 +88,8 @@ __all__ = [
 ]
 
 FULL_SWEEP_MAX_N = 28
-SUBSET_ENUM_MAX = 10**7
 MAX_OPTIMA = 10**4
-TRANSFER_BUDGET = 1 << 23  # 4^n N (k + 1) state updates of the periodic transfer matrix
+TRANSFER_BUDGET = 1 << 23  # state updates of one transfer-matrix search (``_transfer_fits``)
 _PIN_BATCH = 1 << 15  # states per batch of the cyclic DP's pinned runs
 _BLOCK = 1 << 20  # masks per broadcast add of the brute-force sweep
 _INF = 1 << 30
@@ -104,7 +106,7 @@ class SolveResult:
     method: str              # "BruteForce" | "TransferMatrix" | "ColumnDP"
     exact: bool
     profile: Optional[ColumnProfile] = None
-    optima: Optional[list[SpinConfig]] = None  # brute force argmin set
+    optima: Optional[list[SpinConfig]] = None  # argmin set: split-cut sweep and k in {0, N} only
     optima_truncated: bool = False
 
     def to_json(self) -> str:
@@ -122,9 +124,10 @@ class SolveResult:
 # --- brute force ------------------------------------------------------------
 
 
-def _brute_force_fits(N: int, k: int) -> bool:
-    """The brute-force guard: full sweep for N <= 28, else C(N, k) <= 10^7 subsets."""
-    return N <= FULL_SWEEP_MAX_N or math.comb(N, k) <= SUBSET_ENUM_MAX
+def _constant(n: int, L: Fraction, k: int, N: int) -> SolveResult:
+    """The trivial volumes k in {0, N}: the constant configuration, energy 0."""
+    cfg = SpinConfig(n, L, (int(k > 0),) * N)
+    return SolveResult(Fraction(0), cfg, "BruteForce", True, optima=[cfg])
 
 
 def _mismatches(masks: np.ndarray, windows) -> np.ndarray:
@@ -207,65 +210,37 @@ def _sweep_table(n: int, L_key: tuple, periodic: bool):
     return _split_sweep(N, dists, min(range((N + 1) // 2, N + 1), key=work), MAX_OPTIMA)
 
 
-def _gosper_min(N: int, k: int, windows) -> tuple[int, list[int], bool]:
-    """Enumerate volume-k bitmasks in increasing order, track the argmin set.
-
-    ``windows`` are ``lattice.pair_windows``; the count is inlined, as a call
-    per subset would cost about as much as the count itself.
-    """
-    if k == 0:
-        return 0, [0], False
-    best = None
-    optima: list[int] = []
-    truncated = False
-    c = (1 << k) - 1
-    limit = 1 << N
-    while c < limit:
-        e = 0
-        for d, w in windows:
-            e += ((c ^ (c >> d)) & w).bit_count()
-        if best is None or e < best:
-            best, optima, truncated = e, [c], False
-        elif e == best:
-            if len(optima) < MAX_OPTIMA:
-                optima.append(c)
-            else:
-                truncated = True
-        u = c & (-c)
-        v = c + u
-        c = v | (((v ^ c) // u) >> 2)
-    return best, optima, truncated
-
-
 def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
     """Exhaustive exact minimum over all volume-k configurations.
 
-    ``boundary`` is "open" or "periodic".  Guarded: requires N <= 28 (full
-    sweep) or C(N, k) <= 10^7 (subset enumeration); larger instances are
-    refused outright.  The full sweep (``_split_sweep``) counts every one of
-    the 2^N masks once per shape (n, L, boundary), for all volumes, and is
-    cached.  ``optima`` holds the first ``MAX_OPTIMA`` minimizers by
-    ascending bitmask; ``config`` is the first.
+    ``boundary`` is "open" or "periodic".  k in {0, N} is the constant
+    configuration at any N.  Otherwise, for N <= 28 the split-cut sweep
+    (``_split_sweep``) counts every one of the 2^N masks once per shape
+    (n, L, boundary), for all volumes, and is cached; ``optima`` holds the
+    first ``MAX_OPTIMA`` minimizers by ascending bitmask and ``config`` is
+    the first.  Past N = 28 the transfer matrix (``_transfer_min``, method
+    "TransferMatrix", no ``optima``) searches all configurations while
+    ``_transfer_fits`` allows; larger instances are refused outright.
     """
     L = frac(L)
     N = check_volume(n, L, k)
     periodic = is_periodic(boundary)
     if periodic and N < 2:
         raise ValueError("periodic energy needs at least 2 sites")
-    if not _brute_force_fits(N, k):
-        raise SolverGuardError(
-            f"instance too large for brute force: N={N}, C(N,k)={math.comb(N, k)}"
-        )
+    if k in (0, N):
+        return _constant(n, L, k, N)
+    if N > FULL_SWEEP_MAX_N:
+        if not _transfer_fits(n, N, k, periodic):
+            raise SolverGuardError(
+                f"instance too large for brute force: N={N} > {FULL_SWEEP_MAX_N} and "
+                "the transfer matrix does not fit its budget"
+            )
+        return _transfer_min(n, L, k, periodic)
 
-    if N <= FULL_SWEEP_MAX_N:
-        mins, found, flags = _sweep_table(n, (L.numerator, L.denominator), periodic)
-        target, masks, truncated = int(mins[k]), found[k], flags[k]
-    else:
-        target, masks, truncated = _gosper_min(N, k, pair_windows(n, N, periodic))
-
-    optima = [SpinConfig.from_bitmask(n, L, m) for m in masks]
+    mins, found, flags = _sweep_table(n, (L.numerator, L.denominator), periodic)
+    optima = [SpinConfig.from_bitmask(n, L, m) for m in found[k]]
     cfg = optima[0]
-    value = Fraction(target, n)
+    value = Fraction(int(mins[k]), n)
     check = energy_periodic(cfg) if periodic else energy_open(cfg)
     if check != value:
         raise AssertionError("sweep bookkeeping must match the energy")
@@ -276,7 +251,7 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
         exact=True,
         profile=None,
         optima=optima,
-        optima_truncated=truncated,
+        optima_truncated=flags[k],
     )
 
 
@@ -517,33 +492,33 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
     return SolveResult(value, cfg, "ColumnDP", True, profile=profile)
 
 
-# --- periodic: transfer matrix and cyclic DP ---------------------------------
+# --- transfer matrix (both boundaries) and cyclic DP ---------------------------
 
 
-def _transfer_pass(n: int, N: int, k: int, first: np.ndarray,
+def _transfer_pass(n: int, N: int, k: int, start: np.ndarray,
                    choices: Optional[list] = None) -> np.ndarray:
-    """Transfer-matrix sweep of the ring from the pinned first windows ``first``.
+    """Transfer-matrix sweep of the chain, one run per row of ``start``.
 
-    Returns ``D[p, w, v]``: the least mismatch count over sites 0..N-1,
-    before the seam, of a configuration whose sites 0..n-1 are the window
-    ``first[p]`` (site j at bit j), whose sites N-n..N-1 are the window w
-    (site N-n+j at bit j) and whose volume is v, valid at v = k.
-    The first window starts with its own internal distance-1 pairs; adding
-    site i costs [x_i != x_{i-1}] + [x_i != x_{i-n}].  A new window
-    (w >> 1) | (x << n-1) has exactly two predecessors, 2w' and 2w'+1 with
-    w' its low n-1 bits, so a step is two elementwise minima over halves of
-    the window axis.  Only volumes that can still reach k are updated: after
-    site i, [k - (N-1-i), i+1] within [0, k]; entries outside that window
-    are never read (the lower end, once above 0, moves up one per step).
-    With ``choices`` a list, each step appends the bool array of its
-    minimizing oldest bits, for backtracking.
+    ``start[p, w]`` (bool, shape (P, 2^n)) says whether run p may begin with
+    the window w on sites 0..n-1 (site j at bit j).  Returns ``D[p, w, v]``:
+    the least mismatch count over sites 0..N-1 at distances 1 and n, no
+    seam, of a configuration that run p may begin with, whose sites
+    N-n..N-1 are the window w (site N-n+j at bit j) and whose volume is v,
+    valid at v = k.  Each first window starts with its own internal
+    distance-1 pairs; adding site i costs [x_i != x_{i-1}] + [x_i != x_{i-n}].
+    A new window (w >> 1) | (x << n-1) has exactly two predecessors, 2w' and
+    2w'+1 with w' its low n-1 bits, so a step is two elementwise minima over
+    halves of the window axis.  Only volumes that can still reach k are
+    updated: after site i, [k - (N-1-i), i+1] within [0, k]; entries outside
+    that window are never read (the lower end, once above 0, moves up one
+    per step).  With ``choices`` a list, each step appends the bool array of
+    its minimizing oldest bits, for backtracking.
     """
     W, half = 1 << n, 1 << (n - 1)
-    inner = np.bitwise_count((first ^ (first >> 1)) & (half - 1))
-    vols = np.bitwise_count(first)
-    D = np.full((len(first), W, k + 1), _INF, np.int32)
-    ok = vols <= k
-    D[np.flatnonzero(ok), first[ok], vols[ok]] = inner[ok]
+    vols = np.bitwise_count(np.arange(W))
+    p, first = np.nonzero(start & (vols <= k))
+    D = np.full((len(start), W, k + 1), _INF, np.int32)
+    D[p, first, vols[first]] = np.bitwise_count((first ^ (first >> 1)) & (half - 1))
     nxt = np.full_like(D, _INF)
     # bit n-1 of the predecessors 2w' and 2w'+1 is bit n-2 of w'
     top = ((np.arange(half) >> (n - 2)) & 1).astype(np.int32)[:, None]
@@ -568,47 +543,65 @@ def _transfer_pass(n: int, N: int, k: int, first: np.ndarray,
     return D
 
 
-def _transfer_periodic(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
-    """Exact ring minimum at volume k by a transfer matrix over all configurations.
+def _transfer_fits(n: int, N: int, k: int, periodic: bool) -> bool:
+    """Guard of ``_transfer_min``: n >= 2 and N > 2n, where the distance
+    classes are distinct, and its work fits ``TRANSFER_BUDGET``."""
+    runs = 1 << n if periodic else 1
+    return n >= 2 and N > 2 * n and runs * (1 << n) * N * (min(k, N - k) + 1) <= TRANSFER_BUDGET
 
-    The state is the last n sites and the volume so far (``_transfer_pass``),
-    run from every first window at once; the seam then adds
-    popcount(first ^ last) for the distance N-n pairs and
-    [bit 0 of first != bit n-1 of last] for the distance N-1 pair.  The
-    configuration comes from rerunning the best first window alone with its
-    choices kept and backtracking.  Work 4^n N (k + 1), memory 4^n (k + 1)
+
+def _transfer_min(n: int, L: Fraction, k: int, periodic: bool) -> SolveResult:
+    """Exact minimum at volume k by a transfer matrix over all configurations.
+
+    The state is the last n sites and the volume so far (``_transfer_pass``).
+    The ring runs each first window as a pin of its own (``start`` is the
+    identity); the seam then adds popcount(first ^ last) for the distance
+    N-n pairs and [bit 0 of first != bit n-1 of last] for the distance N-1
+    pair, and the best pin is rerun alone with its choices kept.  The open
+    chain is one run that starts from every first window, with no seam,
+    and keeps its choices at once.  Backtracking from the best last window
+    leaves the first window in both cases.  Both energies count mismatches,
+    so complementing every site keeps the energy: a volume k > N/2 is solved
+    at N - k and its configuration complemented.  Work
+    (2^n on a ring, else 1) * 2^n N (min(k, N - k) + 1) state updates
     (Baxter, "Exactly Solved Models in Statistical Mechanics", 1982, for
-    the transfer-matrix method).  Returns None unless n >= 2 and N > 2n,
-    where the four distance classes are distinct, and the work fits
-    ``TRANSFER_BUDGET``.
+    the transfer-matrix method).  The caller checks ``_transfer_fits``.
     """
     N = site_count(n, L)
-    if n < 2 or N <= 2 * n or 4**n * N * (k + 1) > TRANSFER_BUDGET:
-        return None
-    windows = np.arange(1 << n)
-    seam = (np.bitwise_count(windows[:, None] ^ windows[None, :])
-            + ((windows[:, None] & 1) != (windows[None, :] >> (n - 1))))
-    totals = _transfer_pass(n, N, k, windows)[:, :, k] + seam
-    first = int(totals.argmin()) // len(windows)
+    j = min(k, N - k)
+    W = 1 << n
+    if periodic:
+        windows = np.arange(W)
+        seam = (np.bitwise_count(windows[:, None] ^ windows)
+                + ((windows[:, None] & 1) != (windows >> (n - 1))))
+        start = np.eye(W, dtype=bool)
+        totals = _transfer_pass(n, N, j, start)[:, :, j] + seam
+        first = int(totals.argmin()) // W
+        start, seam = start[first : first + 1], seam[first]
+    else:
+        start, seam = np.ones((1, W), bool), 0
 
     choices: list = []
-    row = _transfer_pass(n, N, k, windows[first : first + 1], choices)[0, :, k] + seam[first]
+    row = _transfer_pass(n, N, j, start, choices)[0, :, j] + seam
     w = int(row.argmin())
     total = int(row[w])
-    if total != int(totals[first].min()):
+    if periodic and total != int(totals.min()):
         raise AssertionError("transfer-matrix rerun must match its pin")
-    mask, v = 0, k
+    mask, v = 0, j
     for i in range(N - 1, n - 1, -1):
         x = w >> (n - 1)
         mask |= x << i
-        w = ((w << 1) & ((1 << n) - 1)) | int(choices[i - n][0, w, v])
+        w = ((w << 1) & (W - 1)) | int(choices[i - n][0, w, v])
         v -= x
-    mask |= first
+    mask |= w
+    if j < k:
+        mask ^= (1 << N) - 1
 
     cfg = SpinConfig.from_bitmask(n, L, mask)
     value = Fraction(total, n)
-    if energy_periodic(cfg) != value:
-        raise AssertionError("transfer-matrix bookkeeping must match the energy")
+    check = energy_periodic(cfg) if periodic else energy_open(cfg)
+    if check != value or mask.bit_count() != k:
+        raise AssertionError("transfer-matrix bookkeeping must match the energy and volume")
     return SolveResult(value, cfg, "TransferMatrix", True)
 
 
@@ -664,21 +657,21 @@ def periodic_min(n: int, L, k: int) -> SolveResult:
     """Minimum of the periodic energy at volume k.
 
     Routes, first match: k in {0, N}, trivially exact; the transfer matrix
-    (``_transfer_periodic``, method "TransferMatrix", exact) when n >= 2,
-    N > 2n and 4^n N (k + 1) <= ``TRANSFER_BUDGET``; brute force while its
-    guard allows (exact); the cyclic column DP; and where that declines
-    (n = 1 or N <= 2n) the open column-DP minimizer scored on the ring.  The
-    last two are flagged exact=False: upper bounds on the true minimum.
+    (``_transfer_min``, method "TransferMatrix", exact) while
+    ``_transfer_fits``, i.e. n >= 2, N > 2n and
+    4^n N (min(k, N - k) + 1) <= ``TRANSFER_BUDGET``; the split-cut sweep
+    while N <= 28 (brute force, exact); the cyclic column DP; and where that
+    declines (n = 1 or N <= 2n) the open column-DP minimizer scored on the
+    ring.  The last two are flagged exact=False: upper bounds on the true
+    minimum.
     """
     L = frac(L)
     N = check_volume(n, L, k)
     if k in (0, N):
-        cfg = SpinConfig(n, L, tuple([1 if k else 0] * N))
-        return SolveResult(Fraction(0), cfg, "BruteForce", True, optima=[cfg])
-    res = _transfer_periodic(n, L, k)
-    if res is not None:
-        return res
-    if _brute_force_fits(N, k):
+        return _constant(n, L, k, N)
+    if _transfer_fits(n, N, k, True):
+        return _transfer_min(n, L, k, True)
+    if N <= FULL_SWEEP_MAX_N:
         return brute_force_min(n, L, k, boundary="periodic")
     res = _cyclic_dp(n, L, k)
     if res is not None:
@@ -695,7 +688,7 @@ def minimize(n: int, L, k: int, boundary: str = "open", method: str = "auto") ->
     """Least energy at volume k on the "open" or "periodic" chain.
 
     ``method="auto"`` runs ``column_dp_min`` on an open chain and
-    ``periodic_min`` on a periodic one (transfer matrix, brute force or
+    ``periodic_min`` on a periodic one (transfer matrix, split-cut sweep or
     cyclic DP by size).  ``"brute"`` runs ``brute_force_min``; ``"dp"`` the
     column DP, or on a ring the cyclic DP (an upper bound flagged inexact,
     ``SolverGuardError`` where it does not apply: n = 1 or N <= 2n).  An

@@ -97,7 +97,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     def test_rows_match_minimize(self, boundary):
-        # on the ring, n = 6 (N = 45) is past the brute-force guard
+        # n = 6 (N = 45) is past the split-cut sweep
         spec = SweepSpec(L=F(5, 4), sigma=F(1, 2), n_list=(2, 3, 6), boundary=boundary)
         for row in run_sweep(spec):
             res = minimize(row["n"], spec.L, row["k_n"], boundary)
@@ -105,8 +105,8 @@ class TestSweep:
             assert (row["method"], row["exact"]) == (res.method, res.exact)
 
     def test_periodic_rows_inside_the_budget_are_transfer_matrix(self):
-        # n = 3, 6: N = 11, 45, so 4^n N (k + 1) fits TRANSFER_BUDGET; 8/3 is
-        # the brute-force minimum at (3, 5/4, 6), and N = 45 is past its guard
+        # n = 3, 6: N = 11, 45, so 4^n N (min(k, N - k) + 1) fits
+        # TRANSFER_BUDGET; 8/3 is the brute-force minimum at (3, 5/4, 6)
         spec = SweepSpec(L=F(5, 4), sigma=F(1, 2), n_list=(3, 6), boundary="periodic")
         rows = run_sweep(spec)
         assert [(r["method"], r["exact"]) for r in rows] == [("TransferMatrix", True)] * 2
@@ -151,8 +151,10 @@ class TestMainEntry:
         assert doc["profile"] is not None
 
     def test_minimize_brute_guard_exit_code(self, capsys):
-        assert main(["minimize", "--n", "8", "--L", "1", "--k", "32",
+        # N = 144: past the sweep and the transfer-matrix budget
+        assert main(["minimize", "--n", "12", "--L", "1", "--k", "72",
                      "--method", "brute"]) == 3
+        assert "instance too large for brute force" in capsys.readouterr().err
 
     def test_minimize_cyclic_dp_guard_exit_code(self, capsys):
         # N = 8 <= 2n: the cyclic DP does not apply

@@ -150,6 +150,25 @@ def configs(draw):
     return SpinConfig(n, Fraction(2 * N + 1, 2 * n * n), values)
 
 
+class TestChainSymmetries:
+    """Invariants the solvers rest on: the transfer matrix reads the chain in
+    one direction, the cyclic DP pins the ring at one site."""
+
+    @given(configs())
+    def test_open_energy_unchanged_by_reversal(self, cfg):
+        assert energy_open(SpinConfig(cfg.n, cfg.L, cfg.values[::-1])) == energy_open(cfg)
+
+    @given(configs().filter(lambda cfg: cfg.N >= 2), st.integers(0, 10**6))
+    def test_periodic_energy_unchanged_by_rotation(self, cfg, shift):
+        r = shift % cfg.N
+        rotated = SpinConfig(cfg.n, cfg.L, cfg.values[r:] + cfg.values[:r])
+        assert energy_periodic(rotated) == energy_periodic(cfg)
+
+    @given(configs().filter(lambda cfg: cfg.N >= 2))
+    def test_periodic_energy_at_least_open(self, cfg):
+        assert energy_periodic(cfg) >= energy_open(cfg)
+
+
 class TestDecomposition:
     @given(configs())
     def test_matches_reference(self, cfg):

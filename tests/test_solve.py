@@ -31,14 +31,15 @@ from spinchain import (
     volume,
 )
 from spinchain import solve
-from spinchain.lattice import pair_distances
+from spinchain.lattice import pair_distances, pair_windows
 from spinchain.solve import (
     TRANSFER_BUDGET,
     _column_dp,
     _cyclic_dp,
     _split_sweep,
     _sweep_table,
-    _transfer_periodic,
+    _transfer_fits,
+    _transfer_min,
 )
 
 F = Fraction
@@ -71,6 +72,11 @@ class TestBruteForce:
         assert brute_force_min(3, 1, 0).value == 0
         assert brute_force_min(3, 1, 9).value == 0
         assert brute_force_min(3, 1, 0).config.values == (0,) * 9
+        # N = 40, past the sweep: the constant configuration, on both boundaries
+        for k in (0, 40):
+            for res in (brute_force_min(20, F(1, 10), k), periodic_min(20, F(1, 10), k),
+                        brute_force_min(20, F(1, 10), k, "periodic")):
+                assert (res.value, res.exact, res.config.values) == (0, True, (int(k > 0),) * 40)
 
     @pytest.mark.parametrize("n,L,periodic", [
         (2, F(3, 2), False), (3, 1, False), (3, 1, True), (2, F(5, 4), True),
@@ -84,15 +90,33 @@ class TestBruteForce:
             assert {c.values for c in res.optima} == set(want_argmin)
 
     def test_guard_refuses_large(self):
+        # N = 144: past the sweep, and 2^12 * 144 * 73 state updates
+        assert not _transfer_fits(12, 144, 72, False)
         with pytest.raises(SolverGuardError):
-            brute_force_min(8, 1, 32)
+            brute_force_min(12, 1, 72)
 
-    def test_subset_enumeration_path(self):
-        # N = 30 exceeds the sweep bound but C(30, 2) is tiny
+    def test_transfer_matrix_past_the_sweep(self):
+        # N = 30 exceeds the sweep bound
         res = brute_force_min(5, F(6, 5), 2)
-        assert res.exact
+        assert (res.method, res.exact, res.optima) == ("TransferMatrix", True, None)
         # two adjacent sites in one column: one internal jump + two horizontals
         assert res.value == F(3, 5)
+        # N = 64, half filled: the column DP's bottom half is optimal
+        res = brute_force_min(8, 1, 32)
+        assert res.exact and res.value == column_dp_min(8, 1, 32).value == F(9, 8)
+
+    @pytest.mark.parametrize("n,L,k,value", [
+        (6, F(5, 4), 39, F(1)),
+        (7, F(3, 2), 65, F(1)), (7, F(3, 2), 66, F(1)), (7, F(3, 2), 67, F(6, 7)),
+        (7, F(5, 4), 53, F(1)), (7, F(5, 4), 54, F(1)), (7, F(5, 4), 55, F(6, 7)),
+    ])
+    def test_open_minimum_below_prefix_profiles(self, n, L, k, value):
+        # the open chains where the column DP misses the minimum: every
+        # configuration is searched, so the true value comes out
+        res = minimize(n, L, k, method="brute")
+        assert (res.value, res.exact) == (value, True)
+        assert energy_open(res.config) == value and volume(res.config) == k
+        assert value < column_dp_min(n, L, k).value
 
     def test_periodic_rejects_bad_volume(self):
         with pytest.raises(ValueError):
@@ -129,6 +153,59 @@ def reference_sweep(N, dists, cap):
     return mins.tolist(), [h[:cap].tolist() for h in hits], [len(h) > cap for h in hits]
 
 
+# --- the subset enumeration that served N > 28 before the transfer matrix --------
+#
+# Volume-k bitmasks in increasing order (Gosper's hack), each counted over the
+# pair windows; the argmin set as well.  Kept verbatim as the reference.
+
+
+def reference_subset_min(N: int, k: int, windows) -> tuple[int, list[int], bool]:
+    """Enumerate volume-k bitmasks in increasing order, track the argmin set.
+
+    ``windows`` are ``lattice.pair_windows``; the count is inlined, as a call
+    per subset would cost about as much as the count itself.
+    """
+    if k == 0:
+        return 0, [0], False
+    best = None
+    optima: list[int] = []
+    truncated = False
+    c = (1 << k) - 1
+    limit = 1 << N
+    while c < limit:
+        e = 0
+        for d, w in windows:
+            e += ((c ^ (c >> d)) & w).bit_count()
+        if best is None or e < best:
+            best, optima, truncated = e, [c], False
+        elif e == best:
+            if len(optima) < solve.MAX_OPTIMA:
+                optima.append(c)
+            else:
+                truncated = True
+        u = c & (-c)
+        v = c + u
+        c = v | (((v ^ c) // u) >> 2)
+    return best, optima, truncated
+
+
+class TestPastTheSweep:
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_equals_subset_enumeration(self, n, boundary):
+        periodic = boundary == "periodic"
+        energy = energy_periodic if periodic else energy_open
+        for N in range(29, 41):
+            L = F(N, n * n)
+            for k in (1, 2, 3, N - 3, N - 2, N - 1):
+                want, optima, truncated = reference_subset_min(N, k, pair_windows(n, N, periodic))
+                res = brute_force_min(n, L, k, boundary)
+                assert res.value == F(want, n), (N, k)
+                assert (res.method, res.exact) == ("TransferMatrix", True)
+                assert energy(res.config) == res.value and volume(res.config) == k
+                assert not truncated and res.config.bitmask() in optima
+
+
 class TestSplitSweep:
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -155,7 +232,6 @@ class TestTruncation:
 
     @pytest.mark.parametrize("n,L,k,count", [
         (5, F(21, 25), 5, 189),  # N = 21: full sweep
-        (5, F(6, 5), 2, 60),     # N = 30: subset enumeration
     ])
     def test_first_minimizers_and_flag(self, n, L, k, count, monkeypatch):
         full = brute_force_min(n, L, k, "periodic")
@@ -541,31 +617,33 @@ class TestPeriodicMin:
         assert total > 0 and hits >= total // 2
 
 
-# --- periodic transfer matrix ------------------------------------------------
+# --- transfer matrix, both boundaries ----------------------------------------
 
 
 class TestTransferMatrix:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_equals_brute_force_tables(self, n):
-        # every ring with 2n < N <= 22, one L per N: the energy depends on
-        # the lattice only through n and N
-        for N in range(2 * n + 1, 23):
-            L = F(N, n * n)
-            table = _sweep_table(n, (L.numerator, L.denominator), True)[0]
-            for k in range(N + 1):
-                res = _transfer_periodic(n, L, k)
-                assert res.value == F(int(table[k]), n), (n, N, k)
-                assert (res.method, res.exact) == ("TransferMatrix", True)
-                assert energy_periodic(res.config) == res.value
-                assert volume(res.config) == k
+        # every chain and ring with 2n < N <= 22, one L per N: the energy
+        # depends on the lattice only through n and N; volumes k > N/2 run
+        # the complement branch
+        for periodic in (False, True):
+            energy = energy_periodic if periodic else energy_open
+            for N in range(2 * n + 1, 23):
+                L = F(N, n * n)
+                table = _sweep_table(n, (L.numerator, L.denominator), periodic)[0]
+                for k in range(N + 1):
+                    res = _transfer_min(n, L, k, periodic)
+                    assert res.value == F(int(table[k]), n), (n, N, k, periodic)
+                    assert (res.method, res.exact) == ("TransferMatrix", True)
+                    assert energy(res.config) == res.value
+                    assert volume(res.config) == k
 
     @pytest.mark.parametrize("n,N", [(3, 45), (3, 120), (4, 40), (4, 90), (5, 60), (5, 120)])
     def test_never_above_cyclic_dp_past_the_guard(self, n, N):
         L = F(N, n * n)
         for k in sorted({N // 4, N // 3, N // 2, 2 * N // 3}):
-            if 4**n * N * (k + 1) > TRANSFER_BUDGET:
+            if not _transfer_fits(n, N, k, True):
                 continue
-            assert math.comb(N, k) > 10**7  # brute force would refuse it
             res = periodic_min(n, L, k)
             assert (res.method, res.exact) == ("TransferMatrix", True)
             assert energy_periodic(res.config) == res.value
@@ -573,10 +651,14 @@ class TestTransferMatrix:
             assert res.value <= _cyclic_dp(n, L, k).value
 
     def test_declines_outside_its_range(self):
-        assert _transfer_periodic(4, F(1, 2), 4) is None  # N <= 2n: classes collide
-        assert _transfer_periodic(1, F(9), 4) is None
+        for periodic in (False, True):
+            assert not _transfer_fits(4, 8, 4, periodic)  # N <= 2n: classes collide
+            assert not _transfer_fits(1, 9, 4, periodic)
         assert 4**7 * 61 * 31 > TRANSFER_BUDGET
-        assert _transfer_periodic(7, F(5, 4), 30) is None
+        assert not _transfer_fits(7, 61, 30, True)
+        assert not _transfer_fits(7, 61, 31, True)  # N - k = 30
+        assert _transfer_fits(7, 61, 30, False)  # 2^7 * 61 * 31
+        assert periodic_min(7, F(5, 4), 30).method == "ColumnDP"
 
 
 # --- batched cyclic DP against the per-pin loop ------------------------------
@@ -845,7 +927,7 @@ class TestMinimize:
 SELF_CHECKS = """
 from fractions import Fraction
 import spinchain.classify, spinchain.solve
-from spinchain.solve import _cyclic_dp, _transfer_periodic, brute_force_min, column_dp_min
+from spinchain.solve import _cyclic_dp, _transfer_min, brute_force_min, column_dp_min
 
 if __debug__:
     raise SystemExit("not running under -O")
@@ -856,7 +938,7 @@ def wrong(*args):
 spinchain.solve.energy_open = spinchain.solve.energy_periodic = wrong
 spinchain.classify.continuum_energy = wrong
 calls = [(column_dp_min, 3, 1, 4), (brute_force_min, 3, 1, 4),
-         (_transfer_periodic, 3, Fraction(5, 4), 5), (_cyclic_dp, 3, Fraction(1), 4),
+         (_transfer_min, 3, Fraction(5, 4), 5, True), (_cyclic_dp, 3, Fraction(1), 4),
          (spinchain.classify.classify_open, 1, Fraction(3, 10))]
 for f, *args in calls:
     try:
@@ -877,4 +959,4 @@ def test_self_checks_survive_python_O():
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert out.split("\n")[:-1] == [
         f"{name} raised" for name in ("column_dp_min", "brute_force_min",
-                                      "_transfer_periodic", "_cyclic_dp", "classify_open")]
+                                      "_transfer_min", "_cyclic_dp", "classify_open")]
