@@ -103,6 +103,15 @@ def _check_representatives(report: MinimizerReport):
             raise AssertionError((got, report.value))
 
 
+def _constant_report(L: Fraction, sigma: Fraction, boundary: str,
+                     tau: Optional[Fraction] = None) -> MinimizerReport:
+    """sigma in {0, 1}: the constant configuration, zero energy, on either boundary."""
+    rep = MinimizerReport("A", ("A",), 0.0, Fraction(0), [PiecewiseConstant.constant(L, sigma)],
+                          False, "constant configuration, zero energy", boundary, tau=tau)
+    _check_representatives(rep)
+    return rep
+
+
 def classify_open(L, sigma) -> MinimizerReport:
     """Minimize 2|{0<u<1}| + TV(u) over u: (0,L) -> [0,1] with mean sigma.
 
@@ -114,11 +123,7 @@ def classify_open(L, sigma) -> MinimizerReport:
     L, sigma = p.L, p.sigma
 
     if sigma == 0 or sigma == 1:
-        u = PiecewiseConstant.constant(L, sigma)
-        rep = MinimizerReport("A", ("A",), 0.0, Fraction(0), [u], False,
-                              "constant configuration, zero energy", "open")
-        _check_representatives(rep)
-        return rep
+        return _constant_report(L, sigma, "open")
 
     # squared candidate values; every candidate shape is feasible whenever
     # it is minimal (its optimal block then fits inside the domain)
@@ -187,12 +192,7 @@ def classify_periodic(L, sigma, tau) -> MinimizerReport:
     L, sigma = p.L, p.sigma
 
     if sigma == 0 or sigma == 1:
-        u = PiecewiseConstant.constant(L, sigma)
-        rep = MinimizerReport("A", ("A",), 0.0, Fraction(0), [u], False,
-                              "constant configuration, zero energy", "periodic",
-                              tau=p.tau)
-        _check_representatives(rep)
-        return rep
+        return _constant_report(L, sigma, "periodic", p.tau)
 
     mirrored = sigma > Fraction(1, 2)
     s = 1 - sigma if mirrored else sigma

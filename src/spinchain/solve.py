@@ -5,19 +5,27 @@ the solver and returns its ``SolveResult``.  With ``method="auto"`` an open
 chain goes to ``column_dp_min`` and a periodic one to ``periodic_min``;
 ``"brute"`` and ``"dp"`` force a route.  The solvers:
 
-* ``brute_force_min``   exhaustive oracle, exact and guarded: a split-cut
-  sweep of all 2^N masks, run once per shape and cached, gives every
-  volume's minimum and minimizers; past N = 28, the transfer matrix
+* ``brute_force_min``   exhaustive oracle, exact and guarded: the trivial
+  volumes k in {0, N} are the constant configuration; otherwise a
+  split-cut sweep of all 2^N masks, run once per shape and cached, gives
+  every volume's minimum and minimizers; past N = 28, the transfer matrix
   (``_transfer_min``) while it fits ``TRANSFER_BUDGET``.
 * ``column_dp_min``     open-chain minimum over prefix profiles by dynamic
   programming over per-column occupation counts, each column filled
   bottom-up.
 * ``periodic_min``      the ring, routed by size: a transfer-matrix search
-  over all configurations (``_transfer_min``, exact) while
-  4^n N (min(k, N - k) + 1) fits ``TRANSFER_BUDGET``; else the split-cut
-  sweep while N <= 28 (exact); else the cyclic column DP (``_cyclic_dp``),
-  or, on rings it declines (n = 1 or N <= 2n), the open column-DP
-  minimizer scored on the ring, both flagged as upper bounds.
+  over all configurations (``_transfer_min``, exact) while 0 < k < N and
+  4^n N (min(k, N - k) + 1) fits ``TRANSFER_BUDGET``; else brute force
+  for k in {0, N} or N <= 28 (exact); else the cyclic column DP
+  (``_cyclic_dp``), or, on rings it declines (n = 1 or N <= 2n), the open
+  column-DP minimizer scored on the ring, both flagged as upper bounds.
+
+Every solver checks its instance through ``_instance``: (n, L, k) by
+``check_volume``, the boundary by ``is_periodic``, and a ring needs at
+least two sites, so every method refuses a one-site ring with the same
+``ValueError``.  Every search returns through ``_checked``, which
+re-evaluates the configuration it found and raises ``AssertionError``
+unless its energy is the value the search counted and its volume is k.
 
 The transfer matrix (``_transfer_pass``) is one search for both
 boundaries: the ring pins each first window in a run of its own and adds
@@ -60,10 +68,8 @@ import numpy as np
 from .lattice import (
     ColumnProfile,
     SpinConfig,
-    block_rearrange,  # re-exported, as is config_to_profile
     check_volume,
     column_heights,
-    config_to_profile,
     config_to_text,
     energy_open,
     energy_periodic,
@@ -72,19 +78,17 @@ from .lattice import (
     pair_distances,
     profile_to_config,
     site_count,
+    volume,
 )
 from .rationals import frac
 
 __all__ = [
-    "ColumnProfile",
     "SolveResult",
     "SolverGuardError",
-    "block_rearrange",
     "brute_force_min",
     "column_dp_min",
     "minimize",
     "periodic_min",
-    "profile_to_config",
 ]
 
 FULL_SWEEP_MAX_N = 28
@@ -121,13 +125,39 @@ class SolveResult:
         return json.dumps(doc)
 
 
+# --- the instance and the checked result ---------------------------------------
+
+
+def _instance(n: int, L, k: int, boundary: str = "open") -> tuple[Fraction, int, bool]:
+    """The checked instance: ``(L, N, periodic)`` with L a Fraction.
+
+    ``check_volume`` validates (n, L, k) and ``is_periodic`` the boundary;
+    a ring needs at least two sites.  Each is a ``ValueError``.
+    """
+    L = frac(L)
+    N = check_volume(n, L, k)
+    periodic = is_periodic(boundary)
+    if periodic and N < 2:
+        raise ValueError("periodic energy needs at least 2 sites")
+    return L, N, periodic
+
+
+def _checked(cfg: SpinConfig, count: int, k: int, periodic: bool, method: str,
+             exact: bool, **fields) -> SolveResult:
+    """The result of a search that found ``cfg`` with ``count`` mismatches.
+
+    Its value is count / n.  The configuration is re-evaluated: an energy
+    other than that value, or a volume other than k, raises
+    ``AssertionError`` explicitly, so the check survives ``python -O``.
+    """
+    value = Fraction(count, cfg.n)
+    energy = energy_periodic if periodic else energy_open
+    if energy(cfg) != value or volume(cfg) != k:
+        raise AssertionError(f"{method} bookkeeping must match the energy and volume")
+    return SolveResult(value, cfg, method, exact, **fields)
+
+
 # --- brute force ------------------------------------------------------------
-
-
-def _constant(n: int, L: Fraction, k: int, N: int) -> SolveResult:
-    """The trivial volumes k in {0, N}: the constant configuration, energy 0."""
-    cfg = SpinConfig(n, L, (int(k > 0),) * N)
-    return SolveResult(Fraction(0), cfg, "BruteForce", True, optima=[cfg])
 
 
 def _mismatches(masks: np.ndarray, windows) -> np.ndarray:
@@ -213,22 +243,21 @@ def _sweep_table(n: int, L_key: tuple, periodic: bool):
 def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
     """Exhaustive exact minimum over all volume-k configurations.
 
-    ``boundary`` is "open" or "periodic".  k in {0, N} is the constant
-    configuration at any N.  Otherwise, for N <= 28 the split-cut sweep
+    ``boundary`` is "open" or "periodic"; a ring needs at least two sites.
+    k in {0, N} is the constant configuration at any N, with energy 0 and
+    itself as the one minimizer.  Otherwise, for N <= 28 the split-cut sweep
     (``_split_sweep``) counts every one of the 2^N masks once per shape
     (n, L, boundary), for all volumes, and is cached; ``optima`` holds the
     first ``MAX_OPTIMA`` minimizers by ascending bitmask and ``config`` is
     the first.  Past N = 28 the transfer matrix (``_transfer_min``, method
     "TransferMatrix", no ``optima``) searches all configurations while
     ``_transfer_fits`` allows; larger instances are refused outright.
+    Every result is re-evaluated for its energy and volume (``_checked``).
     """
-    L = frac(L)
-    N = check_volume(n, L, k)
-    periodic = is_periodic(boundary)
-    if periodic and N < 2:
-        raise ValueError("periodic energy needs at least 2 sites")
+    L, N, periodic = _instance(n, L, k, boundary)
     if k in (0, N):
-        return _constant(n, L, k, N)
+        cfg = SpinConfig(n, L, (int(k > 0),) * N)
+        return _checked(cfg, 0, k, periodic, "BruteForce", True, optima=[cfg])
     if N > FULL_SWEEP_MAX_N:
         if not _transfer_fits(n, N, k, periodic):
             raise SolverGuardError(
@@ -239,20 +268,8 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
 
     mins, found, flags = _sweep_table(n, (L.numerator, L.denominator), periodic)
     optima = [SpinConfig.from_bitmask(n, L, m) for m in found[k]]
-    cfg = optima[0]
-    value = Fraction(int(mins[k]), n)
-    check = energy_periodic(cfg) if periodic else energy_open(cfg)
-    if check != value:
-        raise AssertionError("sweep bookkeeping must match the energy")
-    return SolveResult(
-        value=value,
-        config=cfg,
-        method="BruteForce",
-        exact=True,
-        profile=None,
-        optima=optima,
-        optima_truncated=flags[k],
-    )
+    return _checked(optima[0], int(mins[k]), k, periodic, "BruteForce", True,
+                    optima=optima, optima_truncated=flags[k])
 
 
 # --- column dynamic program ---------------------------------------------------
@@ -474,22 +491,17 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
     n < 1 or L <= 0 is a ``ValueError``; a chain without sites (L n^2 < 1)
     has the empty configuration, energy 0.
     """
-    L = frac(L)
-    check_volume(n, L, k)
+    L, _, _ = _instance(n, L, k)
     heights = column_heights(n, L)
     if not heights:  # N = 0: the empty chain
-        return SolveResult(Fraction(0), SpinConfig(n, L, ()), "ColumnDP", True,
-                           profile=ColumnProfile(n, (), ()))
-    totals, counts = _column_dp(n, heights, k, [range(min(heights[0], k) + 1)])
+        totals, counts = [0], []
+    else:
+        totals, counts = _column_dp(n, heights, k, [range(min(heights[0], k) + 1)])
     if counts is None:
         raise ValueError(f"volume {k} not representable over {len(heights)} columns")
-
     profile = ColumnProfile(n, heights, tuple(counts))
-    cfg = profile_to_config(profile, L)
-    value = Fraction(int(totals[0]), n)
-    if energy_open(cfg) != value:
-        raise AssertionError("DP bookkeeping must match the energy")
-    return SolveResult(value, cfg, "ColumnDP", True, profile=profile)
+    return _checked(profile_to_config(profile, L), int(totals[0]), k, False, "ColumnDP",
+                    True, profile=profile)
 
 
 # --- transfer matrix (both boundaries) and cyclic DP ---------------------------
@@ -597,15 +609,11 @@ def _transfer_min(n: int, L: Fraction, k: int, periodic: bool) -> SolveResult:
     if j < k:
         mask ^= (1 << N) - 1
 
-    cfg = SpinConfig.from_bitmask(n, L, mask)
-    value = Fraction(total, n)
-    check = energy_periodic(cfg) if periodic else energy_open(cfg)
-    if check != value or mask.bit_count() != k:
-        raise AssertionError("transfer-matrix bookkeeping must match the energy and volume")
-    return SolveResult(value, cfg, "TransferMatrix", True)
+    return _checked(SpinConfig.from_bitmask(n, L, mask), total, k, periodic, "TransferMatrix",
+                    True)
 
 
-def _cyclic_dp(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
+def _cyclic_dp(n: int, L, k: int) -> Optional[SolveResult]:
     """Best periodic energy over cyclic prefix profiles; upper bound on the minimum.
 
     Pins the first column's count and adds the seam: the distance N-1 pair
@@ -616,9 +624,10 @@ def _cyclic_dp(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
     volume k through ``_column_dp`` as one batch, in chunks of at most
     about ``_PIN_BATCH`` states; a profile pass reruns the smallest pin with
     the least total, keeping parents to backtrack.  Returns None for n = 1
-    or N <= 2n, where distance classes collide.
+    or N <= 2n, where distance classes collide.  The profile pass must
+    match the value pass, and the result is re-evaluated (``_checked``).
     """
-    N = check_volume(n, L, k)
+    L, N, _ = _instance(n, L, k, "periodic")
     if n < 2 or N <= 2 * n:  # distance classes collide; not worth special-casing
         return None
     heights = column_heights(n, L)
@@ -645,33 +654,30 @@ def _cyclic_dp(n: int, L: Fraction, k: int) -> Optional[SolveResult]:
     p = int(totals.argmin())
     found, best_counts = _column_dp(n, heights, k, [(int(pins[p]),)],
                                     seam=(before[p : p + 1], after[p : p + 1]))
+    if found[0] != totals[p]:
+        raise AssertionError("cyclic DP profile pass must match its value pass")
     profile = ColumnProfile(n, heights, tuple(best_counts))
-    cfg = profile_to_config(profile, L)
-    value = energy_periodic(cfg)
-    if not value == Fraction(int(found[0]), n) == Fraction(int(totals[p]), n):
-        raise AssertionError("cyclic DP seam accounting is off")
-    return SolveResult(value, cfg, "ColumnDP", False, profile=profile)
+    return _checked(profile_to_config(profile, L), int(found[0]), k, True, "ColumnDP", False,
+                    profile=profile)
 
 
 def periodic_min(n: int, L, k: int) -> SolveResult:
     """Minimum of the periodic energy at volume k.
 
-    Routes, first match: k in {0, N}, trivially exact; the transfer matrix
-    (``_transfer_min``, method "TransferMatrix", exact) while
-    ``_transfer_fits``, i.e. n >= 2, N > 2n and
-    4^n N (min(k, N - k) + 1) <= ``TRANSFER_BUDGET``; the split-cut sweep
-    while N <= 28 (brute force, exact); the cyclic column DP; and where that
-    declines (n = 1 or N <= 2n) the open column-DP minimizer scored on the
-    ring.  The last two are flagged exact=False: upper bounds on the true
-    minimum.
+    A ring with fewer than two sites is a ``ValueError``.  Routes, first
+    match: the transfer matrix (``_transfer_min``, method "TransferMatrix",
+    exact) while 0 < k < N and ``_transfer_fits``, i.e. n >= 2, N > 2n and
+    4^n N (min(k, N - k) + 1) <= ``TRANSFER_BUDGET``; ``brute_force_min``
+    (exact) for the trivial volumes k in {0, N} and for the split-cut sweep
+    while N <= 28; the cyclic column DP; and where that declines (n = 1 or
+    N <= 2n) the open column-DP minimizer scored on the ring.  The last two
+    are flagged exact=False: upper bounds on the true minimum.  Every
+    configuration is re-evaluated for its energy and volume.
     """
-    L = frac(L)
-    N = check_volume(n, L, k)
-    if k in (0, N):
-        return _constant(n, L, k, N)
-    if _transfer_fits(n, N, k, True):
+    L, N, _ = _instance(n, L, k, "periodic")
+    if 0 < k < N and _transfer_fits(n, N, k, True):
         return _transfer_min(n, L, k, True)
-    if N <= FULL_SWEEP_MAX_N:
+    if k in (0, N) or N <= FULL_SWEEP_MAX_N:
         return brute_force_min(n, L, k, boundary="periodic")
     res = _cyclic_dp(n, L, k)
     if res is not None:
@@ -692,10 +698,11 @@ def minimize(n: int, L, k: int, boundary: str = "open", method: str = "auto") ->
     cyclic DP by size).  ``"brute"`` runs ``brute_force_min``; ``"dp"`` the
     column DP, or on a ring the cyclic DP (an upper bound flagged inexact,
     ``SolverGuardError`` where it does not apply: n = 1 or N <= 2n).  An
-    unknown boundary or method is a ``ValueError``.
+    unknown boundary or method, an invalid instance and a ring with fewer
+    than two sites are a ``ValueError`` under every method.  Every result
+    has been re-evaluated for its energy and volume.
     """
     periodic = is_periodic(boundary)
-    L = frac(L)
     if method == "auto":
         return periodic_min(n, L, k) if periodic else column_dp_min(n, L, k)
     if method == "brute":

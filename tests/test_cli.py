@@ -184,6 +184,15 @@ class TestMainEntry:
         assert captured.out == "" and message in captured.err
 
     @pytest.mark.parametrize("method", ["auto", "dp", "brute"])
+    @pytest.mark.parametrize("n,L,k", [("1", "1", "0"), ("1", "1", "1"), ("3", "1/9", "0")])
+    def test_minimize_one_site_ring_exit_code(self, capsys, n, L, k, method):
+        # a ring with fewer than two sites is invalid input on every method
+        assert main(["minimize", "--n", n, "--L", L, "--k", k, "--periodic",
+                     "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "periodic energy needs at least 2 sites" in captured.err
+
+    @pytest.mark.parametrize("method", ["auto", "dp", "brute"])
     def test_minimize_empty_chain(self, capsys, method):
         # L n^2 < 1: no site, the empty configuration at energy 0
         assert main(["minimize", "--n", "3", "--L", "1/100", "--k", "0",

@@ -1,9 +1,11 @@
 """Recovery constructions: exact volumes, energy bounds, convergence tables."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spinchain import (
     PiecewiseConstant,
@@ -78,6 +80,14 @@ class TestRecoveryConstrained:
             assert volume(cfg) == k
             bound = F(2 * full_columns(n, L) + 3, n)
             assert energy_open(cfg) <= bound, (n, L, k)
+
+    @given(st.integers(1, 40), st.sampled_from([F(1, 2), F(1), F(5, 4), F(3, 2), F(3)]),
+           st.data())
+    def test_volume_and_bound_property(self, n, L, data):
+        k = data.draw(st.integers(0, site_count(n, L)), label="k")
+        cfg = recovery_constrained(n, L, k)
+        assert volume(cfg) == k
+        assert energy_open(cfg) <= F(2 * math.floor(L * n) + 3, n)
 
     def test_full_volume(self):
         for n, L in [(2, 1), (3, F(3, 2)), (5, F(5, 4))]:
@@ -167,7 +177,7 @@ class TestRecoveryUnconstrained:
 
     def test_refusal_reports_minimum(self):
         u = PiecewiseConstant.from_pieces(1, [(F(1, 10), 1), (1, 0)])
-        with pytest.raises(ValueError, match="need n >="):
+        with pytest.raises(ValueError, match=r"^n=5 too coarse for this partition; need n >= 11$"):
             recovery_unconstrained(u, 5)
 
     def test_binary_target_energy_tracks_jumps(self):

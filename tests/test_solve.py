@@ -554,7 +554,7 @@ class TestProfiles:
 
     def test_round_trip_with_config(self):
         from spinchain import column_heights
-        from spinchain.solve import config_to_profile
+        from spinchain.lattice import config_to_profile
         rng = random.Random(21)
         for n, L in [(2, 1), (3, F(5, 4)), (4, F(3, 2))]:
             heights = column_heights(n, L)
@@ -831,15 +831,15 @@ class TestAnnealAgainstReference:
         for L in ANNEAL_LS:
             N = site_count(n, L)
             for k in sorted({0, 1, N // 2, N - 1, N}):
-                got = minimize(n, L, k, boundary)
-                assert volume(got.config) == k
                 if periodic and N < 2:
-                    # no periodic energy on one site: the annealer raised, the
-                    # trivial-volume route returns the empty ring's 0
+                    # no periodic energy on one site: the solver and the annealer refuse it
+                    with pytest.raises(ValueError, match="at least 2 sites"):
+                        minimize(n, L, k, boundary)
                     with pytest.raises(ValueError, match="at least 2 sites"):
                         reference_anneal(n, L, k, 0, 0, periodic=periodic)
-                    assert got.value == 0 and got.exact
                     continue
+                got = minimize(n, L, k, boundary)
+                assert volume(got.config) == k
                 assert energy(got.config) == got.value, (n, L, k, periodic)
                 runs = [(seed, steps) for seed in range(3) for steps in (0, 1)]
                 runs.append((n % 3, 500))
@@ -923,6 +923,14 @@ class TestMinimize:
             with pytest.raises(ValueError, match=f"unknown method '{method}'"):
                 minimize(2, 1, 2, method=method)
 
+    @pytest.mark.parametrize("method", ["auto", "brute", "dp"])
+    @pytest.mark.parametrize("n,L,k", [(1, F(1), 0), (1, F(1), 1), (3, F(1, 9), 0)])
+    def test_rejects_one_site_ring(self, n, L, k, method):
+        # N < 2: no periodic energy, one rule for every method
+        with pytest.raises(ValueError, match="^periodic energy needs at least 2 sites$") as exc:
+            minimize(n, L, k, "periodic", method)
+        assert type(exc.value) is ValueError  # invalid input, not the guard
+
 
 SELF_CHECKS = """
 from fractions import Fraction
@@ -935,28 +943,38 @@ if __debug__:
 def wrong(*args):
     return Fraction(-1)
 
+def run(calls):
+    for f, *args in calls:
+        try:
+            f(*args)
+        except AssertionError:
+            print(f.__name__, "raised")
+        else:
+            print(f.__name__, "passed")
+
+routes = [(column_dp_min, 3, 1, 4), (brute_force_min, 3, 1, 4),
+          (_transfer_min, 3, Fraction(5, 4), 5, True), (_cyclic_dp, 3, Fraction(1), 4)]
+run(routes)
+energies = spinchain.solve.energy_open, spinchain.solve.energy_periodic
 spinchain.solve.energy_open = spinchain.solve.energy_periodic = wrong
 spinchain.classify.continuum_energy = wrong
-calls = [(column_dp_min, 3, 1, 4), (brute_force_min, 3, 1, 4),
-         (_transfer_min, 3, Fraction(5, 4), 5, True), (_cyclic_dp, 3, Fraction(1), 4),
-         (spinchain.classify.classify_open, 1, Fraction(3, 10))]
-for f, *args in calls:
-    try:
-        f(*args)
-    except AssertionError:
-        print(f.__name__, "raised")
-    else:
-        print(f.__name__, "passed")
+run(routes + [(spinchain.classify.classify_open, 1, Fraction(3, 10))])
+spinchain.solve.energy_open, spinchain.solve.energy_periodic = energies
+spinchain.solve.volume = lambda cfg: sum(cfg.values) + 1
+run(routes)
 """
 
 
 def test_self_checks_survive_python_O():
-    """The energy self-checks of the solvers and the classifier raise under
-    ``python -O``, which strips ``assert`` statements."""
+    """The energy and volume self-checks of the four solver routes, and the
+    classifier's energy self-check, raise under ``python -O``, which strips
+    ``assert`` statements; the same routes pass unpatched."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", SELF_CHECKS], env=env,
                          capture_output=True, text=True, timeout=120, check=True).stdout
-    assert out.split("\n")[:-1] == [
-        f"{name} raised" for name in ("column_dp_min", "brute_force_min",
-                                      "_transfer_min", "_cyclic_dp", "classify_open")]
+    routes = ["column_dp_min", "brute_force_min", "_transfer_min", "_cyclic_dp"]
+    assert out.split("\n")[:-1] == (
+        [f"{name} passed" for name in routes]
+        + [f"{name} raised" for name in routes + ["classify_open"]]  # wrong energy
+        + [f"{name} raised" for name in routes])  # wrong volume
