@@ -137,11 +137,28 @@ class SpinConfig:
         check_shape(self.n, self.L)
         if not _BITS.issuperset(self.values):
             raise ValueError("values must be 0/1")
+        self._check_count()
+
+    def _check_count(self) -> None:
         expected = site_count(self.n, self.L)
         if len(self.values) != expected:
             raise ValueError(
                 f"expected {expected} sites for n={self.n}, L={self.L}, got {len(self.values)}"
             )
+
+    @classmethod
+    def _trusted(cls, n: int, L: Fraction, values: tuple[int, ...]) -> "SpinConfig":
+        """A configuration built by this package: ``L`` is a Fraction and
+        ``values`` a tuple of 0/1 ints.  The shape and the site count are
+        checked, but the sites are not converted and checked again one by
+        one, which costs O(N) and dominates building a large configuration."""
+        cfg = object.__new__(cls)
+        object.__setattr__(cfg, "n", n)
+        object.__setattr__(cfg, "L", L)
+        object.__setattr__(cfg, "values", values)
+        check_shape(n, L)
+        cfg._check_count()
+        return cfg
 
     @property
     def N(self) -> int:
@@ -157,10 +174,10 @@ class SpinConfig:
         # the low N bits of mask, site 1 first: bin() with a 1 set above
         # them, reversed, up to the leading "0b1"
         low = bin(mask & ((1 << N) - 1) | (1 << N))[:2:-1]
-        return SpinConfig(n, frac(L), tuple(low.encode().translate(_FROM_ASCII)))
+        return SpinConfig._trusted(n, frac(L), tuple(low.encode().translate(_FROM_ASCII)))
 
     def complement(self) -> "SpinConfig":
-        return SpinConfig(self.n, self.L, tuple(1 - v for v in self.values))
+        return SpinConfig._trusted(self.n, self.L, tuple(1 - v for v in self.values))
 
     def columns(self) -> list[tuple[int, ...]]:
         out, pos = [], 0
@@ -267,7 +284,7 @@ def profile_to_config(profile: ColumnProfile, L=None) -> SpinConfig:
         values.extend([1] * a + [0] * (h - a))
     if L is None:
         L = Fraction(len(values), profile.n * profile.n)
-    return SpinConfig(profile.n, frac(L), tuple(values))
+    return SpinConfig._trusted(profile.n, frac(L), tuple(values))
 
 
 def config_to_profile(cfg: SpinConfig) -> ColumnProfile:

@@ -28,8 +28,11 @@ re-evaluates the configuration it found and raises ``AssertionError``
 unless its energy is the value the search counted and its volume is k.
 
 The transfer matrix (``_transfer_pass``) is one search for both
-boundaries: the ring pins each first window in a run of its own and adds
+boundaries: the ring pins first windows, each in a run of its own, and adds
 the seam, the open chain is one run that starts from every first window.
+The ring's energy does not change under rotation, so it pins only the
+2^(n-2) + 1 first windows that some rotation of every configuration starts
+with (``_transfer_min``), not all 2^n.
 
 Both column DPs share one core (``_column_dp``): each column step takes
 the minimum over the previous column's count as an L1 distance transform,
@@ -39,10 +42,12 @@ minima are a loop over counts, one elementwise ``np.minimum`` per count
 doing both directions at once, because numpy's cumulative minimum (the
 ``accumulate`` method of ``np.minimum``) costs 3 to 5 ns per element
 whatever the axis or dtype, and a row of ``np.minimum`` 0.3 to 0.6 ns
-(81 x 3200 states).  States are int32 while
-(4N + 4n + 8) * unit * 4 < 2^31 (``_state_type``), int64 past that.  The
-cyclic DP runs its pinned first-column counts through that core as one
-batch.
+(81 x 3200 states).  Every search state has one of three tiers
+(``_state_type``): int16 while (4N + 4n + 8) * unit * 4 < 2^15, int32
+while it is < 2^31, int64 past that.  The column DP's unit is 2^bitlen(n)
+when it backtracks (the parents sit in the low bits) and 1 in the cyclic
+value pass; the transfer matrix's is 1.  The cyclic DP runs its pinned
+first-column counts through that core as one batch.
 
 The DP searches prefix profiles only: within each column the occupied
 sites form a bottom prefix.  Moving every column's sites to the bottom
@@ -276,20 +281,23 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
 
 
 def _state_type(N: int, n: int, unit: int) -> tuple[type, int]:
-    """The state dtype of a column DP over N sites and its sentinel ``inf``.
+    """The state dtype of a search over N sites and its sentinel ``inf``.
 
     Unreachable states start at ``big = inf * unit``.  A reachable state
     counts at most 2N pairs, seam included, so it stays below
     (2N + 1) * unit.  An unreachable one rises by at most (n + 2) * unit + n
-    a step, about 3N units over all steps; the cyclic seam adds at most
-    (2n + 1) * unit and a step's sums (2n + 2) * unit more.  With
-    inf = 2^29 // unit every value then stays below
-    2^29 + (4N + 4n + 8) * unit, which is under 2^30 while
-    (4N + 4n + 8) * unit * 4 < 2^31: int32 states, half the bytes of int64.
-    Past that bound the states are int64 with ``inf = _INF``.
+    a column step, about 3N units over all steps; the cyclic seam adds at
+    most (2n + 1) * unit and a step's sums (2n + 2) * unit more.  With
+    inf = 2^(b-2) // unit every value then stays below
+    2^(b-2) + (4N + 4n + 8) * unit, which is under 2^(b-1) while
+    (4N + 4n + 8) * unit * 4 < 2^b.  Three tiers, the smallest that holds:
+    int16 (b = 15), int32 (b = 31), else int64 with ``inf = _INF``.  The
+    transfer matrix (``_transfer_pass``, unit 1) stays inside the same
+    bound on its own terms.
     """
-    if (4 * N + 4 * n + 8) * unit * 4 < 1 << 31:
-        return np.int32, (1 << 29) // unit
+    for dtype, bits in ((np.int16, 15), (np.int32, 31)):
+        if (4 * N + 4 * n + 8) * unit * 4 < 1 << bits:
+            return dtype, (1 << (bits - 2)) // unit
     return np.int64, _INF
 
 
@@ -406,10 +414,12 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
     same pair, so it is counted once.  Only volumes that can still reach k
     are kept: after columns 0..ci, holding S sites, the window is
     [k - (N - S), S] within [0, k], so the work is O(ncols n min(k, N - k))
-    per run.  The states are int32 or, on large shapes, int64
-    (``_state_type``).  With ``backtrack`` each step's minimizing a1 comes
-    out of the low bits into a uint8 (uint16 past n = 255) parent array and
-    is then cleared; without it the low bits stay 0.
+    per run.  The states are int16, int32 or, on large shapes, int64
+    (``_state_type``).  With ``backtrack`` a state is ``value * unit`` with
+    unit = 2^bitlen(n): each step's minimizing a1 comes out of the low bits
+    into a uint8 (uint16 past n = 255) parent array and is then cleared.
+    Without it (the cyclic value pass) there are no low bits, unit = 1 and
+    the states are plain counts, int16 up to about N = 2000.
 
     Returns ``(totals, counts)``: ``totals[p]`` is run p's least count
     (>= ``_INF`` when no profile of volume k exists), and ``counts`` the
@@ -418,7 +428,7 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
     count, then the smaller column index.
     """
     N = sum(heights)
-    unit = 1 << n.bit_length()
+    unit = 1 << n.bit_length() if backtrack else 1
     dtype, inf = _state_type(N, n, unit)
     big = inf * unit
     terms = {(hp, h): _step_terms(hp, h, unit, n > 1, backtrack, dtype)
@@ -453,8 +463,10 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
     if seam is not None:
         enc = enc + (unit * seam[1][:, :, None]).astype(dtype)
 
-    # the last window is [k, k]; the count in the low bits breaks ties
-    best = (enc[:, :, k - lo] + np.arange(n + 1, dtype=dtype)).min(axis=1)
+    # the last window is [k, k]; with backtrack the count in the low bits
+    # breaks ties
+    last = enc[:, :, k - lo]
+    best = (last + np.arange(n + 1, dtype=dtype) if backtrack else last).min(axis=1)
     totals = best.astype(np.int64) // unit
     totals[totals >= inf] = _INF
     p = int(best.argmin())
@@ -525,15 +537,23 @@ def _transfer_pass(n: int, N: int, k: int, start: np.ndarray,
     that window are never read (the lower end, once above 0, moves up one
     per step).  With ``choices`` a list, each step appends the bool array of
     its minimizing oldest bits, for backtracking.
+
+    The states are plain counts in the dtype of ``_state_type(N, n, 1)``,
+    int16 up to about N = 2000, and unreachable ones start at its ``inf``.
+    That bound holds here on its own terms: a reachable count is at most
+    2N, plus a ring seam of at most n + 1, so it stays below inf; an
+    unreachable state rises by at most 2 per site, so with the seam every
+    value stays below inf + 2N + n + 1, inside the dtype.
     """
     W, half = 1 << n, 1 << (n - 1)
+    dtype, inf = _state_type(N, n, 1)
     vols = np.bitwise_count(np.arange(W))
     p, first = np.nonzero(start & (vols <= k))
-    D = np.full((len(start), W, k + 1), _INF, np.int32)
+    D = np.full((len(start), W, k + 1), inf, dtype)
     D[p, first, vols[first]] = np.bitwise_count((first ^ (first >> 1)) & (half - 1))
-    nxt = np.full_like(D, _INF)
+    nxt = np.full_like(D, inf)
     # bit n-1 of the predecessors 2w' and 2w'+1 is bit n-2 of w'
-    top = ((np.arange(half) >> (n - 2)) & 1).astype(np.int32)[:, None]
+    top = ((np.arange(half) >> (n - 2)) & 1).astype(dtype)[:, None]
     for i in range(n, N):
         lo, hi = max(0, k - (N - 1 - i)), min(k, i + 1)
         s = max(lo, 1)
@@ -566,16 +586,19 @@ def _transfer_min(n: int, L: Fraction, k: int, periodic: bool) -> SolveResult:
     """Exact minimum at volume k by a transfer matrix over all configurations.
 
     The state is the last n sites and the volume so far (``_transfer_pass``).
-    The ring runs each first window as a pin of its own (``start`` is the
-    identity); the seam then adds popcount(first ^ last) for the distance
-    N-n pairs and [bit 0 of first != bit n-1 of last] for the distance N-1
-    pair, and the best pin is rerun alone with its choices kept.  The open
-    chain is one run that starts from every first window, with no seam,
-    and keeps its choices at once.  Backtracking from the best last window
-    leaves the first window in both cases.  Both energies count mismatches,
-    so complementing every site keeps the energy: a volume k > N/2 is solved
-    at N - k and its configuration complemented.  Work
-    (2^n on a ring, else 1) * 2^n N (min(k, N - k) + 1) state updates
+    The ring runs each pinned first window as a run of its own; the seam
+    then adds popcount(first ^ last) for the distance N-n pairs and
+    [bit 0 of first != bit n-1 of last] for the distance N-1 pair, and the
+    best pin is rerun alone with its choices kept.  Only the first windows
+    w with w & 3 == 2, or w = 0, are pinned: 2^(n-2) + 1 of the 2^n (see
+    the comment below).  The open chain is one run that starts from every
+    first window, with no seam, and keeps its choices at once.
+    Backtracking from the best last window leaves the first window in both
+    cases.  Both energies count mismatches, so complementing every site
+    keeps the energy: a volume k > N/2 is solved at j = N - k and its
+    configuration complemented.  Work (2^(n-2) + 1) * 2^n N (j + 1) state
+    updates on a ring, 2^n N (j + 1) on the open chain; ``_transfer_fits``
+    still budgets 4^n N (j + 1) for the ring, so no instance changes route
     (Baxter, "Exactly Solved Models in Statistical Mechanics", 1982, for
     the transfer-matrix method).  The caller checks ``_transfer_fits``.
     """
@@ -583,13 +606,20 @@ def _transfer_min(n: int, L: Fraction, k: int, periodic: bool) -> SolveResult:
     j = min(k, N - k)
     W = 1 << n
     if periodic:
+        # The ring's pairs {(i, i+1), (i, i+n)} mod N are the same after any
+        # rotation, and so are the energy and the volume.  At 0 < j < N a
+        # configuration holds both values, so some site i holds 0 and site
+        # i+1 (mod N) holds 1; rotating a minimizer by -i puts them at sites
+        # 0 and 1, and its first window w then has w & 3 == 2 (site s at
+        # bit s).  At j = 0 the one configuration starts with window 0.
         windows = np.arange(W)
-        seam = (np.bitwise_count(windows[:, None] ^ windows)
-                + ((windows[:, None] & 1) != (windows >> (n - 1))))
-        start = np.eye(W, dtype=bool)
+        pins = np.flatnonzero((windows & 3 == 2) | (windows == 0))
+        seam = (np.bitwise_count(windows[pins, None] ^ windows)
+                + ((windows[pins, None] & 1) != (windows >> (n - 1))))
+        start = windows[pins, None] == windows
         totals = _transfer_pass(n, N, j, start)[:, :, j] + seam
-        first = int(totals.argmin()) // W
-        start, seam = start[first : first + 1], seam[first]
+        p = int(totals.argmin()) // W
+        start, seam = start[p : p + 1], seam[p]
     else:
         start, seam = np.ones((1, W), bool), 0
 
@@ -672,7 +702,11 @@ def periodic_min(n: int, L, k: int) -> SolveResult:
     while N <= 28; the cyclic column DP; and where that declines (n = 1 or
     N <= 2n) the open column-DP minimizer scored on the ring.  The last two
     are flagged exact=False: upper bounds on the true minimum.  Every
-    configuration is re-evaluated for its energy and volume.
+    configuration is re-evaluated for its energy and volume.  The transfer
+    matrix pins only 2^(n-2) + 1 first windows, since the ring's energy
+    does not change under rotation, so it does about a quarter of the work
+    the guard budgets; the guard is kept as it is, so routes do not depend
+    on that saving.
     """
     L, N, _ = _instance(n, L, k, "periodic")
     if 0 < k < N and _transfer_fits(n, N, k, True):

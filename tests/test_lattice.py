@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinchain import (
+    ColumnProfile,
     SpinConfig,
     Window,
     column_heights,
@@ -19,6 +20,7 @@ from spinchain import (
     grid_energy,
     lambda_defect,
     parse_config,
+    profile_to_config,
     site_count,
     to_grid,
     volume,
@@ -330,3 +332,41 @@ class TestValidation:
         assert site_count(10, Fraction(3, 100)) == 3
         assert site_count(7, Fraction(1, 49)) == 1
         assert site_count(3, Fraction(10, 9)) == 10
+
+
+class TestTrustedBuilds:
+    """``from_bitmask``, ``profile_to_config`` and ``complement`` build through
+    ``SpinConfig._trusted``, which skips the per-site checks of the public
+    constructor; their configurations equal the validated ones."""
+
+    @pytest.mark.parametrize("n,L", [(1, Fraction(3)), (2, Fraction(1)), (3, Fraction(5, 4)),
+                                     (4, Fraction(7, 5)), (5, Fraction(1, 2))])
+    def test_equal_to_validated(self, n, L):
+        rng = random.Random(n)
+        N = site_count(n, L)
+        for mask in [0, (1 << N) - 1] + [rng.getrandbits(N) for _ in range(20)]:
+            values = tuple((mask >> i) & 1 for i in range(N))
+            cfg = SpinConfig.from_bitmask(n, L, mask)
+            assert cfg == SpinConfig(n, L, values)
+            assert hash(cfg) == hash(SpinConfig(n, L, values))
+            assert type(cfg.L) is Fraction and all(type(v) is int for v in cfg.values)
+            assert cfg.complement() == SpinConfig(n, L, tuple(1 - v for v in values))
+        heights = column_heights(n, L)
+        for _ in range(20):
+            counts = tuple(rng.randint(0, h) for h in heights)
+            values = sum(((1,) * a + (0,) * (h - a) for h, a in zip(heights, counts)), ())
+            assert profile_to_config(ColumnProfile(n, heights, counts), L) == \
+                SpinConfig(n, L, values)
+
+    def test_bad_input_still_raises(self):
+        with pytest.raises(ValueError, match="values must be 0/1"):
+            SpinConfig(2, 1, (1, 0, 2, 0))
+        with pytest.raises(ValueError, match="expected 4 sites"):
+            SpinConfig(2, 1, (1, 0, 1))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            SpinConfig.from_bitmask(0, 1, 0)
+        with pytest.raises(ValueError, match="L must be positive"):
+            SpinConfig.from_bitmask(2, 0, 0)
+        # a profile whose sites do not fill the lattice of L
+        with pytest.raises(ValueError, match="expected 8 sites"):
+            profile_to_config(ColumnProfile(2, (2, 2), (1, 0)), 2)

@@ -40,6 +40,7 @@ from spinchain.solve import (
     _sweep_table,
     _transfer_fits,
     _transfer_min,
+    _transfer_pass,
 )
 
 F = Fraction
@@ -499,6 +500,23 @@ class TestColumnStepAgainstDense:
         assert res.value == F(total, n) == value
         assert res.profile.counts == counts
 
+    @pytest.mark.parametrize("n,L", DENSE_SHAPES)
+    def test_value_pass_totals(self, n, L):
+        # one run per first-column count, open and with the cyclic seam:
+        # the value pass (plain counts, unit 1) gives the totals of the
+        # backtracking pass (counts shifted past the parent bits)
+        heights = column_heights(n, L)
+        pins = [(a,) for a in range(heights[0] + 1)]
+        seams = [None]
+        if (n, L) in CYCLIC_SHAPES:
+            before, after = zip(*(reference_seam(n, L, a) for a in range(heights[0] + 1)))
+            seams.append((np.array(before), np.array(after)))
+        N = sum(heights)
+        for seam in seams:
+            for k in range(0, N + 1, max(1, N // 40)):
+                values = _column_dp(n, heights, k, pins, seam, backtrack=False)[0]
+                assert values.tolist() == _column_dp(n, heights, k, pins, seam)[0].tolist(), k
+
 
 class TestColumnStepInt64(TestColumnStepAgainstDense):
     """The dense-reference grid again with int64 states, as on shapes past
@@ -517,7 +535,46 @@ class TestColumnStepInt64(TestColumnStepAgainstDense):
         assert picked
 
 
+def skip_int16(monkeypatch):
+    """Patch ``_state_type`` to give the int32 tier where it picks int16."""
+    state_type = solve._state_type
+    picked = []
+
+    def no_int16(N, n, unit):
+        dtype, inf = state_type(N, n, unit)
+        picked.append(dtype)
+        return (np.int32, (1 << 29) // unit) if dtype is np.int16 else (dtype, inf)
+
+    monkeypatch.setattr(solve, "_state_type", no_int16)
+    yield
+    assert picked
+
+
+class TestColumnStepInt32(TestColumnStepAgainstDense):
+    """The dense-reference grid again with int32 where ``_state_type`` picks
+    int16, as on shapes past the int16 bound."""
+
+    @pytest.fixture(autouse=True)
+    def int32_states(self, monkeypatch):
+        yield from skip_int16(monkeypatch)
+
+
 class TestStateType:
+    @pytest.mark.parametrize("n,unit", [
+        (1, 1), (2, 1), (7, 1), (80, 1), (300, 1), (1000, 1),
+        (1, 2), (2, 4), (7, 8), (20, 32),
+    ])
+    def test_int16_up_to_the_bound(self, n, unit):
+        # unit 1: the cyclic value pass and the transfer matrix; unit
+        # 2^bitlen(n): a backtracking column DP
+        last = ((1 << 15) // (4 * unit) - 4 * n - 9) // 4  # (4N + 4n + 8) 4 unit < 2^15
+        dtype, inf = solve._state_type(last, n, unit)
+        assert dtype is np.int16 and inf * unit <= 1 << 13
+        # reachable states stay below big, unreachable ones below 2^14
+        assert (2 * last + 1) * unit < inf * unit
+        assert inf * unit + (4 * last + 4 * n + 8) * unit <= 1 << 14
+        assert solve._state_type(last + 1, n, unit) == (np.int32, (1 << 29) // unit)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 80, 300, 1000])
     def test_int64_past_the_bound(self, n):
         unit = 1 << n.bit_length()
@@ -661,6 +718,57 @@ class TestTransferMatrix:
         assert periodic_min(7, F(5, 4), 30).method == "ColumnDP"
 
 
+class TestTransferMatrixInt32(TestTransferMatrix):
+    """The transfer-matrix grid again with int32 where ``_state_type`` picks
+    int16."""
+
+    @pytest.fixture(autouse=True)
+    def int32_states(self, monkeypatch):
+        yield from skip_int16(monkeypatch)
+
+
+def reference_transfer_ring(n, N, k):
+    """The ring search with every first window pinned in a run of its own
+    (``start`` the identity), no rotation argument.  Returns the least count."""
+    j = min(k, N - k)
+    W = 1 << n
+    windows = np.arange(W)
+    seam = (np.bitwise_count(windows[:, None] ^ windows)
+            + ((windows[:, None] & 1) != (windows >> (n - 1))))
+    return int((_transfer_pass(n, N, j, np.eye(W, dtype=bool))[:, :, j] + seam).min())
+
+
+class TestRingPins:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_equals_all_pins(self, n):
+        # 2n < N <= 40, past the split-cut sweep, at the trivial, small,
+        # half and complemented volumes
+        for N in range(2 * n + 1, 41):
+            L = F(N, n * n)
+            for k in sorted({0, 1, 2, N // 2, N - 1, N}):
+                res = _transfer_min(n, L, k, True)
+                assert res.value == F(reference_transfer_ring(n, N, k), n), (n, N, k)
+                assert energy_periodic(res.config) == res.value
+                assert volume(res.config) == k
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_first_pass_pins(self, n, monkeypatch):
+        rows = []
+        transfer_pass = solve._transfer_pass
+
+        def spy(n, N, k, start, choices=None):
+            rows.append(len(start))
+            return transfer_pass(n, N, k, start, choices)
+
+        monkeypatch.setattr(solve, "_transfer_pass", spy)
+        N = 2 * n + 3
+        _transfer_min(n, F(N, n * n), N // 2, True)
+        assert rows == [(1 << (n - 2)) + 1, 1]  # the pins, then the rerun
+        rows.clear()
+        _transfer_min(n, F(N, n * n), N // 2, False)
+        assert rows == [1]
+
+
 # --- batched cyclic DP against the per-pin loop ------------------------------
 #
 # The loop the batched value and profile passes replaced: one column-DP run
@@ -668,25 +776,31 @@ class TestTransferMatrix:
 # Only the call into the shared core is adapted to its batched signature.
 
 
+def reference_seam(n, L, a1):
+    """The seam vectors (before, after) of the first-column count a1."""
+    lam = lambda_defect(n, L)
+    counts = np.arange(n + 1)
+    # distance N-n pairs of the first column against the last n sites,
+    # which start lam sites up the second to last column when lam != 0
+    if lam:
+        before = np.abs(min(a1, n - lam) - np.clip(counts - lam, 0, n - lam))
+        after = np.abs(max(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
+    else:
+        before = np.zeros(n + 1, np.int64)
+        after = np.abs(a1 - counts)
+    after += (a1 >= 1) != (counts == column_heights(n, L)[-1])  # distance N-1 pair
+    return before, after
+
+
 def reference_cyclic_dp(n, L, k):
     N = site_count(n, L)
     if n < 2 or N <= 2 * n:
         return None
     heights = column_heights(n, L)
-    lam = lambda_defect(n, L)
-    counts = np.arange(n + 1)
 
     best = None
     for a1 in range(min(heights[0], k) + 1):
-        # distance N-n pairs of the first column against the last n sites,
-        # which start lam sites up the second to last column when lam != 0
-        if lam:
-            before = np.abs(min(a1, n - lam) - np.clip(counts - lam, 0, n - lam))
-            after = np.abs(max(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
-        else:
-            before = np.zeros(n + 1, np.int64)
-            after = np.abs(a1 - counts)
-        after += (a1 >= 1) != (counts == heights[-1])  # distance N-1 pair
+        before, after = reference_seam(n, L, a1)
         totals, found = _column_dp(n, heights, k, [(a1,)], seam=(before[None], after[None]))
         if found is not None and (best is None or totals[0] < best[0]):
             best = int(totals[0]), found
