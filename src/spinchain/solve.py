@@ -47,7 +47,15 @@ whatever the axis or dtype, and a row of ``np.minimum`` 0.3 to 0.6 ns
 while it is < 2^31, int64 past that.  The column DP's unit is 2^bitlen(n)
 when it backtracks (the parents sit in the low bits) and 1 in the cyclic
 value pass; the transfer matrix's is 1.  The cyclic DP runs its pinned
-first-column counts through that core as one batch.
+first-column counts through that core as one batch, in one pass.
+
+The two DPs backtrack differently.  The open DP is one run over the whole
+chain that must keep every step until it backtracks, so its bytes per state
+count: it keeps 1-byte parents, decoded from the low bits, a quarter of an
+int32 state.  The cyclic DP keeps each step's input states of its value
+pass, as views, and retraces only the winning pin from them, recomputing
+each step's minimizing count from ``_column_step``'s cost, so the DP runs
+once and its states are never encoded.
 
 The DP searches prefix profiles only: within each column the occupied
 sites form a bottom prefix.  Moving every column's sites to the bottom
@@ -99,7 +107,7 @@ __all__ = [
 FULL_SWEEP_MAX_N = 28
 MAX_OPTIMA = 10**4
 TRANSFER_BUDGET = 1 << 23  # state updates of one transfer-matrix search (``_transfer_fits``)
-_PIN_BATCH = 1 << 15  # states per batch of the cyclic DP's pinned runs
+_PIN_BATCH = 1 << 15  # states per column of a cyclic-DP batch of pins, all kept to backtrack
 _BLOCK = 1 << 20  # masks per broadcast add of the brute-force sweep
 _INF = 1 << 30
 
@@ -402,7 +410,7 @@ def _column_step(enc: np.ndarray, h_prev: int, terms, unit: int, big: int) -> np
 
 
 def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
-               backtrack: bool = True) -> tuple[np.ndarray, Optional[list[int]]]:
+               backtrack: bool = True) -> tuple[np.ndarray, Optional[list]]:
     """Least mismatch counts over prefix profiles of volume k, one per run.
 
     ``pins[p]`` lists the counts the first column of run p may hold; the
@@ -421,11 +429,15 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
     Without it (the cyclic value pass) there are no low bits, unit = 1 and
     the states are plain counts, int16 up to about N = 2000.
 
-    Returns ``(totals, counts)``: ``totals[p]`` is run p's least count
-    (>= ``_INF`` when no profile of volume k exists), and ``counts`` the
-    profile of the first run with the least total, or None when
-    ``backtrack`` is off or no run reaches k.  Ties break toward the smaller
-    count, then the smaller column index.
+    Returns ``(totals, found)``: ``totals[p]`` is run p's least count
+    (>= ``_INF`` when no profile of volume k exists).  With ``backtrack``,
+    ``found`` is the profile of the first run with the least total, or None
+    when no run reaches k; ties break toward the smaller count, then the
+    smaller column index.  Without it, ``found`` lists ``(lo, states)`` per
+    column: the states after that column, window start lo, as the next step
+    took them (the second to last column's include ``seam[0]``) and, last,
+    the final states with ``seam[1]``.  They are views of the step buffers,
+    not copies, for ``_cyclic_backtrack``.
     """
     N = sum(heights)
     unit = 1 << n.bit_length() if backtrack else 1
@@ -446,10 +458,12 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
             if lo <= a <= hi:
                 enc[p, a, a - lo] = unit * (0 < a < heights[0])
 
-    parents = [(lo, None)]
+    parents, states = [(lo, None)], []
     for ci in range(1, len(heights)):
         if seam is not None and ci == len(heights) - 1:
             enc = enc + (unit * seam[0][:, :, None]).astype(dtype)
+        if not backtrack:
+            states.append((lo, enc))
         h_prev = heights[ci - 1]
         out = _column_step(enc, h_prev, terms[h_prev, heights[ci]], unit, big)
         lo_next, hi = window(ci)
@@ -469,8 +483,10 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
     best = (last + np.arange(n + 1, dtype=dtype) if backtrack else last).min(axis=1)
     totals = best.astype(np.int64) // unit
     totals[totals >= inf] = _INF
+    if not backtrack:
+        return totals, states + [(lo, enc)]
     p = int(best.argmin())
-    if not backtrack or totals[p] >= _INF:
+    if totals[p] >= _INF:
         return totals, None
     a = int(best[p] % unit)
     counts = [0] * len(heights)
@@ -650,12 +666,14 @@ def _cyclic_dp(n: int, L, k: int) -> Optional[SolveResult]:
     and the n distance N-n pairs (shifted by the column defect when the last
     column is partial).  The seam cost splits into a term in the second to
     last column's count and a term in the last column's count, so it enters
-    as two vectors per pin.  A value pass runs every pin that can reach
+    as two vectors per pin.  One value pass runs every pin that can reach
     volume k through ``_column_dp`` as one batch, in chunks of at most
-    about ``_PIN_BATCH`` states; a profile pass reruns the smallest pin with
-    the least total, keeping parents to backtrack.  Returns None for n = 1
-    or N <= 2n, where distance classes collide.  The profile pass must
-    match the value pass, and the result is re-evaluated (``_checked``).
+    about ``_PIN_BATCH`` states, one call per chunk.  The first chunk with
+    a strictly lower least total keeps its states, so the smallest pin with
+    the least total wins; ``_cyclic_backtrack`` retraces that pin alone
+    from them.  Returns None for n = 1 or N <= 2n, where distance classes
+    collide.  The backtrack must retrace the value pass, and the result is
+    re-evaluated (``_checked``).
     """
     L, N, _ = _instance(n, L, k, "periodic")
     if n < 2 or N <= 2 * n:  # distance classes collide; not worth special-casing
@@ -676,19 +694,64 @@ def _cyclic_dp(n: int, L, k: int) -> Optional[SolveResult]:
     after += (a1 >= 1) != (counts == heights[-1])  # distance N-1 pair
 
     step = max(1, _PIN_BATCH // ((n + 1) * (min(k, N - k) + n + 2)))
-    totals = np.concatenate([
-        _column_dp(n, heights, k, [(int(a),) for a in pins[i : i + step]],
-                   seam=(before[i : i + step], after[i : i + step]), backtrack=False)[0]
-        for i in range(0, len(pins), step)
-    ])
-    p = int(totals.argmin())
-    found, best_counts = _column_dp(n, heights, k, [(int(pins[p]),)],
-                                    seam=(before[p : p + 1], after[p : p + 1]))
-    if found[0] != totals[p]:
-        raise AssertionError("cyclic DP profile pass must match its value pass")
-    profile = ColumnProfile(n, heights, tuple(best_counts))
-    return _checked(profile_to_config(profile, L), int(found[0]), k, True, "ColumnDP", False,
+    best = None  # (total, run, states, seam) of the first chunk with the least total
+    for i in range(0, len(pins), step):
+        seam = before[i : i + step], after[i : i + step]
+        totals, states = _column_dp(n, heights, k, [(int(a),) for a in pins[i : i + step]],
+                                    seam, backtrack=False)
+        p = int(totals.argmin())
+        if best is None or totals[p] < best[0]:
+            best = int(totals[p]), p, states, seam
+        del states  # hold the best chunk's states and the next chunk's, no more
+    _, p, states, seam = best
+    total, found = _cyclic_backtrack(heights, k, p, states, seam)
+    profile = ColumnProfile(n, heights, tuple(found))
+    return _checked(profile_to_config(profile, L), total, k, True, "ColumnDP", False,
                     profile=profile)
+
+
+def _cyclic_backtrack(heights: tuple[int, ...], k: int, p: int, states: list,
+                      seam) -> tuple[int, list[int]]:
+    """Run p's least total and its profile, traced back through ``states``.
+
+    ``states`` and ``seam`` are those of a cyclic value pass of
+    ``_column_dp`` (plain counts, n >= 2, so the wrap pair counts).  The
+    last count is the smallest a minimising the final states at volume k;
+    its value less ``seam[1]`` is the last step's output.  Going back one
+    column, from count a2, volume v and value ``value``, the previous count
+    is the smallest a1 <= h_prev whose state at volume v - a2 (index
+    v - a2 - lo in its window) has
+
+        state[p, a1] + cost(a1, a2) == value,
+
+    ``cost`` as in ``_column_step``; the second to last column's states
+    carry ``seam[0]``, which is taken off the value passed back.  These are
+    the tie-breaks of the encoded parents of a backtracking pass, so the
+    profile is the one that pass returns.  A step without such an a1
+    raises ``AssertionError`` explicitly, so the check survives ``python -O``.
+    """
+    lo, final = states[-1]
+    last = final[p, :, k - lo].tolist()
+    total = min(last)
+    a = last.index(total)
+    value = total - int(seam[1][p, a])
+    counts = [0] * len(heights)
+    v = k
+    for ci in range(len(heights) - 1, 0, -1):
+        counts[ci] = a
+        h_prev, h = heights[ci - 1], heights[ci]
+        v -= a
+        lo, enc = states[ci - 1]
+        jump = 0 < a < h
+        for a1, s in enumerate(enc[p, : h_prev + 1, v - lo].tolist()):
+            if s + abs(min(a1, h) - a) + ((a1 == h_prev) != (a >= 1)) + jump == value:
+                break
+        else:
+            raise AssertionError("cyclic DP backtrack must retrace its value pass")
+        value = s - int(seam[0][p, a1]) if ci == len(heights) - 1 else s
+        a = a1
+    counts[0] = a
+    return total, counts
 
 
 def periodic_min(n: int, L, k: int) -> SolveResult:

@@ -771,9 +771,10 @@ class TestRingPins:
 
 # --- batched cyclic DP against the per-pin loop ------------------------------
 #
-# The loop the batched value and profile passes replaced: one column-DP run
-# per pinned first-column count, keeping the first pin with the least total.
-# Only the call into the shared core is adapted to its batched signature.
+# The loop the batched value pass and its backtrack replaced: one column-DP
+# run per pinned first-column count, keeping the first pin with the least
+# total.  Only the call into the shared core is adapted to its batched
+# signature.
 
 
 def reference_seam(n, L, a1):
@@ -813,14 +814,26 @@ def reference_cyclic_dp(n, L, k):
 
 class TestBatchedCyclicDP:
     @pytest.mark.parametrize("n", range(3, 17))
-    def test_values_and_profiles(self, n):
-        # at (16, 3) the pins span several batches of _PIN_BATCH states
+    def test_values_and_profiles(self, n, monkeypatch):
+        # at (16, 3) the pins span several batches of _PIN_BATCH states; the
+        # backtrack through the value pass's states gives the per-pin loop's
+        # value, profile and configuration, and on the periodic_mix shapes
+        # also with one pin per batch
         for L in (F(1), F(5, 4), F(7, 5), F(3, 2), F(3)):
             N = site_count(n, L)
-            for k in sorted({1, N // 5, N // 2, 3 * N // 4, N - 1}):
-                want = reference_cyclic_dp(n, L, k)
-                res = _cyclic_dp(n, L, k)
-                assert (res.value, res.profile.counts) == want, (n, L, k)
+            heights = column_heights(n, L)
+            volumes, batches = {1, N // 5, N // 2, 3 * N // 4, N - 1}, [solve._PIN_BATCH]
+            if n >= 6 and L in (F(5, 4), F(7, 5), F(3, 2)):  # the periodic_mix shapes
+                volumes.update(range(N // 4, 3 * N // 4 + 1, max(1, N // 8)))
+                batches.append(1)
+            for k in sorted(volumes):
+                value, counts = reference_cyclic_dp(n, L, k)
+                config = profile_to_config(ColumnProfile(n, heights, counts), L)
+                for batch in batches:
+                    monkeypatch.setattr(solve, "_PIN_BATCH", batch)
+                    res = _cyclic_dp(n, L, k)
+                    got = res.value, res.profile.counts, res.config
+                    assert got == (value, counts, config), (L, k, batch)
 
     @pytest.mark.parametrize("n,L", [(5, F(7, 5)), (9, F(5, 4)), (12, F(3))])
     def test_one_pin_per_batch(self, n, L, monkeypatch):
@@ -829,6 +842,46 @@ class TestBatchedCyclicDP:
         for k in range(0, N + 1, max(1, N // 12)):
             res = _cyclic_dp(n, L, k)
             assert (res.value, res.profile.counts) == reference_cyclic_dp(n, L, k), k
+
+    @pytest.mark.parametrize("n,L,k,batch,chunks", [
+        (6, F(5, 4), 22, None, 1), (6, F(5, 4), 22, 1, 7), (16, F(3), 384, None, 5),
+    ])
+    def test_one_value_pass(self, n, L, k, batch, chunks, monkeypatch):
+        # one _column_dp call per chunk of pins, none of them backtracking:
+        # the winning pin's profile comes from the value pass's own states
+        calls = []
+        column_dp = solve._column_dp
+
+        def spy(n, heights, k, pins, seam=None, backtrack=True):
+            calls.append((len(pins), backtrack))
+            return column_dp(n, heights, k, pins, seam, backtrack)
+
+        monkeypatch.setattr(solve, "_column_dp", spy)
+        if batch is not None:
+            monkeypatch.setattr(solve, "_PIN_BATCH", batch)
+        _cyclic_dp(n, L, k)
+        assert len(calls) == chunks
+        assert sum(pins for pins, _ in calls) == n + 1  # first-column counts 0..n
+        assert not any(backtrack for _, backtrack in calls)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_tampered_state_raises(self, delta, monkeypatch):
+        # the winning pin's first-column state off by one: no count retraces
+        # the value pass (the -O run is in SELF_CHECKS)
+        n, L, k = 9, F(5, 4), 50
+        pin = _cyclic_dp(n, L, k).profile.counts[0]
+        column_dp = solve._column_dp
+
+        def tampered(n, heights, k, pins, seam=None, backtrack=True):
+            totals, states = column_dp(n, heights, k, pins, seam, backtrack)
+            if (pin,) in pins:
+                lo, first = states[0]
+                first[pins.index((pin,)), pin, pin - lo] += delta
+            return totals, states
+
+        monkeypatch.setattr(solve, "_column_dp", tampered)
+        with pytest.raises(AssertionError, match="^cyclic DP backtrack must retrace"):
+            _cyclic_dp(n, L, k)
 
 
 # --- rings the cyclic DP declines, past the brute-force guard -------------------
@@ -1074,15 +1127,35 @@ spinchain.solve.energy_open = spinchain.solve.energy_periodic = wrong
 spinchain.classify.continuum_energy = wrong
 run(routes + [(spinchain.classify.classify_open, 1, Fraction(3, 10))])
 spinchain.solve.energy_open, spinchain.solve.energy_periodic = energies
+volume = spinchain.solve.volume
 spinchain.solve.volume = lambda cfg: sum(cfg.values) + 1
 run(routes)
+spinchain.solve.volume = volume
+
+# the winning pin's first-column state off by one
+pin = _cyclic_dp(9, Fraction(5, 4), 50).profile.counts[0]
+column_dp = spinchain.solve._column_dp
+
+def tampered(n, heights, k, pins, seam=None, backtrack=True):
+    totals, states = column_dp(n, heights, k, pins, seam, backtrack)
+    if (pin,) in pins:
+        lo, first = states[0]
+        first[pins.index((pin,)), pin, pin - lo] += 1
+    return totals, states
+
+spinchain.solve._column_dp = tampered
+try:
+    _cyclic_dp(9, Fraction(5, 4), 50)
+except AssertionError as exc:
+    print("backtrack raised:", exc)
 """
 
 
 def test_self_checks_survive_python_O():
-    """The energy and volume self-checks of the four solver routes, and the
-    classifier's energy self-check, raise under ``python -O``, which strips
-    ``assert`` statements; the same routes pass unpatched."""
+    """The energy and volume self-checks of the four solver routes, the
+    classifier's energy self-check and the cyclic DP's backtrack over a
+    tampered state raise under ``python -O``, which strips ``assert``
+    statements; the same routes pass unpatched."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", SELF_CHECKS], env=env,
@@ -1091,4 +1164,5 @@ def test_self_checks_survive_python_O():
     assert out.split("\n")[:-1] == (
         [f"{name} passed" for name in routes]
         + [f"{name} raised" for name in routes + ["classify_open"]]  # wrong energy
-        + [f"{name} raised" for name in routes])  # wrong volume
+        + [f"{name} raised" for name in routes]  # wrong volume
+        + ["backtrack raised: cyclic DP backtrack must retrace its value pass"])
