@@ -78,8 +78,8 @@ class SweepSpec:
         if not isinstance(doc, dict):
             raise ValueError("sweep spec must be a JSON object")
         return SweepSpec(
-            L=Fraction(str(doc["L"])),
-            sigma=Fraction(str(doc["sigma"])),
+            L=frac(str(doc["L"])),
+            sigma=frac(str(doc["sigma"])),
             n_list=doc["n_list"],
             boundary=doc.get("boundary", "open"),
         )
@@ -329,7 +329,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    res = minimize(args.n, Fraction(args.L), args.k,
+    res = minimize(args.n, frac(args.L), args.k,
                    "periodic" if args.periodic else "open", args.method)
     print(res.to_json())
     return 0
@@ -337,10 +337,9 @@ def _cmd_minimize(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.tau is None:
-        rep = classify_open(Fraction(args.L), Fraction(args.sigma))
+        rep = classify_open(frac(args.L), frac(args.sigma))
     else:
-        rep = classify_periodic(Fraction(args.L), Fraction(args.sigma),
-                                Fraction(args.tau))
+        rep = classify_periodic(frac(args.L), frac(args.sigma), frac(args.tau))
     doc = {
         "case": rep.case,
         "cases": list(rep.cases),
@@ -375,9 +374,9 @@ def _cmd_phase(args) -> int:
         raise ValueError("phase grid must be a JSON object")
     if not (isinstance(doc["L"], list) and isinstance(doc["sigma"], list)):
         raise ValueError("phase grid L and sigma must be lists")
-    L_grid = [Fraction(str(x)) for x in doc["L"]]
-    sigma_grid = [Fraction(str(x)) for x in doc["sigma"]]
-    tau = Fraction(str(doc["tau"])) if doc.get("tau") is not None else None
+    L_grid = [frac(str(x)) for x in doc["L"]]
+    sigma_grid = [frac(str(x)) for x in doc["sigma"]]
+    tau = frac(str(doc["tau"])) if doc.get("tau") is not None else None
     rows = phase_diagram(L_grid, sigma_grid, tau)
     buf = io.StringIO()
     _phase_csv(L_grid, sigma_grid, tau, rows, buf)

@@ -226,11 +226,8 @@ class PiecewiseConstant:
                 and all(isinstance(p, dict) for p in doc["pieces"])):
             raise ValueError("pieces must be a list of {to, value} objects")
 
-        def dec(x):
-            return Fraction(x) if isinstance(x, str) else frac(x)
-
-        pieces = [(dec(p["to"]), dec(p["value"])) for p in doc["pieces"]]
-        return PiecewiseConstant.from_pieces(dec(doc["L"]), pieces)
+        pieces = [(frac(p["to"]), frac(p["value"])) for p in doc["pieces"]]
+        return PiecewiseConstant.from_pieces(frac(doc["L"]), pieces)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,11 @@ from fractions import Fraction
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions, floats and strings like '3/2' to Fraction."""
+    """Coerce ints, Fractions, floats and strings like '3/2' to Fraction.
+
+    A string with a zero denominator, such as '1/0', is a ``ValueError``
+    naming it, as a malformed one is.
+    """
     if type(x) is int:  # ahead of isinstance(x, Fraction), which asks the numbers ABC
         return Fraction(x)
     if isinstance(x, Fraction):
@@ -22,7 +26,10 @@ def frac(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 

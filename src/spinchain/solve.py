@@ -32,7 +32,11 @@ boundaries: the ring pins first windows, each in a run of its own, and adds
 the seam, the open chain is one run that starts from every first window.
 The ring's energy does not change under rotation, so it pins only the
 2^(n-2) + 1 first windows that some rotation of every configuration starts
-with (``_transfer_min``), not all 2^n.
+with (``_transfer_min``), not all 2^n.  It runs once: the pass records
+every run's choices, so the best pin is traced back from them, and its
+states are window-major, ``[window, volume, run]``, so each elementwise
+step walks 2^(n-1) contiguous blocks of (volume, run) states rather than
+many short rows of one run each.
 
 Both column DPs share one core (``_column_dp``): each column step takes
 the minimum over the previous column's count as an L1 distance transform,
@@ -309,8 +313,9 @@ def _state_type(N: int, n: int, unit: int) -> tuple[type, int]:
     return np.int64, _INF
 
 
+@lru_cache(maxsize=512)
 def _step_terms(h_prev: int, h: int, unit: int, wrap: bool, encode: bool,
-                dtype) -> tuple[np.ndarray, ...]:
+                dtype: np.dtype) -> tuple[np.ndarray, ...]:
     """Cost terms for ``_column_step`` from a column of height h_prev to one of h.
 
     Returns ``(forward, backward, fold, updown, top)`` in ``dtype``, laid out
@@ -322,7 +327,8 @@ def _step_terms(h_prev: int, h: int, unit: int, wrap: bool, encode: bool,
     also add a1 itself, which then sits in the low bits.  ``updown`` holds
     the wrap and internal terms plus and minus unit * a2, over a2 = 0..h,
     for the two halves, and ``top`` is the whole cost of the row
-    a1 == h_prev.
+    a1 == h_prev.  The terms depend only on the arguments, so they are
+    cached (``dtype`` an ``np.dtype``) and returned read-only.
 
     When h == h_prev, row a1 = h is that top row, so it enters both running
     minima.  Its backward term carries one extra wrap unit, which makes its
@@ -341,9 +347,12 @@ def _step_terms(h_prev: int, h: int, unit: int, wrap: bool, encode: bool,
     backward[h] += w
     updown = np.stack([rest + unit * a, (rest - unit * a)[::-1]], axis=1)
     column = (-1, 1, 1)
-    return (forward.reshape(column), backward[::-1].reshape(column),
-            (e * np.arange(h, h_prev, dtype=dtype)).reshape(column),
-            updown.reshape(-1, 1, 2, 1), top.reshape(column))
+    terms = (forward.reshape(column), backward[::-1].reshape(column),
+             (e * np.arange(h, h_prev, dtype=dtype)).reshape(column),
+             updown.reshape(-1, 1, 2, 1), top.reshape(column))
+    for t in terms:
+        t.flags.writeable = False
+    return terms
 
 
 def _column_step(enc: np.ndarray, h_prev: int, terms, unit: int, big: int) -> np.ndarray:
@@ -443,7 +452,7 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
     unit = 1 << n.bit_length() if backtrack else 1
     dtype, inf = _state_type(N, n, unit)
     big = inf * unit
-    terms = {(hp, h): _step_terms(hp, h, unit, n > 1, backtrack, dtype)
+    terms = {(hp, h): _step_terms(hp, h, unit, n > 1, backtrack, np.dtype(dtype))
              for hp, h in set(zip(heights, heights[1:]))}
     parent_type = np.min_scalar_type(n)
     ends = np.cumsum(heights)
@@ -535,12 +544,11 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
 # --- transfer matrix (both boundaries) and cyclic DP ---------------------------
 
 
-def _transfer_pass(n: int, N: int, k: int, start: np.ndarray,
-                   choices: Optional[list] = None) -> np.ndarray:
+def _transfer_pass(n: int, N: int, k: int, start: np.ndarray, choices: list) -> np.ndarray:
     """Transfer-matrix sweep of the chain, one run per row of ``start``.
 
     ``start[p, w]`` (bool, shape (P, 2^n)) says whether run p may begin with
-    the window w on sites 0..n-1 (site j at bit j).  Returns ``D[p, w, v]``:
+    the window w on sites 0..n-1 (site j at bit j).  Returns ``D[w, v, p]``:
     the least mismatch count over sites 0..N-1 at distances 1 and n, no
     seam, of a configuration that run p may begin with, whose sites
     N-n..N-1 are the window w (site N-n+j at bit j) and whose volume is v,
@@ -551,8 +559,16 @@ def _transfer_pass(n: int, N: int, k: int, start: np.ndarray,
     halves of the window axis.  Only volumes that can still reach k are
     updated: after site i, [k - (N-1-i), i+1] within [0, k]; entries outside
     that window are never read (the lower end, once above 0, moves up one
-    per step).  With ``choices`` a list, each step appends the bool array of
-    its minimizing oldest bits, for backtracking.
+    per step).  Each step appends to ``choices`` the bool array
+    ``pick[w, v, p]`` of its minimizing oldest bits, for every run, so the
+    caller backtracks any run without running it again; a tie keeps bit 0.
+
+    The layout is window-major: the predecessor halves ``D[0::2]`` and
+    ``D[1::2]`` stride only the outer axis, so each elementwise operation
+    walks 2^(n-1) contiguous blocks of (volume, run) states.  Run-major,
+    ``D[p, w, v]``, the same operation would walk P 2^(n-1) blocks of at
+    most k + 1 states each, and that per-block cost would dominate the
+    ring's P = 2^(n-2) + 1 pinned runs.
 
     The states are plain counts in the dtype of ``_state_type(N, n, 1)``,
     int16 up to about N = 2000, and unreachable ones start at its ``inf``.
@@ -561,32 +577,31 @@ def _transfer_pass(n: int, N: int, k: int, start: np.ndarray,
     unreachable state rises by at most 2 per site, so with the seam every
     value stays below inf + 2N + n + 1, inside the dtype.
     """
-    W, half = 1 << n, 1 << (n - 1)
+    W, half, quarter = 1 << n, 1 << (n - 1), 1 << (n - 2)
     dtype, inf = _state_type(N, n, 1)
     vols = np.bitwise_count(np.arange(W))
     p, first = np.nonzero(start & (vols <= k))
-    D = np.full((len(start), W, k + 1), inf, dtype)
-    D[p, first, vols[first]] = np.bitwise_count((first ^ (first >> 1)) & (half - 1))
+    D = np.full((W, k + 1, len(start)), inf, dtype)
+    D[first, vols[first], p] = np.bitwise_count((first ^ (first >> 1)) & (half - 1))
     nxt = np.full_like(D, inf)
-    # bit n-1 of the predecessors 2w' and 2w'+1 is bit n-2 of w'
-    top = ((np.arange(half) >> (n - 2)) & 1).astype(dtype)[:, None]
     for i in range(n, N):
         lo, hi = max(0, k - (N - 1 - i)), min(k, i + 1)
         s = max(lo, 1)
-        A, B = D[:, 0::2], D[:, 1::2]  # predecessors with oldest bit 0 and 1
-        low, high = nxt[:, :half, lo : hi + 1], nxt[:, half:, s : hi + 1]
-        # new bit 0 costs top + b; new bit 1 costs (1 - top) + (1 - b), volume + 1
-        B1 = B[:, :, lo : hi + 1] + 1
-        np.minimum(A[:, :, lo : hi + 1], B1, out=low)
-        low += top
-        A1 = A[:, :, s - 1 : hi] + 1
-        np.minimum(A1, B[:, :, s - 1 : hi], out=high)
-        high += 1 - top
-        if choices is not None:
-            pick = np.zeros(D.shape, bool)
-            np.less(B1, A[:, :, lo : hi + 1], out=pick[:, :half, lo : hi + 1])
-            np.less(B[:, :, s - 1 : hi], A1, out=pick[:, half:, s : hi + 1])
-            choices.append(pick)
+        A, B = D[0::2], D[1::2]  # predecessors with oldest bit 0 and 1
+        low, high = nxt[:half, lo : hi + 1], nxt[half:, s : hi + 1]
+        pick = np.zeros(D.shape, bool)
+        # with t = bit n-1 of the predecessors 2w' and 2w'+1, set exactly
+        # where w' >= 2^(n-2), new bit 0 costs t + b; new bit 1 costs
+        # (1 - t) + (1 - b), volume + 1
+        B1 = B[:, lo : hi + 1] + 1
+        np.less(B1, A[:, lo : hi + 1], out=pick[:half, lo : hi + 1])
+        np.minimum(A[:, lo : hi + 1], B1, out=low)
+        low[quarter:] += 1
+        A1 = A[:, s - 1 : hi] + 1
+        np.less(B[:, s - 1 : hi], A1, out=pick[half:, s : hi + 1])
+        np.minimum(A1, B[:, s - 1 : hi], out=high)
+        high[:quarter] += 1
+        choices.append(pick)
         D, nxt = nxt, D
     return D
 
@@ -604,19 +619,21 @@ def _transfer_min(n: int, L: Fraction, k: int, periodic: bool) -> SolveResult:
     The state is the last n sites and the volume so far (``_transfer_pass``).
     The ring runs each pinned first window as a run of its own; the seam
     then adds popcount(first ^ last) for the distance N-n pairs and
-    [bit 0 of first != bit n-1 of last] for the distance N-1 pair, and the
-    best pin is rerun alone with its choices kept.  Only the first windows
-    w with w & 3 == 2, or w = 0, are pinned: 2^(n-2) + 1 of the 2^n (see
-    the comment below).  The open chain is one run that starts from every
-    first window, with no seam, and keeps its choices at once.
-    Backtracking from the best last window leaves the first window in both
-    cases.  Both energies count mismatches, so complementing every site
-    keeps the energy: a volume k > N/2 is solved at j = N - k and its
-    configuration complemented.  Work (2^(n-2) + 1) * 2^n N (j + 1) state
-    updates on a ring, 2^n N (j + 1) on the open chain; ``_transfer_fits``
-    still budgets 4^n N (j + 1) for the ring, so no instance changes route
-    (Baxter, "Exactly Solved Models in Statistical Mechanics", 1982, for
-    the transfer-matrix method).  The caller checks ``_transfer_fits``.
+    [bit 0 of first != bit n-1 of last] for the distance N-1 pair.  Only the
+    first windows w with w & 3 == 2, or w = 0, are pinned: 2^(n-2) + 1 of
+    the 2^n (see the comment below).  The open chain is one run that starts
+    from every first window, with no seam.  Both take the first least total
+    over (run, last window), so ties go to the first pin, then the first
+    window, and backtrack from it through the one pass's choices of every
+    run, which leaves the first window.  Both energies count mismatches, so
+    complementing every site keeps the energy: a volume k > N/2 is solved
+    at j = N - k and its configuration complemented.  Work
+    (2^(n-2) + 1) * 2^n N (j + 1) state updates on a ring, with as many
+    bytes of kept choices, 2^n N (j + 1) on the open chain;
+    ``_transfer_fits`` still budgets 4^n N (j + 1) for the ring, so no
+    instance changes route (Baxter, "Exactly Solved Models in Statistical
+    Mechanics", 1982, for the transfer-matrix method).  The caller checks
+    ``_transfer_fits``.
     """
     N = site_count(n, L)
     j = min(k, N - k)
@@ -633,23 +650,18 @@ def _transfer_min(n: int, L: Fraction, k: int, periodic: bool) -> SolveResult:
         seam = (np.bitwise_count(windows[pins, None] ^ windows)
                 + ((windows[pins, None] & 1) != (windows >> (n - 1))))
         start = windows[pins, None] == windows
-        totals = _transfer_pass(n, N, j, start)[:, :, j] + seam
-        p = int(totals.argmin()) // W
-        start, seam = start[p : p + 1], seam[p]
     else:
         start, seam = np.ones((1, W), bool), 0
 
     choices: list = []
-    row = _transfer_pass(n, N, j, start, choices)[0, :, j] + seam
-    w = int(row.argmin())
-    total = int(row[w])
-    if periodic and total != int(totals.min()):
-        raise AssertionError("transfer-matrix rerun must match its pin")
+    totals = _transfer_pass(n, N, j, start, choices)[:, j].T + seam  # [run, last window]
+    p, w = divmod(int(totals.argmin()), W)
+    total = int(totals[p, w])
     mask, v = 0, j
     for i in range(N - 1, n - 1, -1):
         x = w >> (n - 1)
         mask |= x << i
-        w = ((w << 1) & (W - 1)) | int(choices[i - n][0, w, v])
+        w = ((w << 1) & (W - 1)) | int(choices[i - n][w, v, p])
         v -= x
     mask |= w
     if j < k:

@@ -274,6 +274,19 @@ class TestMainEntry:
         bad.write_text("garbage\n")
         assert main(["energy", str(bad)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["minimize", "--n", "4", "--L", "1/0", "--k", "2"],
+        ["minimize", "--n", "4", "--L", "1/0", "--k", "2", "--periodic", "--method", "brute"],
+        ["classify", "--L", "1/0", "--sigma", "1/2"],
+        ["classify", "--L", "1", "--sigma", "1/0"],
+        ["classify", "--L", "1", "--sigma", "1/2", "--tau", "1/0"],
+    ])
+    def test_zero_denominator_exit_code(self, capsys, argv):
+        # these ended in a ZeroDivisionError traceback (exit 1)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: zero denominator in '1/0'" in captured.err
+
     def test_parser_built_once(self, capsys):
         runs = [["minimize", "--n", "2", "--L", "1", "--k", "2"],
                 ["classify", "--L", "1", "--sigma", "3/10"]]
@@ -320,6 +333,15 @@ class TestMalformedJson:
         ("sweep", {"L": "1", "sigma": "1/2", "n_list": [0, 2]}, "integers >= 1"),
         ("sweep", {"L": "1", "sigma": "1/2", "n_list": [3.5]}, "integers >= 1"),
         ("recover", {"L": "1", "pieces": 3}, "pieces must be a list"),
+        # a zero denominator ended in a ZeroDivisionError traceback (exit 1)
+        ("sweep", {"L": "1/0", "sigma": "1/2", "n_list": [2]}, "zero denominator in '1/0'"),
+        ("sweep", {"L": "1", "sigma": "1/0", "n_list": [2]}, "zero denominator in '1/0'"),
+        ("phase", {"L": ["1", "1/0"], "sigma": ["1/2"]}, "zero denominator in '1/0'"),
+        ("phase", {"L": ["1"], "sigma": ["1/0"]}, "zero denominator in '1/0'"),
+        ("phase", {"L": ["1"], "sigma": ["1/2"], "tau": "1/0"}, "zero denominator in '1/0'"),
+        ("recover", {"L": "1/0", "pieces": []}, "zero denominator in '1/0'"),
+        ("recover", {"L": "1", "pieces": [{"to": "1", "value": "1/0"}]},
+         "zero denominator in '1/0'"),
     ])
     def test_exit_code(self, tmp_path, capsys, command, doc, message):
         path = tmp_path / "doc.json"

@@ -26,6 +26,7 @@ from spinchain import (
     volume,
 )
 from spinchain.lattice import cell_to_site, site_to_cell
+from spinchain.rationals import frac
 
 
 def oracle_pairs(N, n, periodic=False):
@@ -332,6 +333,13 @@ class TestValidation:
         assert site_count(10, Fraction(3, 100)) == 3
         assert site_count(7, Fraction(1, 49)) == 1
         assert site_count(3, Fraction(10, 9)) == 10
+
+    @pytest.mark.parametrize("text", ["1/0", " 3/0 ", "-2/0"])
+    def test_frac_zero_denominator(self, text):
+        # a ValueError naming the input, like any malformed rational
+        with pytest.raises(ValueError, match=f"^zero denominator in {text!r}$"):
+            frac(text)
+        assert frac(" 3/4 ") == Fraction(3, 4)
 
 
 class TestTrustedBuilds:

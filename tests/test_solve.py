@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -559,6 +560,22 @@ class TestColumnStepInt32(TestColumnStepAgainstDense):
         yield from skip_int16(monkeypatch)
 
 
+class TestStepTermsCache:
+    @pytest.mark.parametrize("args", [(5, 3, 8, True, True, np.dtype(np.int16)),
+                                      (6, 6, 1, True, False, np.dtype(np.int32)),
+                                      (1, 1, 1, False, False, np.dtype(np.int64))])
+    def test_second_call_returns_the_same_read_only_arrays(self, args):
+        first = solve._step_terms(*args)
+        assert solve._step_terms(*args) is first
+        for term in first:
+            assert not term.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                term[...] = 0
+        fresh = solve._step_terms.__wrapped__(*args)
+        for term, want in zip(first, fresh, strict=True):
+            assert term.dtype == args[-1] and np.array_equal(term, want)
+
+
 class TestStateType:
     @pytest.mark.parametrize("n,unit", [
         (1, 1), (2, 1), (7, 1), (80, 1), (300, 1), (1000, 1),
@@ -675,6 +692,87 @@ class TestPeriodicMin:
 
 
 # --- transfer matrix, both boundaries ----------------------------------------
+#
+# The run-major search the one-pass transfer matrix replaced: ``D[p, w, v]``,
+# the ring's best pin run a second time only to record its choices.  Kept
+# verbatim; only the names it takes from ``solve`` are qualified, so that a
+# patched ``_state_type`` reaches it too.
+
+
+def reference_transfer_pass(n: int, N: int, k: int, start: np.ndarray,
+                            choices=None) -> np.ndarray:
+    W, half = 1 << n, 1 << (n - 1)
+    dtype, inf = solve._state_type(N, n, 1)
+    vols = np.bitwise_count(np.arange(W))
+    p, first = np.nonzero(start & (vols <= k))
+    D = np.full((len(start), W, k + 1), inf, dtype)
+    D[p, first, vols[first]] = np.bitwise_count((first ^ (first >> 1)) & (half - 1))
+    nxt = np.full_like(D, inf)
+    # bit n-1 of the predecessors 2w' and 2w'+1 is bit n-2 of w'
+    top = ((np.arange(half) >> (n - 2)) & 1).astype(dtype)[:, None]
+    for i in range(n, N):
+        lo, hi = max(0, k - (N - 1 - i)), min(k, i + 1)
+        s = max(lo, 1)
+        A, B = D[:, 0::2], D[:, 1::2]  # predecessors with oldest bit 0 and 1
+        low, high = nxt[:, :half, lo : hi + 1], nxt[:, half:, s : hi + 1]
+        # new bit 0 costs top + b; new bit 1 costs (1 - top) + (1 - b), volume + 1
+        B1 = B[:, :, lo : hi + 1] + 1
+        np.minimum(A[:, :, lo : hi + 1], B1, out=low)
+        low += top
+        A1 = A[:, :, s - 1 : hi] + 1
+        np.minimum(A1, B[:, :, s - 1 : hi], out=high)
+        high += 1 - top
+        if choices is not None:
+            pick = np.zeros(D.shape, bool)
+            np.less(B1, A[:, :, lo : hi + 1], out=pick[:, :half, lo : hi + 1])
+            np.less(B[:, :, s - 1 : hi], A1, out=pick[:, half:, s : hi + 1])
+            choices.append(pick)
+        D, nxt = nxt, D
+    return D
+
+
+def reference_transfer_min(n: int, L: Fraction, k: int, periodic: bool) -> SolveResult:
+    N = site_count(n, L)
+    j = min(k, N - k)
+    W = 1 << n
+    if periodic:
+        windows = np.arange(W)
+        pins = np.flatnonzero((windows & 3 == 2) | (windows == 0))
+        seam = (np.bitwise_count(windows[pins, None] ^ windows)
+                + ((windows[pins, None] & 1) != (windows >> (n - 1))))
+        start = windows[pins, None] == windows
+        totals = reference_transfer_pass(n, N, j, start)[:, :, j] + seam
+        p = int(totals.argmin()) // W
+        start, seam = start[p : p + 1], seam[p]
+    else:
+        start, seam = np.ones((1, W), bool), 0
+
+    choices: list = []
+    row = reference_transfer_pass(n, N, j, start, choices)[0, :, j] + seam
+    w = int(row.argmin())
+    total = int(row[w])
+    if periodic and total != int(totals.min()):
+        raise AssertionError("transfer-matrix rerun must match its pin")
+    mask, v = 0, j
+    for i in range(N - 1, n - 1, -1):
+        x = w >> (n - 1)
+        mask |= x << i
+        w = ((w << 1) & (W - 1)) | int(choices[i - n][0, w, v])
+        v -= x
+    mask |= w
+    if j < k:
+        mask ^= (1 << N) - 1
+
+    return solve._checked(SpinConfig.from_bitmask(n, L, mask), total, k, periodic,
+                          "TransferMatrix", True)
+
+
+@lru_cache(maxsize=None)
+def reference_transfer_answer(n, L, k, periodic):
+    """Value and configuration of ``reference_transfer_min``, kept: they do
+    not depend on the state dtype, so the int32 grid reuses the int16 ones."""
+    res = reference_transfer_min(n, L, k, periodic)
+    return res.value, res.config
 
 
 class TestTransferMatrix:
@@ -694,6 +792,21 @@ class TestTransferMatrix:
                     assert (res.method, res.exact) == ("TransferMatrix", True)
                     assert energy(res.config) == res.value
                     assert volume(res.config) == k
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_same_as_two_pass_search(self, n):
+        # the one-pass search returns the run-major two-pass search's value
+        # and configuration (first pin, then first last window) at every
+        # volume the guard allows, 2n < N <= 60
+        for periodic in (False, True):
+            for N in range(2 * n + 1, 61):
+                L = F(N, n * n)
+                for k in range(N + 1):
+                    if not _transfer_fits(n, N, k, periodic):
+                        continue
+                    res = _transfer_min(n, L, k, periodic)
+                    want = reference_transfer_answer(n, L, k, periodic)
+                    assert (res.value, res.config) == want, (N, k, periodic)
 
     @pytest.mark.parametrize("n,N", [(3, 45), (3, 120), (4, 40), (4, 90), (5, 60), (5, 120)])
     def test_never_above_cyclic_dp_past_the_guard(self, n, N):
@@ -735,7 +848,7 @@ def reference_transfer_ring(n, N, k):
     windows = np.arange(W)
     seam = (np.bitwise_count(windows[:, None] ^ windows)
             + ((windows[:, None] & 1) != (windows >> (n - 1))))
-    return int((_transfer_pass(n, N, j, np.eye(W, dtype=bool))[:, :, j] + seam).min())
+    return int((reference_transfer_pass(n, N, j, np.eye(W, dtype=bool))[:, :, j] + seam).min())
 
 
 class TestRingPins:
@@ -753,20 +866,45 @@ class TestRingPins:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_first_pass_pins(self, n, monkeypatch):
+        # one _transfer_pass call: the pins on a ring, one run on the open
+        # chain; the backtrack reads that call's choices
         rows = []
         transfer_pass = solve._transfer_pass
 
-        def spy(n, N, k, start, choices=None):
+        def spy(n, N, k, start, choices):
             rows.append(len(start))
             return transfer_pass(n, N, k, start, choices)
 
         monkeypatch.setattr(solve, "_transfer_pass", spy)
         N = 2 * n + 3
         _transfer_min(n, F(N, n * n), N // 2, True)
-        assert rows == [(1 << (n - 2)) + 1, 1]  # the pins, then the rerun
+        assert rows == [(1 << (n - 2)) + 1]
         rows.clear()
         _transfer_min(n, F(N, n * n), N // 2, False)
         assert rows == [1]
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_tampered_choice_raises(self, periodic, monkeypatch):
+        # the bit recorded for site 0 on the winning path flipped: the
+        # backtrack's configuration is one off in volume, and the result
+        # check refuses it (the -O run is in SELF_CHECKS)
+        n, N, k = 5, 22, 11
+        L = F(N, n * n)
+        mask = sum(x << i for i, x in enumerate(_transfer_min(n, L, k, periodic).config.values))
+        transfer_pass = solve._transfer_pass
+
+        def tampered(n, N, k, start, choices):
+            D = transfer_pass(n, N, k, start, choices)
+            # the first step's state on that path: window sites 1..n, volume
+            # of sites 0..n, the run of its first window
+            W = 1 << n
+            p = np.flatnonzero(start[:, mask & (W - 1)])[0]
+            choices[0][(mask >> 1) & (W - 1), (mask & (2 * W - 1)).bit_count(), p] ^= True
+            return D
+
+        monkeypatch.setattr(solve, "_transfer_pass", tampered)
+        with pytest.raises(AssertionError, match="^TransferMatrix bookkeeping must match"):
+            _transfer_min(n, L, k, periodic)
 
 
 # --- batched cyclic DP against the per-pin loop ------------------------------
@@ -1148,14 +1286,33 @@ try:
     _cyclic_dp(9, Fraction(5, 4), 50)
 except AssertionError as exc:
     print("backtrack raised:", exc)
+
+# the transfer matrix's bit for site 0 on the winning path flipped
+L = Fraction(22, 25)
+mask = sum(x << i for i, x in enumerate(_transfer_min(5, L, 11, True).config.values))
+transfer_pass = spinchain.solve._transfer_pass
+
+def flipped(n, N, k, start, choices):
+    D = transfer_pass(n, N, k, start, choices)
+    W = 1 << n
+    p = start[:, mask & (W - 1)].argmax()  # the run of its first window
+    choices[0][(mask >> 1) & (W - 1), (mask & (2 * W - 1)).bit_count(), p] ^= True
+    return D
+
+spinchain.solve._transfer_pass = flipped
+try:
+    _transfer_min(5, L, 11, True)
+except AssertionError as exc:
+    print("transfer raised:", exc)
 """
 
 
 def test_self_checks_survive_python_O():
     """The energy and volume self-checks of the four solver routes, the
-    classifier's energy self-check and the cyclic DP's backtrack over a
-    tampered state raise under ``python -O``, which strips ``assert``
-    statements; the same routes pass unpatched."""
+    classifier's energy self-check, the cyclic DP's backtrack over a
+    tampered state and the result check of a transfer matrix whose
+    recorded choice was flipped raise under ``python -O``, which strips
+    ``assert`` statements; the same routes pass unpatched."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", SELF_CHECKS], env=env,
@@ -1165,4 +1322,5 @@ def test_self_checks_survive_python_O():
         [f"{name} passed" for name in routes]
         + [f"{name} raised" for name in routes + ["classify_open"]]  # wrong energy
         + [f"{name} raised" for name in routes]  # wrong volume
-        + ["backtrack raised: cyclic DP backtrack must retrace its value pass"])
+        + ["backtrack raised: cyclic DP backtrack must retrace its value pass",
+           "transfer raised: TransferMatrix bookkeeping must match the energy and volume"])
