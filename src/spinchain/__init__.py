@@ -3,23 +3,18 @@ volume-constrained ground states, and their continuum limits."""
 
 from .lattice import (
     ColumnProfile,
-    GridSet,
     SpinConfig,
-    Window,
     block_rearrange,
     column_heights,
     config_to_text,
     energy_decomposition,
     energy_open,
     energy_periodic,
-    from_grid,
     full_columns,
-    grid_energy,
     lambda_defect,
     parse_config,
     profile_to_config,
     site_count,
-    to_grid,
     volume,
 )
 from .continuum import (

@@ -126,7 +126,7 @@ def classify_open(L, sigma) -> MinimizerReport:
         return _constant_report(L, sigma, "open")
 
     # squared candidate values; every candidate shape is feasible whenever
-    # it is minimal (its optimal block then fits inside the domain)
+    # it is minimal (its best block then fits inside the domain)
     squared = {
         "A": L * L * 4,
         "B": Fraction(1),

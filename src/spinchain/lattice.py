@@ -10,7 +10,7 @@ Grouping the chain into columns of n consecutive sites identifies it with
 a subset of an n-row grid of cell size 1/n: distance-1 pairs are vertical
 neighbours inside a column (or the top of one column against the bottom
 of the next, the "wrap" pairs), and distance-n pairs are horizontal
-neighbours between adjacent columns.  `to_grid` materializes the picture.
+neighbours between adjacent columns.
 
 This module owns that picture for the whole package: the column heights,
 the prefix profiles (`ColumnProfile`, each column filled bottom-up), the
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,8 +29,6 @@ from .rationals import frac
 
 __all__ = [
     "SpinConfig",
-    "GridSet",
-    "Window",
     "site_count",
     "full_columns",
     "lambda_defect",
@@ -45,11 +42,6 @@ __all__ = [
     "pair_windows",
     "volume",
     "energy_decomposition",
-    "to_grid",
-    "from_grid",
-    "grid_energy",
-    "site_to_cell",
-    "cell_to_site",
     "config_to_text",
     "parse_config",
     "ColumnProfile",
@@ -301,86 +293,6 @@ def block_rearrange(cfg: SpinConfig) -> SpinConfig:
     matched to mismatched (e.g. n=2, (0,1,1,1) -> (1,0,1,1)).
     """
     return profile_to_config(config_to_profile(cfg), cfg.L)
-
-
-def site_to_cell(i: int, n: int) -> tuple[int, int]:
-    """1-based site index -> (column h, row k), both in 1..n (row <= lam in a partial column)."""
-    return (i - 1) // n + 1, (i - 1) % n + 1
-
-
-def cell_to_site(h: int, k: int, n: int) -> int:
-    return (h - 1) * n + k
-
-
-@dataclass(frozen=True)
-class GridSet:
-    """Occupancy of the column/row grid equivalent to a SpinConfig.
-
-    columns[h-1][k-1] is the bit of cell (h, k); the last column may be
-    shorter than n.  Cells outside the stored columns are vacant.
-    """
-
-    n: int
-    columns: tuple[tuple[int, ...], ...]
-
-    def heights(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.columns)
-
-    def occupancy(self, h: int, k: int) -> int:
-        if 1 <= h <= len(self.columns) and 1 <= k <= len(self.columns[h - 1]):
-            return self.columns[h - 1][k - 1]
-        return 0
-
-
-def to_grid(cfg: SpinConfig) -> GridSet:
-    return GridSet(cfg.n, tuple(cfg.columns()))
-
-
-def from_grid(grid: GridSet, L) -> SpinConfig:
-    """Inverse of to_grid; round-trips exactly."""
-    flat: list[int] = []
-    for col in grid.columns:
-        flat.extend(col)
-    return SpinConfig(grid.n, frac(L), tuple(flat))
-
-
-@dataclass(frozen=True)
-class Window:
-    """Axis-aligned half-open rectangle (x0, x1] x (y0, y1] with rational corners."""
-
-    x0: Fraction
-    y0: Fraction
-    x1: Fraction
-    y1: Fraction
-
-    def __post_init__(self):
-        for name in ("x0", "y0", "x1", "y1"):
-            object.__setattr__(self, name, frac(getattr(self, name)))
-
-
-def grid_energy(grid: GridSet, window: Window) -> Fraction:
-    """Nearest-neighbour grid energy inside a window, (1/n) * mismatched pairs.
-
-    A pair counts iff both integer endpoints lie in n*window; occupancy is
-    extended by zero outside the stored columns.
-    """
-    n = grid.n
-    ax0 = math.floor(window.x0 * n)  # integer a qualifies iff ax0 < a <= ax1
-    ax1 = math.floor(window.x1 * n)
-    ay0 = math.floor(window.y0 * n)
-    ay1 = math.floor(window.y1 * n)
-    if ax1 <= ax0 or ay1 <= ay0:
-        warnings.warn("grid_energy: empty window", stacklevel=2)
-        return Fraction(0)
-    mismatches = 0
-    for a in range(ax0 + 1, ax1 + 1):
-        for b in range(ay0 + 1, ay1 + 1):
-            here = grid.occupancy(a, b)
-            if a + 1 <= ax1 and here != grid.occupancy(a + 1, b):
-                mismatches += 1
-            if b + 1 <= ay1 and here != grid.occupancy(a, b + 1):
-                mismatches += 1
-    return Fraction(mismatches, n)
 
 
 # --- text serialization -------------------------------------------------

@@ -12,8 +12,10 @@ from fractions import Fraction
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions, floats and strings like '3/2' to Fraction.
+    """Coerce ints, Fractions and strings like '3/2' to Fraction.
 
+    A float is a ``ValueError`` naming it: its binary value is not the
+    rational it was written as, and rounding it would be a silent guess.
     A string with a zero denominator, such as '1/0', is a ``ValueError``
     naming it, as a malformed one is.
     """
@@ -24,7 +26,8 @@ def frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
+        raise ValueError(f"float {x!r} is not an exact rational; give it as a Fraction or "
+                         "a string such as '3/2'")
     if isinstance(x, str):
         try:
             return Fraction(x.strip())

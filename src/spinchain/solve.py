@@ -8,8 +8,8 @@ chain goes to ``column_dp_min`` and a periodic one to ``periodic_min``;
 * ``brute_force_min``   exhaustive oracle, exact and guarded: the trivial
   volumes k in {0, N} are the constant configuration; otherwise a
   split-cut sweep of all 2^N masks, run once per shape and cached, gives
-  every volume's minimum and minimizers; past N = 28, the transfer matrix
-  (``_transfer_min``) while it fits ``TRANSFER_BUDGET``.
+  every volume's minimum and smallest minimizing mask; past N = 28, the
+  transfer matrix (``_transfer_min``) while it fits ``TRANSFER_BUDGET``.
 * ``column_dp_min``     open-chain minimum over prefix profiles by dynamic
   programming over per-column occupation counts, each column filled
   bottom-up.
@@ -109,7 +109,6 @@ __all__ = [
 ]
 
 FULL_SWEEP_MAX_N = 28
-MAX_OPTIMA = 10**4
 TRANSFER_BUDGET = 1 << 23  # state updates of one transfer-matrix search (``_transfer_fits``)
 _PIN_BATCH = 1 << 15  # states per column of a cyclic-DP batch of pins, all kept to backtrack
 _BLOCK = 1 << 20  # masks per broadcast add of the brute-force sweep
@@ -126,9 +125,7 @@ class SolveResult:
     config: SpinConfig
     method: str              # "BruteForce" | "TransferMatrix" | "ColumnDP"
     exact: bool
-    profile: Optional[ColumnProfile] = None
-    optima: Optional[list[SpinConfig]] = None  # argmin set: split-cut sweep and k in {0, N} only
-    optima_truncated: bool = False
+    profile: Optional[ColumnProfile] = None  # column DP routes only
 
     def to_json(self) -> str:
         v = self.value
@@ -196,10 +193,9 @@ def _deposit(bits: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return masks[order], np.searchsorted(counts[order], np.arange(len(bits) + 1))
 
 
-def _split_sweep(N: int, dists, m: int, cap: int):
-    """Exact mismatch count of all 2^N masks, cut under site m; per volume the
-    least count, its first ``cap`` minimizing masks ascending, and whether
-    there are more.
+def _split_sweep(N: int, dists, m: int):
+    """Exact mismatch count of all 2^N masks, cut under site m: ``(mins,
+    first)``, per volume the least count and the smallest mask reaching it.
 
     A mask is (h, t, r): h its sites m..N-1, t its low sites in pairs that
     cross the cut, r its other low sites, each enumerated by popcount.  Its
@@ -207,7 +203,8 @@ def _split_sweep(N: int, dists, m: int, cap: int):
     cut), so a block of rows (h, t) is one broadcast add of uint8 tables,
     reduced to group minima over the popcount segments of r and then over
     the popcounts of t and h.  The groups holding their volume's minimum are
-    expanded again to collect the minimizers.
+    expanded again, and the least mask of each volume among their hits is
+    ``first``.
     """
     inner = [(d, (1 << max(m - d, 0)) - 1) for d in dists]  # bit i: pair (i, i + d)
     cross = [(d, ((1 << (N - d)) - 1) ^ w) for d, w in inner]
@@ -237,11 +234,9 @@ def _split_sweep(N: int, dists, m: int, cap: int):
     r = np.arange(len(hit)) - np.repeat(np.cumsum(lens) - lens - starts[ps], lens)
     row, vol = rows[hit], vols[rows, ps][hit]
     keep = high[row] + low[row % T, r] == mins[vol]
-    masks = (hs[row // T] | tbits[row % T] | rbits[r])[keep]
-    order = np.lexsort((masks, vol[keep]))
-    masks, ends = masks[order], np.searchsorted(vol[keep][order], np.arange(N + 2))
-    optima = [masks[ends[k] : min(ends[k + 1], ends[k] + cap)].tolist() for k in range(N + 1)]
-    return mins, optima, [int(ends[k + 1] - ends[k]) > cap for k in range(N + 1)]
+    first = np.full(N + 1, np.iinfo(np.uint32).max, np.uint32)
+    np.minimum.at(first, vol[keep], (hs[row // T] | tbits[row % T] | rbits[r])[keep])
+    return mins, first
 
 
 @lru_cache(maxsize=32)
@@ -254,27 +249,26 @@ def _sweep_table(n: int, L_key: tuple, periodic: bool):
         s = sum(any(m <= i + d < N for d in dists) for i in range(m))
         return len(dists) * ((1 << m) + (1 << (N - m + s))) + (8 * (m - s + 1) << (N - m + s))
 
-    return _split_sweep(N, dists, min(range((N + 1) // 2, N + 1), key=work), MAX_OPTIMA)
+    return _split_sweep(N, dists, min(range((N + 1) // 2, N + 1), key=work))
 
 
 def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
     """Exhaustive exact minimum over all volume-k configurations.
 
     ``boundary`` is "open" or "periodic"; a ring needs at least two sites.
-    k in {0, N} is the constant configuration at any N, with energy 0 and
-    itself as the one minimizer.  Otherwise, for N <= 28 the split-cut sweep
-    (``_split_sweep``) counts every one of the 2^N masks once per shape
-    (n, L, boundary), for all volumes, and is cached; ``optima`` holds the
-    first ``MAX_OPTIMA`` minimizers by ascending bitmask and ``config`` is
-    the first.  Past N = 28 the transfer matrix (``_transfer_min``, method
-    "TransferMatrix", no ``optima``) searches all configurations while
-    ``_transfer_fits`` allows; larger instances are refused outright.
+    k in {0, N} is the constant configuration at any N, with energy 0.
+    Otherwise, for N <= 28 the split-cut sweep (``_split_sweep``) counts
+    every one of the 2^N masks once per shape (n, L, boundary), for all
+    volumes, and is cached; ``config`` is the minimizer with the smallest
+    bitmask.  Past N = 28 the transfer matrix (``_transfer_min``, method
+    "TransferMatrix") searches all configurations while ``_transfer_fits``
+    allows; larger instances are refused outright.
     Every result is re-evaluated for its energy and volume (``_checked``).
     """
     L, N, periodic = _instance(n, L, k, boundary)
     if k in (0, N):
         cfg = SpinConfig(n, L, (int(k > 0),) * N)
-        return _checked(cfg, 0, k, periodic, "BruteForce", True, optima=[cfg])
+        return _checked(cfg, 0, k, periodic, "BruteForce", True)
     if N > FULL_SWEEP_MAX_N:
         if not _transfer_fits(n, N, k, periodic):
             raise SolverGuardError(
@@ -283,10 +277,9 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
             )
         return _transfer_min(n, L, k, periodic)
 
-    mins, found, flags = _sweep_table(n, (L.numerator, L.denominator), periodic)
-    optima = [SpinConfig.from_bitmask(n, L, m) for m in found[k]]
-    return _checked(optima[0], int(mins[k]), k, periodic, "BruteForce", True,
-                    optima=optima, optima_truncated=flags[k])
+    mins, first = _sweep_table(n, (L.numerator, L.denominator), periodic)
+    return _checked(SpinConfig.from_bitmask(n, L, int(first[k])), int(mins[k]), k, periodic,
+                    "BruteForce", True)
 
 
 # --- column dynamic program ---------------------------------------------------

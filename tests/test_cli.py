@@ -342,6 +342,8 @@ class TestMalformedJson:
         ("recover", {"L": "1/0", "pieces": []}, "zero denominator in '1/0'"),
         ("recover", {"L": "1", "pieces": [{"to": "1", "value": "1/0"}]},
          "zero denominator in '1/0'"),
+        # a JSON float was rounded to a nearby rational
+        ("recover", {"L": "1", "pieces": [{"to": 1, "value": 0.3}]}, "float 0.3"),
     ])
     def test_exit_code(self, tmp_path, capsys, command, doc, message):
         path = tmp_path / "doc.json"

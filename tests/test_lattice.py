@@ -1,31 +1,29 @@
 """Chain energy tests against an independent pair-enumeration oracle."""
 
 import random
-import warnings
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from spinchain import (
     ColumnProfile,
     SpinConfig,
-    Window,
+    TauParams,
     column_heights,
     config_to_text,
     energy_decomposition,
     energy_open,
     energy_periodic,
-    from_grid,
-    grid_energy,
     lambda_defect,
+    minimize,
     parse_config,
     profile_to_config,
     site_count,
-    to_grid,
     volume,
 )
-from spinchain.lattice import cell_to_site, site_to_cell
 from spinchain.rationals import frac
 
 
@@ -196,59 +194,51 @@ class TestDecomposition:
                 assert n * energy_open(cfg) == v + h + w
 
 
+def reference_grid_mismatches(cfg):
+    """Mismatched nearest-neighbour cells of the column grid: vertical pairs
+    inside a column and horizontal pairs between adjacent columns, with no
+    wrap pair, read off ``cfg.columns()``."""
+    cols = cfg.columns()
+    vertical = sum(c[r] != c[r + 1] for c in cols for r in range(len(c) - 1))
+    horizontal = sum(c1[r] != c2[r] for c1, c2 in zip(cols, cols[1:]) for r in range(len(c2)))
+    return vertical + horizontal
+
+
 class TestGrid:
+    """The column picture of the module docstring: site i (1-based) is row
+    (i - 1) % n of column (i - 1) // n, and ``energy_decomposition`` splits
+    the energy into that grid's pairs and the wrap pairs."""
+
     def test_site_cell_examples(self):
-        assert site_to_cell(3, 2) == (2, 1)
-        assert site_to_cell(1, 2) == (1, 1)
-        assert site_to_cell(9, 3) == (3, 3)
         for n in (2, 3, 5):
             for i in range(1, n * n + 1):
-                assert cell_to_site(*site_to_cell(i, n), n) == i
+                cfg = SpinConfig(n, 1, tuple(int(j == i) for j in range(1, n * n + 1)))
+                cols = cfg.columns()
+                assert cols[(i - 1) // n][(i - 1) % n] == 1 and volume(cfg) == 1
 
     def test_round_trip(self):
         rng = random.Random(5)
         for n, L in [(2, 1), (3, Fraction(3, 2)), (4, Fraction(5, 4))]:
             cfg = random_config(rng, n, L)
-            assert from_grid(to_grid(cfg), L) == cfg
+            flat = tuple(x for col in cfg.columns() for x in col)
+            assert SpinConfig(n, L, flat) == cfg
 
     def test_partial_column_heights(self):
-        g = to_grid(SpinConfig(2, Fraction(5, 4), (1, 0, 1, 0, 1)))
-        assert g.heights() == (2, 2, 1)
+        cfg = SpinConfig(2, Fraction(5, 4), (1, 0, 1, 0, 1))
+        assert tuple(map(len, cfg.columns())) == column_heights(2, Fraction(5, 4)) == (2, 2, 1)
         assert lambda_defect(2, Fraction(5, 4)) == 1
 
     def test_isolated_cell(self):
-        # one occupied cell with all four neighbours inside the window
-        g = to_grid(SpinConfig(2, 1, (0, 0, 0, 1)))  # cell (2, 2)
-        assert grid_energy(g, Window(0, 0, 2, 2)) == Fraction(2)
-
-    def test_all_occupied(self):
-        g = to_grid(SpinConfig(2, 1, (1, 1, 1, 1)))
-        assert grid_energy(g, Window(0, 0, 1, 1)) == 0
-
-    def test_half_split_window(self):
-        # wrap pair {2,3} is not a grid nearest-neighbour pair
-        g = to_grid(SpinConfig(2, 1, (1, 1, 0, 0)))
-        assert grid_energy(g, Window(0, 0, 1, 1)) == Fraction(1)
-
-    def test_empty_window_warns(self):
-        g = to_grid(SpinConfig(2, 1, (1, 1, 0, 0)))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert grid_energy(g, Window(0, 0, 0, 1)) == 0
-        assert caught and "empty" in str(caught[0].message)
+        # cell (column 2, row 2): one vertical and one horizontal neighbour
+        assert energy_decomposition(SpinConfig(2, 1, (0, 0, 0, 1))) == (1, 1, 0)
 
     @pytest.mark.parametrize("n,L", [(2, 1), (3, 1), (4, Fraction(3, 2))])
     def test_full_window_matches_decomposition(self, n, L):
-        # exact-fit domains only: with a partial column the window also sees
-        # the vacant cells above it, which have no chain counterpart
-        assert lambda_defect(n, L) == 0
         rng = random.Random(60 + n)
-        ncols = len(column_heights(n, L))
         for _ in range(50):
             cfg = random_config(rng, n, L)
             v, h, _ = energy_decomposition(cfg)
-            full = Window(0, 0, Fraction(ncols, n), 1)
-            assert grid_energy(to_grid(cfg), full) == Fraction(v + h, n)
+            assert reference_grid_mismatches(cfg) == v + h
 
 
 class TestSerialization:
@@ -340,6 +330,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^zero denominator in {text!r}$"):
             frac(text)
         assert frac(" 3/4 ") == Fraction(3, 4)
+
+    def test_floats_refused(self):
+        # a float is not rounded to a nearby rational: L = 1.25 and tau = 0.3
+        # fail at the public API, naming the float
+        for x in (1.25, 0.3, np.float64(0.5)):
+            with pytest.raises(ValueError, match=re.escape(f"float {x!r}")):
+                frac(x)
+        with pytest.raises(ValueError, match="float 1.25"):
+            minimize(2, 1.25, 2)
+        with pytest.raises(ValueError, match="float 0.3"):
+            TauParams(0.3)
+        assert frac(5) == 5 and frac(Fraction(5, 4)) == frac("5/4") == Fraction(5, 4)
 
 
 class TestTrustedBuilds:

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from spinchain import (
     ColumnProfile,
@@ -66,8 +67,10 @@ class TestBruteForce:
     def test_spec_instance(self):
         res = brute_force_min(2, 1, 2)
         assert res.value == F(3, 2)
-        got = {c.values for c in res.optima}
-        assert got == {(1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1)}
+        _, argmin = exhaustive_min(2, 1, 2)
+        assert set(argmin) == {(1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1)}
+        # the minimizer with the smallest bitmask, site i at bit i - 1
+        assert res.config.values == (1, 1, 0, 0)
         assert res.exact and res.method == "BruteForce"
 
     def test_trivial_volumes(self):
@@ -89,7 +92,8 @@ class TestBruteForce:
             want, want_argmin = exhaustive_min(n, L, k, periodic)
             res = brute_force_min(n, L, k, "periodic" if periodic else "open")
             assert res.value == want
-            assert {c.values for c in res.optima} == set(want_argmin)
+            assert res.config.values in want_argmin
+            assert res.config.bitmask() == min(SpinConfig(n, L, v).bitmask() for v in want_argmin)
 
     def test_guard_refuses_large(self):
         # N = 144: past the sweep, and 2^12 * 144 * 73 state updates
@@ -100,7 +104,7 @@ class TestBruteForce:
     def test_transfer_matrix_past_the_sweep(self):
         # N = 30 exceeds the sweep bound
         res = brute_force_min(5, F(6, 5), 2)
-        assert (res.method, res.exact, res.optima) == ("TransferMatrix", True, None)
+        assert (res.method, res.exact) == ("TransferMatrix", True)
         # two adjacent sites in one column: one internal jump + two horizontals
         assert res.value == F(3, 5)
         # N = 64, half filled: the column DP's bottom half is optimal
@@ -138,11 +142,11 @@ class TestBruteForce:
 # --- split-cut sweep against the plain per-mask sweep ---------------------------
 #
 # The sweep the split-cut kernel replaced: every bitmask's mismatch count by
-# xor/popcount over the distance classes, then per volume the least count,
-# the first `cap` bitmasks reaching it in ascending order, and whether more do.
+# xor/popcount over the distance classes, then per volume the least count and
+# the smallest bitmask reaching it.
 
 
-def reference_sweep(N, dists, cap):
+def reference_sweep(N, dists):
     c = np.arange(1 << N, dtype=np.uint32)
     e = np.zeros(1 << N, np.uint8)
     for d in dists:
@@ -151,27 +155,26 @@ def reference_sweep(N, dists, cap):
     volumes = np.bitwise_count(c)
     mins = np.full(N + 1, 255, np.uint8)
     np.minimum.at(mins, volumes, e)
-    hits = [c[(volumes == k) & (e == mins[k])] for k in range(N + 1)]
-    return mins.tolist(), [h[:cap].tolist() for h in hits], [len(h) > cap for h in hits]
+    return mins.tolist(), [int(c[(volumes == k) & (e == mins[k])][0]) for k in range(N + 1)]
 
 
 # --- the subset enumeration that served N > 28 before the transfer matrix --------
 #
 # Volume-k bitmasks in increasing order (Gosper's hack), each counted over the
-# pair windows; the argmin set as well.  Kept verbatim as the reference.
+# pair windows; the argmin set as well.  Kept as the reference, without the
+# solver's cap on the argmin set, which went with the argmin lists.
 
 
-def reference_subset_min(N: int, k: int, windows) -> tuple[int, list[int], bool]:
+def reference_subset_min(N: int, k: int, windows) -> tuple[int, list[int]]:
     """Enumerate volume-k bitmasks in increasing order, track the argmin set.
 
     ``windows`` are ``lattice.pair_windows``; the count is inlined, as a call
     per subset would cost about as much as the count itself.
     """
     if k == 0:
-        return 0, [0], False
+        return 0, [0]
     best = None
     optima: list[int] = []
-    truncated = False
     c = (1 << k) - 1
     limit = 1 << N
     while c < limit:
@@ -179,16 +182,13 @@ def reference_subset_min(N: int, k: int, windows) -> tuple[int, list[int], bool]
         for d, w in windows:
             e += ((c ^ (c >> d)) & w).bit_count()
         if best is None or e < best:
-            best, optima, truncated = e, [c], False
+            best, optima = e, [c]
         elif e == best:
-            if len(optima) < solve.MAX_OPTIMA:
-                optima.append(c)
-            else:
-                truncated = True
+            optima.append(c)
         u = c & (-c)
         v = c + u
         c = v | (((v ^ c) // u) >> 2)
-    return best, optima, truncated
+    return best, optima
 
 
 class TestPastTheSweep:
@@ -200,12 +200,12 @@ class TestPastTheSweep:
         for N in range(29, 41):
             L = F(N, n * n)
             for k in (1, 2, 3, N - 3, N - 2, N - 1):
-                want, optima, truncated = reference_subset_min(N, k, pair_windows(n, N, periodic))
+                want, optima = reference_subset_min(N, k, pair_windows(n, N, periodic))
                 res = brute_force_min(n, L, k, boundary)
                 assert res.value == F(want, n), (N, k)
                 assert (res.method, res.exact) == ("TransferMatrix", True)
                 assert energy(res.config) == res.value and volume(res.config) == k
-                assert not truncated and res.config.bitmask() in optima
+                assert res.config.bitmask() in optima
 
 
 class TestSplitSweep:
@@ -217,35 +217,10 @@ class TestSplitSweep:
         # every cut _sweep_table may pick, m >= N / 2
         for N in range(2 if periodic else 1, 21):
             dists = pair_distances(n, N, periodic)
-            want = {cap: reference_sweep(N, dists, cap) for cap in (2, solve.MAX_OPTIMA)}
+            want = reference_sweep(N, dists)
             for m in range((N + 1) // 2, N + 1):
-                # odd cuts truncate at two minimizers, even ones keep them all
-                cap = 2 if m % 2 else solve.MAX_OPTIMA
-                mins, optima, truncated = _split_sweep(N, dists, m, cap)
-                assert (mins.tolist(), optima, truncated) == want[cap], (N, m)
-
-
-class TestTruncation:
-    @pytest.fixture(autouse=True)
-    def fresh_tables(self):
-        solve._sweep_table.cache_clear()
-        yield
-        solve._sweep_table.cache_clear()
-
-    @pytest.mark.parametrize("n,L,k,count", [
-        (5, F(21, 25), 5, 189),  # N = 21: full sweep
-    ])
-    def test_first_minimizers_and_flag(self, n, L, k, count, monkeypatch):
-        full = brute_force_min(n, L, k, "periodic")
-        masks = [c.bitmask() for c in full.optima]
-        assert not full.optima_truncated and masks == sorted(masks) and len(masks) == count
-        for cap in (3, len(masks) - 1, len(masks), len(masks) + 1):
-            solve._sweep_table.cache_clear()
-            monkeypatch.setattr(solve, "MAX_OPTIMA", cap)
-            res = brute_force_min(n, L, k, "periodic")
-            assert [c.bitmask() for c in res.optima] == masks[:cap]
-            assert res.optima_truncated == (cap < len(masks))
-            assert (res.value, res.config) == (full.value, full.optima[0])
+                mins, first = _split_sweep(N, dists, m)
+                assert (mins.tolist(), first.tolist()) == want, (N, m)
 
 
 class TestBlockRearrange:
@@ -642,10 +617,12 @@ class TestPeriodicMin:
         res = periodic_min(2, 1, 2)
         assert res.value == F(2)
         assert res.exact
-        assert {c.values for c in res.optima} == {
+        _, argmin = exhaustive_min(2, 1, 2, periodic=True)
+        assert set(argmin) == {
             tuple(1 if i in ones else 0 for i in range(4))
             for ones in combinations(range(4), 2)
         }
+        assert res.config.values in argmin
 
     def test_trivial(self):
         assert periodic_min(2, 1, 0).value == 0
@@ -665,6 +642,15 @@ class TestPeriodicMin:
                 dp = _cyclic_dp(n, F(L), k)
                 if dp is not None:
                     assert dp.value >= exact
+
+    @given(st.integers(3, 5), st.integers(29, 60), st.data())
+    def test_cyclic_dp_at_least_ring_oracle(self, n, N, data):
+        # past the split-cut sweep, partial last columns included: the cyclic
+        # DP never beats the transfer matrix's exact ring minimum
+        k = data.draw(st.integers(0, N), label="k")
+        assume(_transfer_fits(n, N, k, True))
+        L = F(N, n * n)
+        assert _cyclic_dp(n, L, k).value >= _transfer_min(n, L, k, True).value
 
     def test_heuristic_path_flags_inexact(self):
         # N = 96: beyond the brute-force guard and the transfer-matrix budget
