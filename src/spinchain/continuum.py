@@ -226,8 +226,11 @@ class PiecewiseConstant:
                 and all(isinstance(p, dict) for p in doc["pieces"])):
             raise ValueError("pieces must be a list of {to, value} objects")
 
-        pieces = [(frac(p["to"]), frac(p["value"])) for p in doc["pieces"]]
-        return PiecewiseConstant.from_pieces(frac(doc["L"]), pieces)
+        # A number with a decimal part is the decimal it spells, as in the
+        # sweep and phase readers; the irrational values to_json writes as
+        # floats come back as the rationals of their shortest repr.
+        pieces = [(frac(str(p["to"])), frac(str(p["value"]))) for p in doc["pieces"]]
+        return PiecewiseConstant.from_pieces(frac(str(doc["L"])), pieces)
 
 
 @dataclass(frozen=True)

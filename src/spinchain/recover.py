@@ -99,7 +99,7 @@ def recovery_unconstrained(u: PiecewiseConstant, n: int) -> SpinConfig:
     pieces = len(u.values)
     min_width = min(b - a for a, b, _ in u.pieces())
     required = max(pieces, math.floor(1 / min_width) + 1)
-    if n <= required - 1 or frac(min_width) * n <= 1:
+    if n <= required - 1 or min_width * n <= 1:
         raise ValueError(f"n={n} too coarse for this partition; need n >= {required}")
     return profile_to_config(_column_profile(u, n), u.L)
 

@@ -254,6 +254,17 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "n=10" in out and "# energy 11/10" in out
 
+    def test_classify_representative_recovers(self, tmp_path, capsys):
+        # classify writes the irrational case-C representative with
+        # float entries; recover --target reads it back and discretizes it
+        assert main(["classify", "--L", "2/5", "--sigma", "1/10"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["case"] == "C"
+        target = tmp_path / "u.json"
+        target.write_text(json.dumps(doc["representatives"][0]))
+        assert main(["recover", "--target", str(target), "--n", "10"]) == 0
+        assert "# energy 3/10" in capsys.readouterr().out
+
     def test_recover_volume(self, tmp_path, capsys):
         target = tmp_path / "u.json"
         target.write_text(json.dumps(
@@ -342,8 +353,6 @@ class TestMalformedJson:
         ("recover", {"L": "1/0", "pieces": []}, "zero denominator in '1/0'"),
         ("recover", {"L": "1", "pieces": [{"to": "1", "value": "1/0"}]},
          "zero denominator in '1/0'"),
-        # a JSON float was rounded to a nearby rational
-        ("recover", {"L": "1", "pieces": [{"to": 1, "value": 0.3}]}, "float 0.3"),
     ])
     def test_exit_code(self, tmp_path, capsys, command, doc, message):
         path = tmp_path / "doc.json"

@@ -15,6 +15,7 @@ from spinchain import (
     continuum_energy,
     continuum_energy_periodic,
     periodic_cell_perimeter,
+    classify_open,
     total_variation,
 )
 from spinchain.continuum import _normalize, _symmetric_difference_measure
@@ -55,6 +56,22 @@ class TestPiecewiseConstant:
     def test_json_round_trip(self):
         u = PiecewiseConstant.from_pieces(F(3, 2), [(F(1, 2), F(1, 3)), (F(3, 2), 1)])
         assert PiecewiseConstant.from_json(u.to_json()) == u
+
+    def test_json_round_trip_irrational(self):
+        # to_json writes the float breakpoints and values of an irrational
+        # case-C representative as JSON numbers; from_json reads each as the
+        # decimal it spells, an exact rational that converts back to the float
+        u = classify_open(F(2, 5), F(1, 10)).representatives[0]
+        v = PiecewiseConstant.from_json(u.to_json())
+        assert all(type(x) is Fraction for x in v.breakpoints + v.values)
+        assert [float(x) for x in v.breakpoints] == [float(x) for x in u.breakpoints]
+        assert [float(x) for x in v.values] == [float(x) for x in u.values]
+        assert v.L == u.L
+
+    def test_json_decimals_are_exact(self):
+        doc = '{"L": 1.25, "pieces": [{"to": 0.5, "value": 0.3}, {"to": "5/4", "value": 1}]}'
+        u = PiecewiseConstant.from_json(doc)
+        assert u == PiecewiseConstant.from_pieces(F(5, 4), [(F(1, 2), F(3, 10)), (F(5, 4), 1)])
 
     def test_validation(self):
         with pytest.raises(ValueError):

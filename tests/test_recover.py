@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from spinchain import (
     PiecewiseConstant,
     RecoveryPlan,
+    classify_open,
     convergence_evidence,
     column_dp_min,
     energy_open,
@@ -179,6 +180,18 @@ class TestRecoveryUnconstrained:
         u = PiecewiseConstant.from_pieces(1, [(F(1, 10), 1), (1, 0)])
         with pytest.raises(ValueError, match=r"^n=5 too coarse for this partition; need n >= 11$"):
             recovery_unconstrained(u, 5)
+
+    def test_irrational_representative(self):
+        # the case-C minimizer at L = 2/5, sigma = 1/10 has the float height
+        # and width sqrt(2)/5 and sqrt(2)/10; floats pass through recovery
+        u = classify_open(F(2, 5), F(1, 10)).representatives[0]
+        assert isinstance(u.breakpoints[1], float) and isinstance(u.values[0], float)
+        with pytest.raises(ValueError, match="need n >= 8"):
+            recovery_unconstrained(u, 7)
+        rows = convergence_evidence(u, [10, 20, 40])
+        assert [row.energy for row in rows] == [F(3, 10), F(2, 5), F(1, 2)]
+        for row in rows:
+            assert abs(row.gap) <= row.bound
 
     def test_binary_target_energy_tracks_jumps(self):
         u = PiecewiseConstant.from_pieces(1, [(F(1, 4), 1), (F(3, 4), 0), (1, 1)])
