@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,8 +53,16 @@ __all__ = [
 
 
 def site_count(n: int, L) -> int:
-    """Number of sites N = floor(L * n^2), computed in exact arithmetic."""
-    return math.floor(frac(L) * n * n)
+    """Number of sites N = floor(L * n^2), computed in exact arithmetic.
+
+    Every instance path computes N here, so a chain with more sites than
+    an index can count (``sys.maxsize``) is refused here, a ``ValueError``.
+    """
+    N = math.floor(frac(L) * n * n)
+    if N > sys.maxsize:
+        raise ValueError(f"too many sites: N = floor(L n^2) has {N.bit_length()} bits, "
+                         f"more than sys.maxsize = {sys.maxsize}")
+    return N
 
 
 def full_columns(n: int, L) -> int:

@@ -46,20 +46,20 @@ minima are a loop over counts, one elementwise ``np.minimum`` per count
 doing both directions at once, because numpy's cumulative minimum (the
 ``accumulate`` method of ``np.minimum``) costs 3 to 5 ns per element
 whatever the axis or dtype, and a row of ``np.minimum`` 0.3 to 0.6 ns
-(81 x 3200 states).  Every search state has one of three tiers
-(``_state_type``): int16 while (4N + 4n + 8) * unit * 4 < 2^15, int32
-while it is < 2^31, int64 past that.  The column DP's unit is 2^bitlen(n)
-when it backtracks (the parents sit in the low bits) and 1 in the cyclic
-value pass; the transfer matrix's is 1.  The cyclic DP runs its pinned
+(81 x 3200 states).  Every search state is a plain mismatch count in one
+of three tiers (``_state_type``): int16 while (4N + 4n + 8) * 4 < 2^15,
+int32 while it is < 2^31, int64 past that.  The cyclic DP runs its pinned
 first-column counts through that core as one batch, in one pass.
 
-The two DPs backtrack differently.  The open DP is one run over the whole
-chain that must keep every step until it backtracks, so its bytes per state
-count: it keeps 1-byte parents, decoded from the low bits, a quarter of an
-int32 state.  The cyclic DP keeps each step's input states of its value
-pass, as views, and retraces only the winning pin from them, recomputing
-each step's minimizing count from ``_column_step``'s cost, so the DP runs
-once and its states are never encoded.
+Both DPs backtrack the same way (``_backtrack``).  The value pass keeps
+each step's input states and the retrace recomputes, column by column, the
+smallest count whose state plus ``_column_step``'s cost gives the value
+passed back, so the DP runs once and its states are never encoded.  The
+kept states are int16 while 2N + 2n + 8 < 2^15, else int32: views of the
+step buffers when the pass runs in that type, else saturated copies of
+their windows.  The open DP keeps every step of its one run, 2 bytes a
+state up to N of about 16000; the cyclic DP keeps those of the chunk of
+pins with the least total and retraces its winning pin alone.
 
 The DP searches prefix profiles only: within each column the occupied
 sites form a bottom prefix.  Moving every column's sites to the bottom
@@ -285,88 +285,76 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
 # --- column dynamic program ---------------------------------------------------
 
 
-def _state_type(N: int, n: int, unit: int) -> tuple[type, int]:
+def _state_type(N: int, n: int) -> tuple[type, int]:
     """The state dtype of a search over N sites and its sentinel ``inf``.
 
-    Unreachable states start at ``big = inf * unit``.  A reachable state
-    counts at most 2N pairs, seam included, so it stays below
-    (2N + 1) * unit.  An unreachable one rises by at most (n + 2) * unit + n
-    a column step, about 3N units over all steps; the cyclic seam adds at
-    most (2n + 1) * unit and a step's sums (2n + 2) * unit more.  With
-    inf = 2^(b-2) // unit every value then stays below
-    2^(b-2) + (4N + 4n + 8) * unit, which is under 2^(b-1) while
-    (4N + 4n + 8) * unit * 4 < 2^b.  Three tiers, the smallest that holds:
-    int16 (b = 15), int32 (b = 31), else int64 with ``inf = _INF``.  The
-    transfer matrix (``_transfer_pass``, unit 1) stays inside the same
-    bound on its own terms.
+    Unreachable states start at ``inf``.  A reachable state counts at most
+    2N pairs, seam included, so it stays below 2N + 1.  An unreachable one
+    rises by at most n + 2 a column step, about 3N over all steps; the
+    cyclic seam adds at most 2n + 1 and a step's sums 2n + 2 more.  With
+    inf = 2^(b-2) every value then stays below 2^(b-2) + 4N + 4n + 8, which
+    is under 2^(b-1) while (4N + 4n + 8) * 4 < 2^b.  Three tiers, the
+    smallest that holds: int16 (b = 15), int32 (b = 31), else int64 with
+    ``inf = _INF``.  The transfer matrix (``_transfer_pass``) stays inside
+    the same bound on its own terms.
     """
     for dtype, bits in ((np.int16, 15), (np.int32, 31)):
-        if (4 * N + 4 * n + 8) * unit * 4 < 1 << bits:
-            return dtype, (1 << (bits - 2)) // unit
+        if (4 * N + 4 * n + 8) * 4 < 1 << bits:
+            return dtype, 1 << (bits - 2)
     return np.int64, _INF
 
 
 @lru_cache(maxsize=512)
-def _step_terms(h_prev: int, h: int, unit: int, wrap: bool, encode: bool,
-                dtype: np.dtype) -> tuple[np.ndarray, ...]:
+def _step_terms(h_prev: int, h: int, wrap: bool, dtype: np.dtype) -> tuple[np.ndarray, ...]:
     """Cost terms for ``_column_step`` from a column of height h_prev to one of h.
 
-    Returns ``(forward, backward, fold, updown, top)`` in ``dtype``, laid out
-    to broadcast against ``_column_step``'s count-major arrays.  ``forward``
-    and ``backward`` (the latter in reversed count order) add -unit * a1 and
-    +unit * a1 to the rows a1 = 0..h of the previous column before the two
-    running minima; ``fold`` is added to the rows h .. h_prev-1 that a
-    partial column folds onto position h.  With ``encode`` these and ``top``
-    also add a1 itself, which then sits in the low bits.  ``updown`` holds
-    the wrap and internal terms plus and minus unit * a2, over a2 = 0..h,
-    for the two halves, and ``top`` is the whole cost of the row
-    a1 == h_prev.  The terms depend only on the arguments, so they are
-    cached (``dtype`` an ``np.dtype``) and returned read-only.
+    Returns ``(forward, backward, updown, top)`` in ``dtype``, laid out to
+    broadcast against ``_column_step``'s count-major arrays.  ``forward``
+    and ``backward`` (the latter in reversed count order) add -a1 and +a1
+    to the rows a1 = 0..h of the previous column before the two running
+    minima.  ``updown`` holds the wrap and internal terms plus and minus
+    a2, over a2 = 0..h, for the two halves, and ``top`` is the whole cost
+    of the row a1 == h_prev.  The terms depend only on the arguments, so
+    they are cached (``dtype`` an ``np.dtype``) and returned read-only.
 
     When h == h_prev, row a1 = h is that top row, so it enters both running
-    minima.  Its backward term carries one extra wrap unit, which makes its
-    candidate exact at a2 = 0; at every a2 >= 1 its candidates are too high,
-    and ``top`` is exact there.
+    minima.  Its backward term carries the wrap cost once more, which makes
+    its candidate exact at a2 = 0; at every a2 >= 1 its candidates are too
+    high, and ``top`` is exact there.
     """
     a = np.arange(h + 1, dtype=dtype)
-    e, w = int(encode), unit * int(wrap)
-    inner = np.full(h + 1, unit, dtype)  # internal jump, 0 < a < h
+    w = int(wrap)
+    inner = np.ones(h + 1, dtype)  # internal jump, 0 < a < h
     inner[[0, h]] = 0
     rest = inner + w
     rest[0] = 0
-    top = unit * (h - a) + inner + e * h_prev
+    top = h - a + inner
     top[0] += w
-    forward, backward = (e - unit) * a, (unit + e) * a
+    backward = a.copy()
     backward[h] += w
-    updown = np.stack([rest + unit * a, (rest - unit * a)[::-1]], axis=1)
+    updown = np.stack([rest + a, (rest - a)[::-1]], axis=1)
     column = (-1, 1, 1)
-    terms = (forward.reshape(column), backward[::-1].reshape(column),
-             (e * np.arange(h, h_prev, dtype=dtype)).reshape(column),
+    terms = (-a.reshape(column), backward[::-1].reshape(column),
              updown.reshape(-1, 1, 2, 1), top.reshape(column))
     for t in terms:
         t.flags.writeable = False
     return terms
 
 
-def _column_step(enc: np.ndarray, h_prev: int, terms, unit: int, big: int) -> np.ndarray:
+def _column_step(cur: np.ndarray, h_prev: int, terms, big: int) -> np.ndarray:
     """One step of the column DP: a column of height h after one of height h_prev.
 
-    ``enc[p, a1, c]`` is ``value * unit``, where ``value`` is the least
-    mismatch count of a prefix profile of run p whose current column holds
-    a1 ones and whose columns so far hold ``lo + c`` ones (``lo`` is the
-    caller's window start).  Rows above h_prev are unreachable (>= big).
-    Only the last column may be shorter, so h <= h_prev.  ``terms`` is
-    ``_step_terms(h_prev, h, unit, wrap, encode, enc.dtype)``.  Returns
-    ``out`` of shape (P, n + 1, C + n) with
+    ``cur[p, a1, c]`` is the least mismatch count of a prefix profile of
+    run p whose current column holds a1 ones and whose columns so far hold
+    ``lo + c`` ones (``lo`` is the caller's window start).  Rows above
+    h_prev are unreachable (>= big).  Only the last column may be shorter,
+    so h <= h_prev.  ``terms`` is ``_step_terms(h_prev, h, wrap,
+    cur.dtype)``.  Returns ``out`` of shape (P, n + 1, C + n) with
 
-        out[p, a2, c] = min over a1 of enc[p, a1, c - a2] + unit * cost(a1, a2) [+ a1],
+        out[p, a2, c] = min over a1 of cur[p, a1, c - a2] + cost(a1, a2),
         cost(a1, a2) = |min(a1, h) - a2|              horizontal pairs
                      + [(a1 == h_prev) != (a2 >= 1)]  wrap pair (if ``wrap``)
-                     + [0 < a2 < h]                   internal jump,
-
-    where the bracketed a1, added with ``encode``, puts the minimizing a1 in
-    the low bits: since unit > n, a minimum over encoded states keeps the
-    smallest a1 among equal values.
+                     + [0 < a2 < h]                   internal jump.
 
     The horizontal term makes the minimum over a1 an L1 distance transform
     (Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled
@@ -379,20 +367,20 @@ def _column_step(enc: np.ndarray, h_prev: int, terms, unit: int, big: int) -> np
     per element.  The a1 == h_prev row differs in its wrap term and is also
     taken on its own.
     """
-    forward, backward, fold, updown, top = terms
+    forward, backward, updown, top = terms
     h = len(top) - 1
-    P, R, C = enc.shape
-    rows = enc.transpose(1, 0, 2)  # rows[a1, p, c]
+    P, R, C = cur.shape
+    rows = cur.transpose(1, 0, 2)  # rows[a1, p, c]
 
     # buf[i, :, 0] holds row a1 = i, buf[i, :, 1] row a1 = h - i; on a
     # partial column (h < h_prev) rows h .. h_prev-1 all land on position h
-    buf = np.empty((h + 1, P, 2, C), enc.dtype)
+    buf = np.empty((h + 1, P, 2, C), cur.dtype)
     np.add(rows[: h + 1], forward, out=buf[:, :, 0])
     np.add(rows[h::-1], backward, out=buf[:, :, 1])
     if h < h_prev:
-        folded = (rows[h:h_prev] + fold).min(axis=0)
-        np.subtract(folded, unit * h, out=buf[h, :, 0])
-        np.add(folded, unit * h, out=buf[0, :, 1])
+        folded = rows[h:h_prev].min(axis=0)
+        np.subtract(folded, h, out=buf[h, :, 0])
+        np.add(folded, h, out=buf[0, :, 1])
     counts = list(buf)
     for prev, row in zip(counts, counts[1:]):
         np.minimum(prev, row, out=row)
@@ -400,7 +388,7 @@ def _column_step(enc: np.ndarray, h_prev: int, terms, unit: int, big: int) -> np
 
     # best[a2, p] is written into a padded buffer whose rows, read back with
     # a row stride one element shorter, come out shifted right by a2
-    padded = np.empty((P, R, C + R), enc.dtype)
+    padded = np.empty((P, R, C + R), cur.dtype)
     padded[:, :, :R] = big
     if h < R - 1:
         padded[:, h + 1 :, R:] = big
@@ -411,95 +399,114 @@ def _column_step(enc: np.ndarray, h_prev: int, terms, unit: int, big: int) -> np
     return padded.reshape(P, R * (C + R))[:, R:].reshape(P, R, C + R - 1)
 
 
-def _column_dp(n: int, heights: tuple[int, ...], k: int, pins, seam=None,
-               backtrack: bool = True) -> tuple[np.ndarray, Optional[list]]:
-    """Least mismatch counts over prefix profiles of volume k, one per run.
+def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
+               seam=None) -> tuple[np.ndarray, list]:
+    """Least mismatch counts over prefix profiles of volume k, one per run,
+    and the states that ``_backtrack`` retraces them from.
 
-    ``pins[p]`` lists the counts the first column of run p may hold; the
-    runs go through every ``_column_step`` together, one slice each of the
-    leading state axis.  ``seam = (before, after)`` holds one row per run and
-    adds ``before[p, a]`` for the second to last column's count a and
+    ``pins[p]`` lists the counts the first column of run p may hold, and
+    every run must reach volume k; the runs go through every
+    ``_column_step`` together, one slice each of the leading state axis.
+    ``seam = (before, after)`` holds one row per run and adds
+    ``before[p, a]`` for the second to last column's count a and
     ``after[p, a]`` for the last column's: the cyclic closure, whose cost
     splits that way.  At n = 1 the wrap pair and the horizontal pair are the
     same pair, so it is counted once.  Only volumes that can still reach k
     are kept: after columns 0..ci, holding S sites, the window is
     [k - (N - S), S] within [0, k], so the work is O(ncols n min(k, N - k))
-    per run.  The states are int16, int32 or, on large shapes, int64
-    (``_state_type``).  With ``backtrack`` a state is ``value * unit`` with
-    unit = 2^bitlen(n): each step's minimizing a1 comes out of the low bits
-    into a uint8 (uint16 past n = 255) parent array and is then cleared.
-    Without it (the cyclic value pass) there are no low bits, unit = 1 and
-    the states are plain counts, int16 up to about N = 2000.
+    per run.  The states are plain counts, int16, int32 or, on large
+    shapes, int64 (``_state_type``).
 
-    Returns ``(totals, found)``: ``totals[p]`` is run p's least count
-    (>= ``_INF`` when no profile of volume k exists).  With ``backtrack``,
-    ``found`` is the profile of the first run with the least total, or None
-    when no run reaches k; ties break toward the smaller count, then the
-    smaller column index.  Without it, ``found`` lists ``(lo, states)`` per
-    column: the states after that column, window start lo, as the next step
-    took them (the second to last column's include ``seam[0]``) and, last,
-    the final states with ``seam[1]``.  They are views of the step buffers,
-    not copies, for ``_cyclic_backtrack``.
+    Returns ``(totals, states)``: ``totals[p]`` is run p's least count, and
+    ``states`` lists ``(lo, kept)`` per column: the states after that
+    column, window start lo, as the next step took them (the second to last
+    column's include ``seam[0]``) and, last, the final states with
+    ``seam[1]``.  They are kept in the smallest type that holds every
+    reachable count and every value a retrace compares with, int16 while
+    2N + 2n + 8 < 2^15, else int32: as views of the step buffers when the
+    pass runs in that type, else as copies of the windows saturated at its
+    maximum, which only unreachable states reach.
     """
     N = sum(heights)
-    unit = 1 << n.bit_length() if backtrack else 1
-    dtype, inf = _state_type(N, n, unit)
-    big = inf * unit
-    terms = {(hp, h): _step_terms(hp, h, unit, n > 1, backtrack, np.dtype(dtype))
+    dtype, big = _state_type(N, n)
+    keep = np.int16 if 2 * N + 2 * n + 8 < 1 << 15 else np.int32
+    terms = {(hp, h): _step_terms(hp, h, n > 1, np.dtype(dtype))
              for hp, h in set(zip(heights, heights[1:]))}
-    parent_type = np.min_scalar_type(n)
     ends = np.cumsum(heights)
 
     def window(ci):
         return max(0, k - (N - int(ends[ci]))), min(k, int(ends[ci]))
 
+    def kept(cur):
+        if cur.dtype == keep:
+            return cur
+        return np.minimum(cur, np.iinfo(keep).max, out=np.empty(cur.shape, keep),
+                          casting="unsafe")
+
     lo, hi = window(0)
-    enc = np.full((len(pins), n + 1, hi - lo + 1), big, dtype)
+    cur = np.full((len(pins), n + 1, hi - lo + 1), big, dtype)
     for p, first in enumerate(pins):
         for a in first:
             if lo <= a <= hi:
-                enc[p, a, a - lo] = unit * (0 < a < heights[0])
+                cur[p, a, a - lo] = 0 < a < heights[0]
 
-    parents, states = [(lo, None)], []
+    states = []
     for ci in range(1, len(heights)):
         if seam is not None and ci == len(heights) - 1:
-            enc = enc + (unit * seam[0][:, :, None]).astype(dtype)
-        if not backtrack:
-            states.append((lo, enc))
+            cur = cur + seam[0][:, :, None].astype(dtype)
+        states.append((lo, kept(cur)))
         h_prev = heights[ci - 1]
-        out = _column_step(enc, h_prev, terms[h_prev, heights[ci]], unit, big)
+        out = _column_step(cur, h_prev, terms[h_prev, heights[ci]], big)
         lo_next, hi = window(ci)
-        enc = out[:, :, lo_next - lo : hi - lo + 1]
+        cur = out[:, :, lo_next - lo : hi - lo + 1]
         lo = lo_next
-        if backtrack:
-            parent = np.empty(enc.shape, parent_type)
-            np.bitwise_and(enc, unit - 1, out=parent, casting="unsafe")
-            enc &= ~(unit - 1)
-            parents.append((lo, parent))
     if seam is not None:
-        enc = enc + (unit * seam[1][:, :, None]).astype(dtype)
+        cur = cur + seam[1][:, :, None].astype(dtype)
+    # the last window is [k, k]
+    return cur[:, :, k - lo].min(axis=1), states + [(lo, kept(cur))]
 
-    # the last window is [k, k]; with backtrack the count in the low bits
-    # breaks ties
-    last = enc[:, :, k - lo]
-    best = (last + np.arange(n + 1, dtype=dtype) if backtrack else last).min(axis=1)
-    totals = best.astype(np.int64) // unit
-    totals[totals >= inf] = _INF
-    if not backtrack:
-        return totals, states + [(lo, enc)]
-    p = int(best.argmin())
-    if totals[p] >= _INF:
-        return totals, None
-    a = int(best[p] % unit)
+
+def _backtrack(n: int, heights: tuple[int, ...], k: int, p: int, states: list,
+               seam=None) -> tuple[int, list[int]]:
+    """Run p's least total and its profile, traced back through ``states``.
+
+    ``states`` and ``seam`` are those of a pass of ``_column_dp``.  The
+    last count is the smallest a minimising the final states at volume k;
+    its value, less ``seam[1]`` if there is a seam, is the last step's
+    output.  Going back one column, from count a2, volume v and value
+    ``value``, the previous count is the smallest a1 <= h_prev whose state
+    at volume v - a2 (index v - a2 - lo in its window) has
+
+        state[p, a1] + cost(a1, a2) == value,
+
+    ``cost`` as in ``_column_step``, with the wrap term only for n > 1; with
+    a seam, the second to last column's states carry ``seam[0]``, which is
+    taken off the value passed back.  A step without such an a1 raises
+    ``AssertionError`` explicitly, so the check survives ``python -O``.
+    """
+    lo, final = states[-1]
+    last = final[p, :, k - lo].tolist()
+    total = min(last)
+    a = last.index(total)
+    value = total - int(seam[1][p, a]) if seam is not None else total
     counts = [0] * len(heights)
     v = k
     for ci in range(len(heights) - 1, 0, -1):
         counts[ci] = a
-        lo, parent = parents[ci]
-        a = int(parent[p, a, v - lo])
-        v -= counts[ci]
+        h_prev, h = heights[ci - 1], heights[ci]
+        v -= a
+        lo, kept = states[ci - 1]
+        jump = 0 < a < h
+        for a1, s in enumerate(kept[p, : h_prev + 1, v - lo].tolist()):
+            wrap = n > 1 and (a1 == h_prev) != (a >= 1)
+            if s + abs(min(a1, h) - a) + wrap + jump == value:
+                break
+        else:
+            raise AssertionError("column DP backtrack must retrace its value pass")
+        value = s - int(seam[0][p, a1]) if seam is not None and ci == len(heights) - 1 else s
+        a = a1
     counts[0] = a
-    return totals, counts
+    return total, counts
 
 
 def column_dp_min(n: int, L, k: int) -> SolveResult:
@@ -509,10 +516,11 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
     prefix, so a column is described by its count.  State: (column, count,
     volume used); each column step is an L1 distance transform over the
     count axis, vectorised over the volume axis (``_column_step``), so the
-    DP costs O(ncols n k) time and backtracking memory, one byte per state
-    for n <= 255.  The first column contributes its own internal jump.  Ties
-    break toward the smaller count, then the smaller column index, so the
-    returned profile is deterministic.
+    DP costs O(ncols n k) time and memory: one value pass that keeps every
+    column's states, int16 up to N of about 16000, and one retrace of the
+    profile from them (``_backtrack``).  The first column contributes its
+    own internal jump.  Ties break toward the smaller count, then the
+    smaller column index, so the returned profile is deterministic.
 
     Prefix profiles do not always contain an open minimizer: at
     (n, L, k) = (6, 5/4, 39) this returns 7/6, while a configuration of
@@ -524,14 +532,13 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
     L, _, _ = _instance(n, L, k)
     heights = column_heights(n, L)
     if not heights:  # N = 0: the empty chain
-        totals, counts = [0], []
+        total, counts = 0, []
     else:
-        totals, counts = _column_dp(n, heights, k, [range(min(heights[0], k) + 1)])
-    if counts is None:
-        raise ValueError(f"volume {k} not representable over {len(heights)} columns")
+        _, states = _column_dp(n, heights, k, [range(min(heights[0], k) + 1)])
+        total, counts = _backtrack(n, heights, k, 0, states)
     profile = ColumnProfile(n, heights, tuple(counts))
-    return _checked(profile_to_config(profile, L), int(totals[0]), k, False, "ColumnDP",
-                    True, profile=profile)
+    return _checked(profile_to_config(profile, L), total, k, False, "ColumnDP", True,
+                    profile=profile)
 
 
 # --- transfer matrix (both boundaries) and cyclic DP ---------------------------
@@ -563,7 +570,7 @@ def _transfer_pass(n: int, N: int, k: int, start: np.ndarray, choices: list) -> 
     most k + 1 states each, and that per-block cost would dominate the
     ring's P = 2^(n-2) + 1 pinned runs.
 
-    The states are plain counts in the dtype of ``_state_type(N, n, 1)``,
+    The states are plain counts in the dtype of ``_state_type(N, n)``,
     int16 up to about N = 2000, and unreachable ones start at its ``inf``.
     That bound holds here on its own terms: a reachable count is at most
     2N, plus a ring seam of at most n + 1, so it stays below inf; an
@@ -571,7 +578,7 @@ def _transfer_pass(n: int, N: int, k: int, start: np.ndarray, choices: list) -> 
     value stays below inf + 2N + n + 1, inside the dtype.
     """
     W, half, quarter = 1 << n, 1 << (n - 1), 1 << (n - 2)
-    dtype, inf = _state_type(N, n, 1)
+    dtype, inf = _state_type(N, n)
     vols = np.bitwise_count(np.arange(W))
     p, first = np.nonzero(start & (vols <= k))
     D = np.full((W, k + 1, len(start)), inf, dtype)
@@ -675,7 +682,7 @@ def _cyclic_dp(n: int, L, k: int) -> Optional[SolveResult]:
     volume k through ``_column_dp`` as one batch, in chunks of at most
     about ``_PIN_BATCH`` states, one call per chunk.  The first chunk with
     a strictly lower least total keeps its states, so the smallest pin with
-    the least total wins; ``_cyclic_backtrack`` retraces that pin alone
+    the least total wins; ``_backtrack`` retraces that pin alone
     from them.  Returns None for n = 1 or N <= 2n, where distance classes
     collide.  The backtrack must retrace the value pass, and the result is
     re-evaluated (``_checked``).
@@ -702,61 +709,16 @@ def _cyclic_dp(n: int, L, k: int) -> Optional[SolveResult]:
     best = None  # (total, run, states, seam) of the first chunk with the least total
     for i in range(0, len(pins), step):
         seam = before[i : i + step], after[i : i + step]
-        totals, states = _column_dp(n, heights, k, [(int(a),) for a in pins[i : i + step]],
-                                    seam, backtrack=False)
+        totals, states = _column_dp(n, heights, k, [(int(a),) for a in pins[i : i + step]], seam)
         p = int(totals.argmin())
         if best is None or totals[p] < best[0]:
             best = int(totals[p]), p, states, seam
         del states  # hold the best chunk's states and the next chunk's, no more
     _, p, states, seam = best
-    total, found = _cyclic_backtrack(heights, k, p, states, seam)
+    total, found = _backtrack(n, heights, k, p, states, seam)
     profile = ColumnProfile(n, heights, tuple(found))
     return _checked(profile_to_config(profile, L), total, k, True, "ColumnDP", False,
                     profile=profile)
-
-
-def _cyclic_backtrack(heights: tuple[int, ...], k: int, p: int, states: list,
-                      seam) -> tuple[int, list[int]]:
-    """Run p's least total and its profile, traced back through ``states``.
-
-    ``states`` and ``seam`` are those of a cyclic value pass of
-    ``_column_dp`` (plain counts, n >= 2, so the wrap pair counts).  The
-    last count is the smallest a minimising the final states at volume k;
-    its value less ``seam[1]`` is the last step's output.  Going back one
-    column, from count a2, volume v and value ``value``, the previous count
-    is the smallest a1 <= h_prev whose state at volume v - a2 (index
-    v - a2 - lo in its window) has
-
-        state[p, a1] + cost(a1, a2) == value,
-
-    ``cost`` as in ``_column_step``; the second to last column's states
-    carry ``seam[0]``, which is taken off the value passed back.  These are
-    the tie-breaks of the encoded parents of a backtracking pass, so the
-    profile is the one that pass returns.  A step without such an a1
-    raises ``AssertionError`` explicitly, so the check survives ``python -O``.
-    """
-    lo, final = states[-1]
-    last = final[p, :, k - lo].tolist()
-    total = min(last)
-    a = last.index(total)
-    value = total - int(seam[1][p, a])
-    counts = [0] * len(heights)
-    v = k
-    for ci in range(len(heights) - 1, 0, -1):
-        counts[ci] = a
-        h_prev, h = heights[ci - 1], heights[ci]
-        v -= a
-        lo, enc = states[ci - 1]
-        jump = 0 < a < h
-        for a1, s in enumerate(enc[p, : h_prev + 1, v - lo].tolist()):
-            if s + abs(min(a1, h) - a) + ((a1 == h_prev) != (a >= 1)) + jump == value:
-                break
-        else:
-            raise AssertionError("cyclic DP backtrack must retrace its value pass")
-        value = s - int(seam[0][p, a1]) if ci == len(heights) - 1 else s
-        a = a1
-    counts[0] = a
-    return total, counts
 
 
 def periodic_min(n: int, L, k: int) -> SolveResult:

@@ -298,6 +298,26 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == "" and "error: zero denominator in '1/0'" in captured.err
 
+    @pytest.mark.parametrize("periodic", [[], ["--periodic"]])
+    def test_huge_L_minimize_exit_code(self, capsys, periodic):
+        # N = floor(L n^2) past sys.maxsize ended in an OverflowError
+        # traceback from column_heights (exit 1)
+        assert main(["minimize", "--n", "2", "--L", "1e400", "--k", "0"] + periodic) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: too many sites: N = floor(L n^2)" in captured.err
+
+    @pytest.mark.parametrize("volume", [[], ["--volume", "0"]])
+    def test_huge_L_recover_exit_code(self, tmp_path, capsys, volume):
+        # a target with N past sys.maxsize: without a volume this ended in an
+        # OverflowError traceback, with one the construction looped over
+        # floor(L n) + 1 columns and did not end
+        target = tmp_path / "u.json"
+        target.write_text(json.dumps(
+            {"L": "1e400", "pieces": [{"to": "1e400", "value": "1/2"}]}))
+        assert main(["recover", "--target", str(target), "--n", "2"] + volume) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: too many sites: N = floor(L n^2)" in captured.err
+
     def test_parser_built_once(self, capsys):
         runs = [["minimize", "--n", "2", "--L", "1", "--k", "2"],
                 ["classify", "--L", "1", "--sigma", "3/10"]]

@@ -257,6 +257,22 @@ class TestBlockRearrange:
         assert energy_open(block_rearrange(cfg)) == F(3, 2)
 
 
+def tamper_first_state(monkeypatch, count, delta):
+    """Patch ``_column_dp`` to add delta to the kept first-column state of
+    ``count`` in every run that may start with it."""
+    column_dp = solve._column_dp
+
+    def tampered(n, heights, k, pins, seam=None):
+        totals, states = column_dp(n, heights, k, pins, seam)
+        lo, first = states[0]
+        for p, counts in enumerate(pins):
+            if count in counts:
+                first[p, count, count - lo] += delta
+        return totals, states
+
+    monkeypatch.setattr(solve, "_column_dp", tampered)
+
+
 class TestColumnDP:
     def test_spec_instance(self):
         res = column_dp_min(2, 1, 2)
@@ -287,10 +303,20 @@ class TestColumnDP:
                 assert column_dp_min(1, L, k).value == brute_force_min(1, L, k).value
 
     def test_counts_above_255_backtrack(self):
-        # past n = 255 the backtracking pointers need two bytes
+        # counts past 255: the retrace recomputes each count from the kept
+        # states, so no count type of its own bounds it
         res = column_dp_min(300, F(1, 100), 800)
         assert res.profile.counts == (267, 267, 266)
         assert res.value == F(6, 300)
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_tampered_state_raises(self, delta, monkeypatch):
+        # the first column's state on the optimal path off by one: no count
+        # retraces the value pass (the -O run is in SELF_CHECKS)
+        n, L, k = 9, F(5, 4), 50
+        tamper_first_state(monkeypatch, column_dp_min(n, L, k).profile.counts[0], delta)
+        with pytest.raises(AssertionError, match="^column DP backtrack must retrace"):
+            column_dp_min(n, L, k)
 
     def test_profile_reevaluates(self):
         rng = random.Random(8)
@@ -422,6 +448,12 @@ def dense_backtrack(dp, parents, k):
     return total, tuple(counts)
 
 
+@lru_cache(maxsize=None)
+def dense_pinned(n, L, a1, cyclic):
+    """The last column's table dp[a, v] with the first column's count pinned to a1."""
+    return dense_dp(n, L, (a1,), cyclic_a1=a1 if cyclic else None)[0]
+
+
 def dense_open(n, L):
     """k -> (total, counts) for every volume k."""
     heights = column_heights(n, L)
@@ -478,31 +510,54 @@ class TestColumnStepAgainstDense:
 
     @pytest.mark.parametrize("n,L", DENSE_SHAPES)
     def test_value_pass_totals(self, n, L):
-        # one run per first-column count, open and with the cyclic seam:
-        # the value pass (plain counts, unit 1) gives the totals of the
-        # backtracking pass (counts shifted past the parent bits)
+        # one batched pass, one run per first-column count that reaches k,
+        # open and with the cyclic seam: each run's total is the dense
+        # reference's least count at k with that count pinned
         heights = column_heights(n, L)
-        pins = [(a,) for a in range(heights[0] + 1)]
-        seams = [None]
-        if (n, L) in CYCLIC_SHAPES:
-            before, after = zip(*(reference_seam(n, L, a) for a in range(heights[0] + 1)))
-            seams.append((np.array(before), np.array(after)))
         N = sum(heights)
-        for seam in seams:
+        for cyclic in (False, True) if (n, L) in CYCLIC_SHAPES else (False,):
             for k in range(0, N + 1, max(1, N // 40)):
-                values = _column_dp(n, heights, k, pins, seam, backtrack=False)[0]
-                assert values.tolist() == _column_dp(n, heights, k, pins, seam)[0].tolist(), k
+                pins = range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
+                seam = None
+                if cyclic:
+                    seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a in pins))))
+                totals = solve._column_dp(n, heights, k, [(a,) for a in pins], seam)[0]
+                want = [dense_pinned(n, L, a, cyclic)[:, k].min() for a in pins]
+                assert totals.tolist() == want, k
+
+
+def kept_states(monkeypatch):
+    """Spy on ``_column_dp``; returns the list its kept states go into."""
+    column_dp = solve._column_dp
+    kept = []
+
+    def spy(*args):
+        totals, states = column_dp(*args)
+        kept.extend(s for _, s in states)
+        return totals, states
+
+    monkeypatch.setattr(solve, "_column_dp", spy)
+    return kept
+
+
+def saturated_copies(monkeypatch):
+    """Every state ``_column_dp`` keeps across the test must be an int16
+    copy, the saturated one kept when the pass runs wider."""
+    kept = kept_states(monkeypatch)
+    yield
+    assert kept and all(s.dtype == np.int16 and s.base is None for s in kept)
 
 
 class TestColumnStepInt64(TestColumnStepAgainstDense):
     """The dense-reference grid again with int64 states, as on shapes past
-    the int32 bound of ``_state_type``."""
+    the int32 bound of ``_state_type``; the retrace reads saturated int16
+    copies of them."""
 
     @pytest.fixture(autouse=True)
     def int64_states(self, monkeypatch):
         picked = []
 
-        def state_type(N, n, unit):
+        def state_type(N, n):
             picked.append(N)
             return np.int64, solve._INF
 
@@ -510,16 +565,20 @@ class TestColumnStepInt64(TestColumnStepAgainstDense):
         yield
         assert picked
 
+    @pytest.fixture(autouse=True)
+    def kept_copies(self, monkeypatch):
+        yield from saturated_copies(monkeypatch)
+
 
 def skip_int16(monkeypatch):
     """Patch ``_state_type`` to give the int32 tier where it picks int16."""
     state_type = solve._state_type
     picked = []
 
-    def no_int16(N, n, unit):
-        dtype, inf = state_type(N, n, unit)
+    def no_int16(N, n):
+        dtype, inf = state_type(N, n)
         picked.append(dtype)
-        return (np.int32, (1 << 29) // unit) if dtype is np.int16 else (dtype, inf)
+        return (np.int32, 1 << 29) if dtype is np.int16 else (dtype, inf)
 
     monkeypatch.setattr(solve, "_state_type", no_int16)
     yield
@@ -528,17 +587,22 @@ def skip_int16(monkeypatch):
 
 class TestColumnStepInt32(TestColumnStepAgainstDense):
     """The dense-reference grid again with int32 where ``_state_type`` picks
-    int16, as on shapes past the int16 bound."""
+    int16, as on shapes past the int16 bound; the retrace reads saturated
+    int16 copies of the states."""
 
     @pytest.fixture(autouse=True)
     def int32_states(self, monkeypatch):
         yield from skip_int16(monkeypatch)
 
+    @pytest.fixture(autouse=True)
+    def kept_copies(self, monkeypatch):
+        yield from saturated_copies(monkeypatch)
+
 
 class TestStepTermsCache:
-    @pytest.mark.parametrize("args", [(5, 3, 8, True, True, np.dtype(np.int16)),
-                                      (6, 6, 1, True, False, np.dtype(np.int32)),
-                                      (1, 1, 1, False, False, np.dtype(np.int64))])
+    @pytest.mark.parametrize("args", [(5, 3, True, np.dtype(np.int16)),
+                                      (6, 6, True, np.dtype(np.int32)),
+                                      (1, 1, False, np.dtype(np.int64))])
     def test_second_call_returns_the_same_read_only_arrays(self, args):
         first = solve._step_terms(*args)
         assert solve._step_terms(*args) is first
@@ -552,41 +616,75 @@ class TestStepTermsCache:
 
 
 class TestStateType:
-    @pytest.mark.parametrize("n,unit", [
+    @pytest.mark.parametrize("n,k", [
         (1, 1), (2, 1), (7, 1), (80, 1), (300, 1), (1000, 1),
         (1, 2), (2, 4), (7, 8), (20, 32),
     ])
-    def test_int16_up_to_the_bound(self, n, unit):
-        # unit 1: the cyclic value pass and the transfer matrix; unit
-        # 2^bitlen(n): a backtracking column DP
-        last = ((1 << 15) // (4 * unit) - 4 * n - 9) // 4  # (4N + 4n + 8) 4 unit < 2^15
-        dtype, inf = solve._state_type(last, n, unit)
-        assert dtype is np.int16 and inf * unit <= 1 << 13
-        # reachable states stay below big, unreachable ones below 2^14
-        assert (2 * last + 1) * unit < inf * unit
-        assert inf * unit + (4 * last + 4 * n + 8) * unit <= 1 << 14
-        assert solve._state_type(last + 1, n, unit) == (np.int32, (1 << 29) // unit)
+    def test_int16_up_to_the_bound(self, n, k, monkeypatch):
+        last = ((1 << 15) // 4 - 4 * n - 9) // 4  # (4N + 4n + 8) 4 < 2^15
+        dtype, inf = solve._state_type(last, n)
+        assert dtype is np.int16 and inf <= 1 << 13
+        # reachable states stay below inf, unreachable ones below 2^14
+        assert 2 * last + 1 < inf
+        assert inf + 4 * last + 4 * n + 8 <= 1 << 14
+        assert solve._state_type(last + 1, n) == (np.int32, 1 << 29)
+        # a column DP of volume k over those N sites on int16 states gives
+        # what it gives on int64 ones
+        L = F(last, n * n)
+        res = column_dp_min(n, L, k)
+        monkeypatch.setattr(solve, "_state_type", lambda N, n: (np.int64, solve._INF))
+        wide = column_dp_min(n, L, k)
+        assert (res.value, res.profile) == (wide.value, wide.profile)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 80, 300, 1000])
     def test_int64_past_the_bound(self, n):
-        unit = 1 << n.bit_length()
-        last = ((1 << 31) // (4 * unit) - 4 * n - 9) // 4  # (4N + 4n + 8) 4 unit < 2^31
-        dtype, inf = solve._state_type(last, n, unit)
-        assert dtype is np.int32 and inf * unit <= 1 << 29
-        # reachable states stay below big, unreachable ones below 2^30
-        assert (2 * last + 1) * unit < inf * unit
-        assert inf * unit + (4 * last + 4 * n + 8) * unit <= 1 << 30
-        assert solve._state_type(last + 1, n, unit) == (np.int64, solve._INF)
+        last = ((1 << 31) // 4 - 4 * n - 9) // 4  # (4N + 4n + 8) 4 < 2^31
+        dtype, inf = solve._state_type(last, n)
+        assert dtype is np.int32 and inf <= 1 << 29
+        # reachable states stay below inf, unreachable ones below 2^30
+        assert 2 * last + 1 < inf
+        assert inf + 4 * last + 4 * n + 8 <= 1 << 30
+        assert solve._state_type(last + 1, n) == (np.int64, solve._INF)
+
+    @pytest.mark.parametrize("n", [80, 1000])
+    def test_kept_states_int16_up_to_the_bound(self, n, monkeypatch):
+        # the last N with 2N + 2n + 8 < 2^15 keeps saturated int16 copies of
+        # its int32 states, the first N past it the int32 states themselves;
+        # three ones at the bottom of the first column cost one jump and
+        # three horizontal pairs
+        last = (1 << 14) - n - 5
+        kept = kept_states(monkeypatch)
+        for N, dtype, copied in ((last, np.int16, True), (last + 1, np.int32, False)):
+            assert solve._state_type(N, n)[0] is np.int32
+            res = column_dp_min(n, F(N, n * n), 3)
+            assert res.value == F(4, n) and res.profile.counts[0] == 3
+            assert {s.dtype for s in kept} == {np.dtype(dtype)}
+            assert all((s.base is None) == copied for s in kept[1:])  # kept[0] is np.full's
+            kept.clear()
+
+    def test_open_anchor_keeps_int16_copies(self, monkeypatch):
+        # n = 80, N = 6400: int32 states, kept as saturated int16 copies;
+        # value and profile as the encoded parents gave them
+        kept = kept_states(monkeypatch)
+        res = column_dp_min(80, 1, 3200)
+        assert solve._state_type(6400, 80)[0] is np.int32
+        assert kept and all(s.dtype == np.int16 and s.base is None for s in kept)
+        assert res.value == F(81, 80)
+        assert res.profile.counts == (80,) * 40 + (0,) * 40
 
     def test_run_past_the_bound(self, monkeypatch):
-        # N = 131000 sites at n = 1000 needs int64 states; five ones at the
+        # N = 131000 sites at n = 1000: int32 states, past the int16 bound
+        # of the kept states too, so they are kept as views; five ones at the
         # bottom of the first column cost one jump and five horizontal pairs
         picked = []
         state_type = solve._state_type
         monkeypatch.setattr(solve, "_state_type",
                             lambda *args: picked.append(state_type(*args)) or picked[-1])
+        kept = kept_states(monkeypatch)
         res = column_dp_min(1000, F(131, 1000), 5)
-        assert picked == [(np.int64, solve._INF)]
+        assert picked == [(np.int32, 1 << 29)]
+        assert kept and all(s.dtype == np.int32 for s in kept)
+        assert all(s.base is not None for s in kept[1:])
         assert res.value == F(6, 1000)
 
 
@@ -681,14 +779,14 @@ class TestPeriodicMin:
 #
 # The run-major search the one-pass transfer matrix replaced: ``D[p, w, v]``,
 # the ring's best pin run a second time only to record its choices.  Kept
-# verbatim; only the names it takes from ``solve`` are qualified, so that a
-# patched ``_state_type`` reaches it too.
+# verbatim but for ``_state_type``'s signature; the names it takes from
+# ``solve`` are qualified, so that a patched ``_state_type`` reaches it too.
 
 
 def reference_transfer_pass(n: int, N: int, k: int, start: np.ndarray,
                             choices=None) -> np.ndarray:
     W, half = 1 << n, 1 << (n - 1)
-    dtype, inf = solve._state_type(N, n, 1)
+    dtype, inf = solve._state_type(N, n)
     vols = np.bitwise_count(np.arange(W))
     p, first = np.nonzero(start & (vols <= k))
     D = np.full((len(start), W, k + 1), inf, dtype)
@@ -924,14 +1022,13 @@ def reference_cyclic_dp(n, L, k):
     heights = column_heights(n, L)
 
     best = None
-    for a1 in range(min(heights[0], k) + 1):
+    for a1 in range(max(0, k - (N - heights[0])), min(heights[0], k) + 1):
         before, after = reference_seam(n, L, a1)
-        totals, found = _column_dp(n, heights, k, [(a1,)], seam=(before[None], after[None]))
-        if found is not None and (best is None or totals[0] < best[0]):
-            best = int(totals[0]), found
+        seam = before[None], after[None]
+        totals, states = _column_dp(n, heights, k, [(a1,)], seam)
+        if best is None or totals[0] < best[0]:
+            best = int(totals[0]), solve._backtrack(n, heights, k, 0, states, seam)[1]
 
-    if best is None:
-        return None
     total, best_counts = best
     return F(total, n), tuple(best_counts)
 
@@ -971,40 +1068,29 @@ class TestBatchedCyclicDP:
         (6, F(5, 4), 22, None, 1), (6, F(5, 4), 22, 1, 7), (16, F(3), 384, None, 5),
     ])
     def test_one_value_pass(self, n, L, k, batch, chunks, monkeypatch):
-        # one _column_dp call per chunk of pins, none of them backtracking:
-        # the winning pin's profile comes from the value pass's own states
+        # one _column_dp call per chunk of pins: the winning pin's profile
+        # comes from the value pass's own states
         calls = []
         column_dp = solve._column_dp
 
-        def spy(n, heights, k, pins, seam=None, backtrack=True):
-            calls.append((len(pins), backtrack))
-            return column_dp(n, heights, k, pins, seam, backtrack)
+        def spy(n, heights, k, pins, seam=None):
+            calls.append(len(pins))
+            return column_dp(n, heights, k, pins, seam)
 
         monkeypatch.setattr(solve, "_column_dp", spy)
         if batch is not None:
             monkeypatch.setattr(solve, "_PIN_BATCH", batch)
         _cyclic_dp(n, L, k)
         assert len(calls) == chunks
-        assert sum(pins for pins, _ in calls) == n + 1  # first-column counts 0..n
-        assert not any(backtrack for _, backtrack in calls)
+        assert sum(calls) == n + 1  # first-column counts 0..n
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_tampered_state_raises(self, delta, monkeypatch):
         # the winning pin's first-column state off by one: no count retraces
         # the value pass (the -O run is in SELF_CHECKS)
         n, L, k = 9, F(5, 4), 50
-        pin = _cyclic_dp(n, L, k).profile.counts[0]
-        column_dp = solve._column_dp
-
-        def tampered(n, heights, k, pins, seam=None, backtrack=True):
-            totals, states = column_dp(n, heights, k, pins, seam, backtrack)
-            if (pin,) in pins:
-                lo, first = states[0]
-                first[pins.index((pin,)), pin, pin - lo] += delta
-            return totals, states
-
-        monkeypatch.setattr(solve, "_column_dp", tampered)
-        with pytest.raises(AssertionError, match="^cyclic DP backtrack must retrace"):
+        tamper_first_state(monkeypatch, _cyclic_dp(n, L, k).profile.counts[0], delta)
+        with pytest.raises(AssertionError, match="^column DP backtrack must retrace"):
             _cyclic_dp(n, L, k)
 
 
@@ -1256,22 +1342,26 @@ spinchain.solve.volume = lambda cfg: sum(cfg.values) + 1
 run(routes)
 spinchain.solve.volume = volume
 
-# the winning pin's first-column state off by one
-pin = _cyclic_dp(9, Fraction(5, 4), 50).profile.counts[0]
+# the first column's state on the optimal path off by one, on the ring and
+# on the open chain
 column_dp = spinchain.solve._column_dp
+for solver in (_cyclic_dp, column_dp_min):
+    count = solver(9, Fraction(5, 4), 50).profile.counts[0]
 
-def tampered(n, heights, k, pins, seam=None, backtrack=True):
-    totals, states = column_dp(n, heights, k, pins, seam, backtrack)
-    if (pin,) in pins:
+    def tampered(n, heights, k, pins, seam=None):
+        totals, states = column_dp(n, heights, k, pins, seam)
         lo, first = states[0]
-        first[pins.index((pin,)), pin, pin - lo] += 1
-    return totals, states
+        for p, counts in enumerate(pins):
+            if count in counts:
+                first[p, count, count - lo] += 1
+        return totals, states
 
-spinchain.solve._column_dp = tampered
-try:
-    _cyclic_dp(9, Fraction(5, 4), 50)
-except AssertionError as exc:
-    print("backtrack raised:", exc)
+    spinchain.solve._column_dp = tampered
+    try:
+        solver(9, Fraction(5, 4), 50)
+    except AssertionError as exc:
+        print(solver.__name__, "backtrack raised:", exc)
+    spinchain.solve._column_dp = column_dp
 
 # the transfer matrix's bit for site 0 on the winning path flipped
 L = Fraction(22, 25)
@@ -1295,8 +1385,8 @@ except AssertionError as exc:
 
 def test_self_checks_survive_python_O():
     """The energy and volume self-checks of the four solver routes, the
-    classifier's energy self-check, the cyclic DP's backtrack over a
-    tampered state and the result check of a transfer matrix whose
+    classifier's energy self-check, the column DP's backtrack over a
+    tampered state on the ring and on the open chain, and the result check of a transfer matrix whose
     recorded choice was flipped raise under ``python -O``, which strips
     ``assert`` statements; the same routes pass unpatched."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -1308,5 +1398,6 @@ def test_self_checks_survive_python_O():
         [f"{name} passed" for name in routes]
         + [f"{name} raised" for name in routes + ["classify_open"]]  # wrong energy
         + [f"{name} raised" for name in routes]  # wrong volume
-        + ["backtrack raised: cyclic DP backtrack must retrace its value pass",
-           "transfer raised: TransferMatrix bookkeeping must match the energy and volume"])
+        + [f"{name} backtrack raised: column DP backtrack must retrace its value pass"
+           for name in ("_cyclic_dp", "column_dp_min")]
+        + ["transfer raised: TransferMatrix bookkeeping must match the energy and volume"])
