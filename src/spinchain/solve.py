@@ -49,7 +49,14 @@ whatever the axis or dtype, and a row of ``np.minimum`` 0.3 to 0.6 ns
 (81 x 3200 states).  Every search state is a plain mismatch count in one
 of three tiers (``_state_type``): int16 while (4N + 4n + 8) * 4 < 2^15,
 int32 while it is < 2^31, int64 past that.  The cyclic DP runs its pinned
-first-column counts through that core as one batch, in one pass.
+first-column counts through that core as one batch.  Every state array is
+``[count, volume, run]``, run innermost, as the transfer matrix's are
+window-major, so each elementwise operation of a step walks h + 1
+contiguous (volume, run) blocks whatever the number of runs.  The pins go
+in chunks of about ``_PIN_BATCH`` states kept over the whole pass, so a
+ring of n <= 16 and L <= 3/2 runs every pin in one pass.  A run that
+would keep more than ``DP_BUDGET`` states (``_run_states``) is refused
+with ``SolverGuardError`` before any column is built.
 
 Both DPs backtrack the same way (``_backtrack``).  The value pass keeps
 each step's input states and the retrace recomputes, column by column, the
@@ -110,7 +117,8 @@ __all__ = [
 
 FULL_SWEEP_MAX_N = 28
 TRANSFER_BUDGET = 1 << 23  # state updates of one transfer-matrix search (``_transfer_fits``)
-_PIN_BATCH = 1 << 15  # states per column of a cyclic-DP batch of pins, all kept to backtrack
+DP_BUDGET = 1 << 28  # states one column-DP run keeps over its pass (``_run_states``)
+_PIN_BATCH = 1 << 21  # states a chunk of cyclic-DP pins keeps over its whole pass, to backtrack
 _BLOCK = 1 << 20  # masks per broadcast add of the brute-force sweep
 _INF = 1 << 30
 
@@ -309,13 +317,15 @@ def _step_terms(h_prev: int, h: int, wrap: bool, dtype: np.dtype) -> tuple[np.nd
     """Cost terms for ``_column_step`` from a column of height h_prev to one of h.
 
     Returns ``(forward, backward, updown, top)`` in ``dtype``, laid out to
-    broadcast against ``_column_step``'s count-major arrays.  ``forward``
-    and ``backward`` (the latter in reversed count order) add -a1 and +a1
-    to the rows a1 = 0..h of the previous column before the two running
-    minima.  ``updown`` holds the wrap and internal terms plus and minus
-    a2, over a2 = 0..h, for the two halves, and ``top`` is the whole cost
-    of the row a1 == h_prev.  The terms depend only on the arguments, so
-    they are cached (``dtype`` an ``np.dtype``) and returned read-only.
+    broadcast against ``_column_step``'s count-major arrays: ``updown`` as
+    (h + 1, 2, 1, 1) against its buffer, the others as (h + 1, 1, 1)
+    against rows of states.  ``forward`` and ``backward`` (the latter in
+    reversed count order) add -a1 and +a1 to the rows a1 = 0..h of the
+    previous column before the two running minima.  ``updown`` holds the
+    wrap and internal terms plus and minus a2, over a2 = 0..h, for the two
+    halves, and ``top`` is the whole cost of the row a1 == h_prev.  The
+    terms depend only on the arguments, so they are cached (``dtype`` an
+    ``np.dtype``) and returned read-only.
 
     When h == h_prev, row a1 = h is that top row, so it enters both running
     minima.  Its backward term carries the wrap cost once more, which makes
@@ -335,7 +345,7 @@ def _step_terms(h_prev: int, h: int, wrap: bool, dtype: np.dtype) -> tuple[np.nd
     updown = np.stack([rest + a, (rest - a)[::-1]], axis=1)
     column = (-1, 1, 1)
     terms = (-a.reshape(column), backward[::-1].reshape(column),
-             updown.reshape(-1, 1, 2, 1), top.reshape(column))
+             updown.reshape(-1, 2, 1, 1), top.reshape(column))
     for t in terms:
         t.flags.writeable = False
     return terms
@@ -344,14 +354,14 @@ def _step_terms(h_prev: int, h: int, wrap: bool, dtype: np.dtype) -> tuple[np.nd
 def _column_step(cur: np.ndarray, h_prev: int, terms, big: int) -> np.ndarray:
     """One step of the column DP: a column of height h after one of height h_prev.
 
-    ``cur[p, a1, c]`` is the least mismatch count of a prefix profile of
+    ``cur[a1, c, p]`` is the least mismatch count of a prefix profile of
     run p whose current column holds a1 ones and whose columns so far hold
     ``lo + c`` ones (``lo`` is the caller's window start).  Rows above
     h_prev are unreachable (>= big).  Only the last column may be shorter,
     so h <= h_prev.  ``terms`` is ``_step_terms(h_prev, h, wrap,
-    cur.dtype)``.  Returns ``out`` of shape (P, n + 1, C + n) with
+    cur.dtype)``.  Returns ``out`` of shape (n + 1, C + n, P) with
 
-        out[p, a2, c] = min over a1 of cur[p, a1, c - a2] + cost(a1, a2),
+        out[a2, c, p] = min over a1 of cur[a1, c - a2, p] + cost(a1, a2),
         cost(a1, a2) = |min(a1, h) - a2|              horizontal pairs
                      + [(a1 == h_prev) != (a2 >= 1)]  wrap pair (if ``wrap``)
                      + [0 < a2 < h]                   internal jump.
@@ -361,42 +371,43 @@ def _column_step(cur: np.ndarray, h_prev: int, terms, big: int) -> np.ndarray:
     Functions", Theory of Computing 8, 2012): a forward and a backward
     running minimum over the count axis, so a step costs O(n C) per run
     rather than O(n^2 C).  Both minima run in one count-major buffer of
-    shape (h + 1, P, 2, C), the backward rows in reversed count order, so
+    shape (h + 1, 2, C, P), the backward rows in reversed count order, so
     one contiguous ``np.minimum`` per count advances both, for every run
     and volume; numpy's cumulative minimum costs about ten times as much
-    per element.  The a1 == h_prev row differs in its wrap term and is also
-    taken on its own.
+    per element.  The run axis is innermost, as in ``_transfer_pass``, so
+    every elementwise operation walks h + 1 contiguous blocks of
+    (volume, run) states, not (h + 1) P short rows of one run each.  The
+    a1 == h_prev row differs in its wrap term and is also taken on its own.
     """
     forward, backward, updown, top = terms
     h = len(top) - 1
-    P, R, C = cur.shape
-    rows = cur.transpose(1, 0, 2)  # rows[a1, p, c]
+    R, C, P = cur.shape
 
-    # buf[i, :, 0] holds row a1 = i, buf[i, :, 1] row a1 = h - i; on a
-    # partial column (h < h_prev) rows h .. h_prev-1 all land on position h
-    buf = np.empty((h + 1, P, 2, C), cur.dtype)
-    np.add(rows[: h + 1], forward, out=buf[:, :, 0])
-    np.add(rows[h::-1], backward, out=buf[:, :, 1])
+    # buf[i, 0] holds row a1 = i, buf[i, 1] row a1 = h - i; on a partial
+    # column (h < h_prev) rows h .. h_prev-1 all land on position h
+    buf = np.empty((h + 1, 2, C, P), cur.dtype)
+    np.add(cur[: h + 1], forward, out=buf[:, 0])
+    np.add(cur[h::-1], backward, out=buf[:, 1])
     if h < h_prev:
-        folded = rows[h:h_prev].min(axis=0)
-        np.subtract(folded, h, out=buf[h, :, 0])
-        np.add(folded, h, out=buf[0, :, 1])
+        folded = cur[h:h_prev].min(axis=0)
+        np.subtract(folded, h, out=buf[h, 0])
+        np.add(folded, h, out=buf[0, 1])
     counts = list(buf)
     for prev, row in zip(counts, counts[1:]):
         np.minimum(prev, row, out=row)
     np.add(buf, updown, out=buf)
 
-    # best[a2, p] is written into a padded buffer whose rows, read back with
-    # a row stride one element shorter, come out shifted right by a2
-    padded = np.empty((P, R, C + R), cur.dtype)
-    padded[:, :, :R] = big
+    # best[a2] is written into a padded buffer whose rows, read back with a
+    # row stride P elements shorter, come out shifted right by a2 volumes
+    padded = np.empty((R, C + R, P), cur.dtype)
+    padded[:, :R] = big
     if h < R - 1:
-        padded[:, h + 1 :, R:] = big
-    best = padded[:, : h + 1, R:].transpose(1, 0, 2)
-    np.minimum(buf[:, :, 0], buf[::-1, :, 1], out=best)
-    np.add(rows[h_prev], top, out=buf[:, :, 1])
-    np.minimum(best, buf[:, :, 1], out=best)
-    return padded.reshape(P, R * (C + R))[:, R:].reshape(P, R, C + R - 1)
+        padded[h + 1 :, R:] = big
+    best = padded[: h + 1, R:]
+    np.minimum(buf[:, 0], buf[::-1, 1], out=best)
+    np.add(cur[h_prev], top, out=buf[:, 1])
+    np.minimum(best, buf[:, 1], out=best)
+    return padded.reshape(-1)[R * P :].reshape(R, C + R - 1, P)
 
 
 def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
@@ -406,26 +417,26 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
 
     ``pins[p]`` lists the counts the first column of run p may hold, and
     every run must reach volume k; the runs go through every
-    ``_column_step`` together, one slice each of the leading state axis.
-    ``seam = (before, after)`` holds one row per run and adds
-    ``before[p, a]`` for the second to last column's count a and
-    ``after[p, a]`` for the last column's: the cyclic closure, whose cost
-    splits that way.  At n = 1 the wrap pair and the horizontal pair are the
-    same pair, so it is counted once.  Only volumes that can still reach k
-    are kept: after columns 0..ci, holding S sites, the window is
-    [k - (N - S), S] within [0, k], so the work is O(ncols n min(k, N - k))
-    per run.  The states are plain counts, int16, int32 or, on large
-    shapes, int64 (``_state_type``).
+    ``_column_step`` together, one slice each of the innermost state axis:
+    every state array is ``[count, volume, run]``.  ``seam = (before,
+    after)`` holds one row per run and adds ``before[p, a]`` for the second
+    to last column's count a and ``after[p, a]`` for the last column's: the
+    cyclic closure, whose cost splits that way.  At n = 1 the wrap pair and
+    the horizontal pair are the same pair, so it is counted once.  Only
+    volumes that can still reach k are kept: after columns 0..ci, holding S
+    sites, the window is [k - (N - S), S] within [0, k], so the work is
+    O(ncols n min(k, N - k)) per run.  The states are plain counts, int16,
+    int32 or, on large shapes, int64 (``_state_type``).
 
     Returns ``(totals, states)``: ``totals[p]`` is run p's least count, and
     ``states`` lists ``(lo, kept)`` per column: the states after that
-    column, window start lo, as the next step took them (the second to last
-    column's include ``seam[0]``) and, last, the final states with
-    ``seam[1]``.  They are kept in the smallest type that holds every
-    reachable count and every value a retrace compares with, int16 while
-    2N + 2n + 8 < 2^15, else int32: as views of the step buffers when the
-    pass runs in that type, else as copies of the windows saturated at its
-    maximum, which only unreachable states reach.
+    column, ``kept[a, v - lo, p]`` at count a and volume v, as the next
+    step took them (the second to last column's include ``seam[0]``) and,
+    last, the final states with ``seam[1]``.  They are kept in the smallest
+    type that holds every reachable count and every value a retrace
+    compares with, int16 while 2N + 2n + 8 < 2^15, else int32: as views of
+    the step buffers when the pass runs in that type, else as copies of the
+    windows saturated at its maximum, which only unreachable states reach.
     """
     N = sum(heights)
     dtype, big = _state_type(N, n)
@@ -444,40 +455,41 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
                           casting="unsafe")
 
     lo, hi = window(0)
-    cur = np.full((len(pins), n + 1, hi - lo + 1), big, dtype)
+    cur = np.full((n + 1, hi - lo + 1, len(pins)), big, dtype)
     for p, first in enumerate(pins):
         for a in first:
             if lo <= a <= hi:
-                cur[p, a, a - lo] = 0 < a < heights[0]
+                cur[a, a - lo, p] = 0 < a < heights[0]
 
     states = []
     for ci in range(1, len(heights)):
         if seam is not None and ci == len(heights) - 1:
-            cur = cur + seam[0][:, :, None].astype(dtype)
+            cur = cur + seam[0].T[:, None].astype(dtype)
         states.append((lo, kept(cur)))
         h_prev = heights[ci - 1]
         out = _column_step(cur, h_prev, terms[h_prev, heights[ci]], big)
         lo_next, hi = window(ci)
-        cur = out[:, :, lo_next - lo : hi - lo + 1]
+        cur = out[:, lo_next - lo : hi - lo + 1]
         lo = lo_next
     if seam is not None:
-        cur = cur + seam[1][:, :, None].astype(dtype)
+        cur = cur + seam[1].T[:, None].astype(dtype)
     # the last window is [k, k]
-    return cur[:, :, k - lo].min(axis=1), states + [(lo, kept(cur))]
+    return cur[:, k - lo].min(axis=0), states + [(lo, kept(cur))]
 
 
 def _backtrack(n: int, heights: tuple[int, ...], k: int, p: int, states: list,
                seam=None) -> tuple[int, list[int]]:
     """Run p's least total and its profile, traced back through ``states``.
 
-    ``states`` and ``seam`` are those of a pass of ``_column_dp``.  The
-    last count is the smallest a minimising the final states at volume k;
-    its value, less ``seam[1]`` if there is a seam, is the last step's
-    output.  Going back one column, from count a2, volume v and value
-    ``value``, the previous count is the smallest a1 <= h_prev whose state
-    at volume v - a2 (index v - a2 - lo in its window) has
+    ``states`` and ``seam`` are those of a pass of ``_column_dp``, each kept
+    array read at ``[count, volume - lo, p]``.  The last count is the
+    smallest a minimising the final states at volume k; its value, less
+    ``seam[1]`` if there is a seam, is the last step's output.  Going back
+    one column, from count a2, volume v and value ``value``, the previous
+    count is the smallest a1 <= h_prev whose state at volume v - a2 (index
+    v - a2 - lo in its window) has
 
-        state[p, a1] + cost(a1, a2) == value,
+        state[a1, v - a2 - lo, p] + cost(a1, a2) == value,
 
     ``cost`` as in ``_column_step``, with the wrap term only for n > 1; with
     a seam, the second to last column's states carry ``seam[0]``, which is
@@ -485,7 +497,7 @@ def _backtrack(n: int, heights: tuple[int, ...], k: int, p: int, states: list,
     ``AssertionError`` explicitly, so the check survives ``python -O``.
     """
     lo, final = states[-1]
-    last = final[p, :, k - lo].tolist()
+    last = final[:, k - lo, p].tolist()
     total = min(last)
     a = last.index(total)
     value = total - int(seam[1][p, a]) if seam is not None else total
@@ -497,7 +509,7 @@ def _backtrack(n: int, heights: tuple[int, ...], k: int, p: int, states: list,
         v -= a
         lo, kept = states[ci - 1]
         jump = 0 < a < h
-        for a1, s in enumerate(kept[p, : h_prev + 1, v - lo].tolist()):
+        for a1, s in enumerate(kept[: h_prev + 1, v - lo, p].tolist()):
             wrap = n > 1 and (a1 == h_prev) != (a >= 1)
             if s + abs(min(a1, h) - a) + wrap + jump == value:
                 break
@@ -507,6 +519,20 @@ def _backtrack(n: int, heights: tuple[int, ...], k: int, p: int, states: list,
         a = a1
     counts[0] = a
     return total, counts
+
+
+def _run_states(n: int, N: int, k: int) -> int:
+    """The states one run of ``_column_dp`` keeps over its pass, about:
+    ceil(N / n) columns of n + 1 counts by min(k, N - k) + n + 2 volumes
+    (the window and the step's shift).  Past ``DP_BUDGET`` it raises
+    ``SolverGuardError`` naming the count, before anything is built."""
+    states = -(-N // n) * (n + 1) * (min(k, N - k) + n + 2)
+    if states > DP_BUDGET:
+        raise SolverGuardError(
+            f"instance too large for the column DP: one run keeps about {states} states "
+            f"> {DP_BUDGET}"
+        )
+    return states
 
 
 def column_dp_min(n: int, L, k: int) -> SolveResult:
@@ -527,9 +553,12 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
     volume 39 with energy 1 exists.  The ``exact`` flag does not say so yet.
 
     n < 1 or L <= 0 is a ``ValueError``; a chain without sites (L n^2 < 1)
-    has the empty configuration, energy 0.
+    has the empty configuration, energy 0.  An instance whose run would keep
+    more than ``DP_BUDGET`` states is a ``SolverGuardError``, raised before
+    any column is built (``_run_states``).
     """
-    L, _, _ = _instance(n, L, k)
+    L, N, _ = _instance(n, L, k)
+    _run_states(n, N, k)
     heights = column_heights(n, L)
     if not heights:  # N = 0: the empty chain
         total, counts = 0, []
@@ -679,17 +708,20 @@ def _cyclic_dp(n: int, L, k: int) -> Optional[SolveResult]:
     column is partial).  The seam cost splits into a term in the second to
     last column's count and a term in the last column's count, so it enters
     as two vectors per pin.  One value pass runs every pin that can reach
-    volume k through ``_column_dp`` as one batch, in chunks of at most
-    about ``_PIN_BATCH`` states, one call per chunk.  The first chunk with
-    a strictly lower least total keeps its states, so the smallest pin with
-    the least total wins; ``_backtrack`` retraces that pin alone
-    from them.  Returns None for n = 1 or N <= 2n, where distance classes
-    collide.  The backtrack must retrace the value pass, and the result is
-    re-evaluated (``_checked``).
+    volume k through ``_column_dp`` as one batch, the pins on the innermost
+    state axis, in chunks of at most about ``_PIN_BATCH`` states kept over
+    the whole pass (``_run_states`` a pin, at least one pin a chunk), one
+    call per chunk.  The first chunk with a strictly lower least total
+    keeps its states, so the smallest pin with the least total wins;
+    ``_backtrack`` retraces that pin alone from them.  Returns None for
+    n = 1 or N <= 2n, where distance classes collide; a pin past
+    ``DP_BUDGET`` is a ``SolverGuardError``.  The backtrack must retrace
+    the value pass, and the result is re-evaluated (``_checked``).
     """
     L, N, _ = _instance(n, L, k, "periodic")
     if n < 2 or N <= 2 * n:  # distance classes collide; not worth special-casing
         return None
+    step = max(1, _PIN_BATCH // _run_states(n, N, k))
     heights = column_heights(n, L)
     lam = lambda_defect(n, L)
     pins = np.arange(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
@@ -705,7 +737,6 @@ def _cyclic_dp(n: int, L, k: int) -> Optional[SolveResult]:
         after = np.abs(a1 - counts)
     after += (a1 >= 1) != (counts == heights[-1])  # distance N-1 pair
 
-    step = max(1, _PIN_BATCH // ((n + 1) * (min(k, N - k) + n + 2)))
     best = None  # (total, run, states, seam) of the first chunk with the least total
     for i in range(0, len(pins), step):
         seam = before[i : i + step], after[i : i + step]

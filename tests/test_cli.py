@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,23 @@ class TestMainEntry:
         assert main(["minimize", "--n", "2", "--L", "1e400", "--k", "0"] + periodic) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "error: too many sites: N = floor(L n^2)" in captured.err
+
+    @pytest.mark.parametrize("periodic", [[], ["--periodic"]])
+    def test_dp_too_large_exit_code(self, capsys, periodic):
+        # N = 10^11 fits, but one column-DP run would keep about 1.9 * 10^12
+        # states, which ended in a MemoryError; the size guard refuses it
+        # before any column is built
+        tracemalloc.start()
+        try:
+            code = main(["minimize", "--n", "10", "--L", "1e9", "--k", "5"] + periodic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: instance too large for the column DP: one run keeps about "
+                "1870000000000 states" in captured.err)
 
     @pytest.mark.parametrize("volume", [[], ["--volume", "0"]])
     def test_huge_L_recover_exit_code(self, tmp_path, capsys, volume):

@@ -267,7 +267,7 @@ def tamper_first_state(monkeypatch, count, delta):
         lo, first = states[0]
         for p, counts in enumerate(pins):
             if count in counts:
-                first[p, count, count - lo] += delta
+                first[count, count - lo, p] += delta
         return totals, states
 
     monkeypatch.setattr(solve, "_column_dp", tampered)
@@ -317,6 +317,22 @@ class TestColumnDP:
         tamper_first_state(monkeypatch, column_dp_min(n, L, k).profile.counts[0], delta)
         with pytest.raises(AssertionError, match="^column DP backtrack must retrace"):
             column_dp_min(n, L, k)
+
+    def test_size_guard_at_the_budget(self, monkeypatch):
+        # one run of (9, 5/4, 50), N = 101, keeps 12 columns x 10 counts x
+        # (min(k, N - k) + n + 2) volumes by the guard's count: it runs at
+        # that budget, open and on the ring, and is refused one state below,
+        # before anything is built
+        states = 12 * 10 * (50 + 9 + 2)
+        monkeypatch.setattr(solve, "DP_BUDGET", states)
+        column_dp_min(9, F(5, 4), 50)
+        _cyclic_dp(9, F(5, 4), 50)
+        monkeypatch.setattr(solve, "DP_BUDGET", states - 1)
+        monkeypatch.setattr(solve, "column_heights", None)  # a call would raise TypeError
+        message = f"^instance too large for the column DP: one run keeps about {states} states"
+        for solver in (column_dp_min, _cyclic_dp):
+            with pytest.raises(SolverGuardError, match=message):
+                solver(9, F(5, 4), 50)
 
     def test_profile_reevaluates(self):
         rng = random.Random(8)
@@ -597,6 +613,42 @@ class TestColumnStepInt32(TestColumnStepAgainstDense):
     @pytest.fixture(autouse=True)
     def kept_copies(self, monkeypatch):
         yield from saturated_copies(monkeypatch)
+
+
+class TestColumnStepFormula:
+    @given(st.data())
+    def test_matches_the_documented_formula(self, data):
+        # _column_step against its docstring, evaluated directly in O(n^2 C):
+        # out[a2, c, p] = min over a1 <= h_prev of cur[a1, c - a2, p] + cost(a1, a2),
+        # big where no a1 contributes (a2 > h, or c - a2 outside the window)
+        n = data.draw(st.integers(1, 6), label="n")
+        h_prev = data.draw(st.integers(1, n), label="h_prev")
+        h = data.draw(st.integers(1, h_prev), label="h")  # h < h_prev: a partial column
+        C = data.draw(st.integers(1, 6), label="C")
+        P = data.draw(st.integers(1, 5), label="P")
+        wrap = data.draw(st.booleans(), label="wrap")
+        dtype, big = data.draw(st.sampled_from(
+            [(np.int16, 1 << 13), (np.int32, 1 << 29), (np.int64, solve._INF)]), label="dtype")
+        R = n + 1
+        cells = st.one_of(st.integers(0, 3 * n), st.just(big))  # some states unreachable
+        cur = np.array(data.draw(st.lists(cells, min_size=R * C * P, max_size=R * C * P)),
+                       dtype).reshape(R, C, P)
+        cur[h_prev + 1 :] = big  # rows above h_prev are unreachable
+
+        def cost(a1, a2):
+            return (abs(min(a1, h) - a2) + (wrap and (a1 == h_prev) != (a2 >= 1))
+                    + (0 < a2 < h))
+
+        want = np.full((R, C + R - 1, P), big, np.int64)
+        for a2 in range(h + 1):
+            for c in range(a2, a2 + C):
+                for p in range(P):
+                    want[a2, c, p] = min(int(cur[a1, c - a2, p]) + cost(a1, a2)
+                                         for a1 in range(h_prev + 1))
+        terms = solve._step_terms(h_prev, h, wrap, np.dtype(dtype))
+        out = solve._column_step(cur, h_prev, terms, big)
+        assert out.dtype == dtype and out.shape == want.shape
+        assert np.array_equal(out, want)
 
 
 class TestStepTermsCache:
@@ -1033,6 +1085,19 @@ def reference_cyclic_dp(n, L, k):
     return F(total, n), tuple(best_counts)
 
 
+def column_dp_calls(monkeypatch):
+    """Spy on ``_column_dp``; returns the list of each call's pin count."""
+    calls = []
+    column_dp = solve._column_dp
+
+    def spy(n, heights, k, pins, seam=None):
+        calls.append(len(pins))
+        return column_dp(n, heights, k, pins, seam)
+
+    monkeypatch.setattr(solve, "_column_dp", spy)
+    return calls
+
+
 class TestBatchedCyclicDP:
     @pytest.mark.parametrize("n", range(3, 17))
     def test_values_and_profiles(self, n, monkeypatch):
@@ -1065,24 +1130,40 @@ class TestBatchedCyclicDP:
             assert (res.value, res.profile.counts) == reference_cyclic_dp(n, L, k), k
 
     @pytest.mark.parametrize("n,L,k,batch,chunks", [
-        (6, F(5, 4), 22, None, 1), (6, F(5, 4), 22, 1, 7), (16, F(3), 384, None, 5),
+        (6, F(5, 4), 22, None, 1), (6, F(5, 4), 22, 1, 7), (16, F(3), 384, None, 3),
     ])
     def test_one_value_pass(self, n, L, k, batch, chunks, monkeypatch):
         # one _column_dp call per chunk of pins: the winning pin's profile
         # comes from the value pass's own states
-        calls = []
-        column_dp = solve._column_dp
-
-        def spy(n, heights, k, pins, seam=None):
-            calls.append(len(pins))
-            return column_dp(n, heights, k, pins, seam)
-
-        monkeypatch.setattr(solve, "_column_dp", spy)
+        calls = column_dp_calls(monkeypatch)
         if batch is not None:
             monkeypatch.setattr(solve, "_PIN_BATCH", batch)
         _cyclic_dp(n, L, k)
         assert len(calls) == chunks
         assert sum(calls) == n + 1  # first-column counts 0..n
+
+    def test_dp_anchor_runs_one_call(self, monkeypatch):
+        # the benchmark's `--method dp` ring: all 17 first-column counts in
+        # one _column_dp call
+        calls = column_dp_calls(monkeypatch)
+        res = minimize(16, F(7, 5), 179, "periodic", "dp")
+        assert calls == [17]
+        assert (res.method, res.exact) == ("ColumnDP", False)
+
+    @pytest.mark.parametrize("L", [F(5, 4), F(7, 5), F(3, 2)])
+    def test_chunks_by_whole_pass_states(self, L, monkeypatch):
+        # chunks are sized by the states a pin keeps over the whole pass:
+        # rings of n = 6..16 at half volume, the most states a pin, run
+        # every pin in one call; n = 40 keeps one pin a chunk
+        calls = column_dp_calls(monkeypatch)
+        for n in range(6, 17):
+            N = site_count(n, L)
+            _cyclic_dp(n, L, N // 2)
+            assert calls == [n + 1], n
+            calls.clear()
+        if L == F(5, 4):
+            _cyclic_dp(40, L, 1000)
+            assert calls == [1] * 41
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_tampered_state_raises(self, delta, monkeypatch):
@@ -1353,7 +1434,7 @@ for solver in (_cyclic_dp, column_dp_min):
         lo, first = states[0]
         for p, counts in enumerate(pins):
             if count in counts:
-                first[p, count, count - lo] += 1
+                first[count, count - lo, p] += 1
         return totals, states
 
     spinchain.solve._column_dp = tampered
