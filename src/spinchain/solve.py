@@ -56,7 +56,8 @@ contiguous (volume, run) blocks whatever the number of runs.  The pins go
 in chunks of about ``_PIN_BATCH`` states kept over the whole pass, so a
 ring of n <= 16 and L <= 3/2 runs every pin in one pass.  A run that
 would keep more than ``DP_BUDGET`` states (``_run_states``) is refused
-with ``SolverGuardError`` before any column is built.
+with ``SolverGuardError`` before any column is built.  Once a full column
+step gives back its input states, the later full columns are views.
 
 Both DPs backtrack the same way (``_backtrack``).  The value pass keeps
 each step's input states and the retrace recomputes, column by column, the
@@ -264,7 +265,8 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
     """Exhaustive exact minimum over all volume-k configurations.
 
     ``boundary`` is "open" or "periodic"; a ring needs at least two sites.
-    k in {0, N} is the constant configuration at any N, with energy 0.
+    Past ``DP_BUDGET`` sites it is refused before any configuration is
+    built.  k in {0, N} is the constant configuration, with energy 0.
     Otherwise, for N <= 28 the split-cut sweep (``_split_sweep``) counts
     every one of the 2^N masks once per shape (n, L, boundary), for all
     volumes, and is cached; ``config`` is the minimizer with the smallest
@@ -274,6 +276,8 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
     Every result is re-evaluated for its energy and volume (``_checked``).
     """
     L, N, periodic = _instance(n, L, k, boundary)
+    if N > DP_BUDGET:
+        raise SolverGuardError(f"instance too large for brute force: N={N} > {DP_BUDGET} sites")
     if k in (0, N):
         cfg = SpinConfig(n, L, (int(k > 0),) * N)
         return _checked(cfg, 0, k, periodic, "BruteForce", True)
@@ -410,6 +414,13 @@ def _column_step(cur: np.ndarray, h_prev: int, terms, big: int) -> np.ndarray:
     return padded.reshape(-1)[R * P :].reshape(R, C + R - 1, P)
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two state arrays are equal; their first and last volumes,
+    compared first as bytes, settle most unequal pairs cheaply."""
+    return (a[:, 0].tobytes() == b[:, 0].tobytes() and a[:, -1].tobytes() == b[:, -1].tobytes()
+            and np.array_equal(a, b))
+
+
 def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
                seam=None) -> tuple[np.ndarray, list]:
     """Least mismatch counts over prefix profiles of volume k, one per run,
@@ -437,6 +448,12 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
     compares with, int16 while 2N + 2n + 8 < 2^15, else int32: as views of
     the step buffers when the pass runs in that type, else as copies of the
     windows saturated at its maximum, which only unreachable states reach.
+
+    Fixed point: a full step without seam reads volumes v - n .. v for v.
+    Once one, with two more ahead, outputs its input aligned by volume
+    (both windows end at k) or by empty sites (both start at k - (N - S)),
+    each later one reads only the states just found equal, or none on both
+    sides, so those columns are views of that array and run no step.
     """
     N = sum(heights)
     dtype, big = _state_type(N, n)
@@ -461,20 +478,37 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
             if lo <= a <= hi:
                 cur[a, a - lo, p] = 0 < a < heights[0]
 
-    states = []
+    # the last plain full -> full step: no partial column, no seam added
+    last = len(heights) - 1 - (seam is not None or heights[-1] < n)
+    states, kcur, fixed = [], kept(cur), None
     for ci in range(1, len(heights)):
         if seam is not None and ci == len(heights) - 1:
             cur = cur + seam[0].T[:, None].astype(dtype)
-        states.append((lo, kept(cur)))
-        h_prev = heights[ci - 1]
-        out = _column_step(cur, h_prev, terms[h_prev, heights[ci]], big)
-        lo_next, hi = window(ci)
-        cur = out[:, lo_next - lo : hi - lo + 1]
-        lo = lo_next
+            kcur = kept(cur)
+        states.append((lo, kcur))
+        lo_next, hi_next = window(ci)
+        if fixed is not None and ci <= last:  # past the fixed point: views, no step
+            ref_lo, ref, kref = fixed
+            s = 0 if ref_lo is None else lo_next - ref_lo
+            part = slice(s, s + hi_next - lo_next + 1)
+            cur, kcur = ref[:, part], kref[:, part]
+        else:
+            h_prev = heights[ci - 1]
+            out = _column_step(cur, h_prev, terms[h_prev, heights[ci]], big)
+            nxt = out[:, lo_next - lo : hi_next - lo + 1]
+            kcur = kept(nxt)
+            if ci + 2 <= last:
+                if hi == k and _same(nxt, cur[:, lo_next - lo :]):
+                    fixed = lo_next, nxt, kcur  # volume-aligned
+                elif lo_next == lo + n and _same(nxt, cur[:, : nxt.shape[1]]):
+                    fixed = None, nxt, kcur  # hole-aligned
+            cur = nxt
+        lo, hi = lo_next, hi_next
     if seam is not None:
         cur = cur + seam[1].T[:, None].astype(dtype)
+        kcur = kept(cur)
     # the last window is [k, k]
-    return cur[:, k - lo].min(axis=0), states + [(lo, kept(cur))]
+    return cur[:, k - lo].min(axis=0), states + [(lo, kcur)]
 
 
 def _backtrack(n: int, heights: tuple[int, ...], k: int, p: int, states: list,

@@ -324,6 +324,27 @@ class TestMainEntry:
         assert ("error: instance too large for the column DP: one run keeps about "
                 "1870000000000 states" in captured.err)
 
+    @pytest.mark.parametrize("argv", [
+        ["--k", "0", "--periodic"], ["--k", "100000000000", "--periodic"],
+        ["--k", "0", "--method", "brute"], ["--k", "5", "--method", "brute"],
+        ["--k", "0", "--periodic", "--method", "brute"],
+    ])
+    def test_brute_too_large_exit_code(self, capsys, argv):
+        # N = 10^11: a ring's trivial volumes and --method brute went to
+        # brute force, which built the constant configuration of N sites and
+        # ended in a MemoryError; it refuses N past DP_BUDGET before that
+        tracemalloc.start()
+        try:
+            code = main(["minimize", "--n", "10", "--L", "1e9"] + argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: instance too large for brute force: N=100000000000 > 268435456 sites"
+                in captured.err)
+
     @pytest.mark.parametrize("volume", [[], ["--volume", "0"]])
     def test_huge_L_recover_exit_code(self, tmp_path, capsys, volume):
         # a target with N past sys.maxsize: without a volume this ended in an

@@ -556,12 +556,20 @@ def kept_states(monkeypatch):
     return kept
 
 
+def copies_or_their_views(kept):
+    """Whether each kept state is a copy or a view of a kept copy, never a
+    view of a step buffer."""
+    copies = {id(s) for s in kept if s.base is None}
+    return all(s.base is None or id(s.base) in copies for s in kept)
+
+
 def saturated_copies(monkeypatch):
-    """Every state ``_column_dp`` keeps across the test must be an int16
-    copy, the saturated one kept when the pass runs wider."""
+    """Every state ``_column_dp`` keeps across the test must be int16 and a
+    copy, the saturated one kept when the pass runs wider, or a view of one
+    (the columns past the fixed point share one copy)."""
     kept = kept_states(monkeypatch)
     yield
-    assert kept and all(s.dtype == np.int16 and s.base is None for s in kept)
+    assert kept and all(s.dtype == np.int16 for s in kept) and copies_or_their_views(kept)
 
 
 class TestColumnStepInt64(TestColumnStepAgainstDense):
@@ -651,6 +659,100 @@ class TestColumnStepFormula:
         assert np.array_equal(out, want)
 
 
+def reference_column_dp(n, heights, k, pins, seam=None):
+    """``_column_dp`` as a plain loop that runs ``_column_step`` for every
+    column: the same windows, state types and kept states, no fast-forward."""
+    N = sum(heights)
+    dtype, big = solve._state_type(N, n)
+    keep = np.int16 if 2 * N + 2 * n + 8 < 1 << 15 else np.int32
+    ends = np.cumsum(heights)
+
+    def window(ci):
+        return max(0, k - (N - int(ends[ci]))), min(k, int(ends[ci]))
+
+    def kept(cur):
+        return np.minimum(cur, np.iinfo(keep).max).astype(keep)
+
+    lo, hi = window(0)
+    cur = np.full((n + 1, hi - lo + 1, len(pins)), big, dtype)
+    for p, first in enumerate(pins):
+        for a in first:
+            if lo <= a <= hi:
+                cur[a, a - lo, p] = 0 < a < heights[0]
+    states = []
+    for ci in range(1, len(heights)):
+        if seam is not None and ci == len(heights) - 1:
+            cur = cur + seam[0].T[:, None].astype(dtype)
+        states.append((lo, kept(cur)))
+        h_prev = heights[ci - 1]
+        terms = solve._step_terms(h_prev, heights[ci], n > 1, np.dtype(dtype))
+        out = solve._column_step(cur, h_prev, terms, big)
+        lo_next, hi = window(ci)
+        cur, lo = out[:, lo_next - lo : hi - lo + 1], lo_next
+    if seam is not None:
+        cur = cur + seam[1].T[:, None].astype(dtype)
+    return cur[:, k - lo].min(axis=0), states + [(lo, kept(cur))]
+
+
+def column_step_calls(monkeypatch):
+    """Spy on ``_column_step``; returns the list its calls' h_prev go into."""
+    calls = []
+    column_step = solve._column_step
+
+    def spy(cur, h_prev, terms, big):
+        calls.append(h_prev)
+        return column_step(cur, h_prev, terms, big)
+
+    monkeypatch.setattr(solve, "_column_step", spy)
+    return calls
+
+
+class TestFixedPoint:
+    @given(st.data())
+    def test_matches_every_step(self, data):
+        # the fast-forward against the plain loop: totals and every kept
+        # state (window start, dtype, values), open runs and pinned runs with
+        # the cyclic seam, partial last columns included
+        n = data.draw(st.integers(2, 12), label="n")
+        L = data.draw(st.sampled_from([F(1), F(5, 4), F(3, 2), F(3)]), label="L")
+        heights = column_heights(n, L)
+        N = sum(heights)
+        k = data.draw(st.integers(0, N), label="k")
+        first = range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
+        seam = None
+        if N > 2 * n and data.draw(st.booleans(), label="seam"):  # where the cyclic DP runs
+            chosen = data.draw(st.lists(st.sampled_from(first), min_size=1, max_size=4,
+                                        unique=True), label="pins")
+            pins = [(a,) for a in chosen]
+            seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a in chosen))))
+        else:
+            pins = [first]
+        totals, states = solve._column_dp(n, heights, k, pins, seam)
+        want_totals, want_states = reference_column_dp(n, heights, k, pins, seam)
+        assert np.array_equal(totals, want_totals)
+        assert len(states) == len(want_states) == len(heights)
+        for (lo, got), (want_lo, want) in zip(states, want_states):
+            assert lo == want_lo and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("solver,args,steps,most", [
+        (column_dp_min, (30, F(3, 2), 600), 44, 30),
+        (_cyclic_dp, (10, F(3), 100), 29, 16),
+    ])
+    def test_later_full_columns_are_views(self, solver, args, steps, most, monkeypatch):
+        # past the fixed point no full column runs a step: the open chain
+        # (45 columns) and the ring (30 columns, two seam steps) run at most
+        # `most` of their `steps` column steps, with the plain loop's result
+        calls = column_step_calls(monkeypatch)
+        res = solver(*args)
+        assert len(calls) <= most
+        monkeypatch.setattr(solve, "_column_dp", reference_column_dp)
+        calls.clear()
+        want = solver(*args)
+        assert len(calls) == steps
+        assert (res.value, res.profile) == (want.value, want.profile)
+
+
 class TestStepTermsCache:
     @pytest.mark.parametrize("args", [(5, 3, True, np.dtype(np.int16)),
                                       (6, 6, True, np.dtype(np.int32)),
@@ -701,9 +803,9 @@ class TestStateType:
     @pytest.mark.parametrize("n", [80, 1000])
     def test_kept_states_int16_up_to_the_bound(self, n, monkeypatch):
         # the last N with 2N + 2n + 8 < 2^15 keeps saturated int16 copies of
-        # its int32 states, the first N past it the int32 states themselves;
-        # three ones at the bottom of the first column cost one jump and
-        # three horizontal pairs
+        # its int32 states (or views of such a copy), the first N past it
+        # views of the int32 step buffers; three ones at the bottom of the
+        # first column cost one jump and three horizontal pairs
         last = (1 << 14) - n - 5
         kept = kept_states(monkeypatch)
         for N, dtype, copied in ((last, np.int16, True), (last + 1, np.int32, False)):
@@ -711,16 +813,19 @@ class TestStateType:
             res = column_dp_min(n, F(N, n * n), 3)
             assert res.value == F(4, n) and res.profile.counts[0] == 3
             assert {s.dtype for s in kept} == {np.dtype(dtype)}
-            assert all((s.base is None) == copied for s in kept[1:])  # kept[0] is np.full's
+            if copied:
+                assert copies_or_their_views(kept)
+            else:
+                assert all(s.base is not None for s in kept[1:])  # kept[0] is np.full's
             kept.clear()
 
     def test_open_anchor_keeps_int16_copies(self, monkeypatch):
-        # n = 80, N = 6400: int32 states, kept as saturated int16 copies;
-        # value and profile as the encoded parents gave them
+        # n = 80, N = 6400: int32 states, kept as saturated int16 copies or
+        # views of one; value and profile as the encoded parents gave them
         kept = kept_states(monkeypatch)
         res = column_dp_min(80, 1, 3200)
         assert solve._state_type(6400, 80)[0] is np.int32
-        assert kept and all(s.dtype == np.int16 and s.base is None for s in kept)
+        assert kept and all(s.dtype == np.int16 for s in kept) and copies_or_their_views(kept)
         assert res.value == F(81, 80)
         assert res.profile.counts == (80,) * 40 + (0,) * 40
 
