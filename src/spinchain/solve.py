@@ -12,7 +12,7 @@ chain goes to ``column_dp_min`` and a periodic one to ``periodic_min``;
   transfer matrix (``_transfer_min``) while it fits ``TRANSFER_BUDGET``.
 * ``column_dp_min``     open-chain minimum over prefix profiles by dynamic
   programming over per-column occupation counts, each column filled
-  bottom-up.
+  bottom-up; exact only at k in {0, N}, where one configuration exists.
 * ``periodic_min``      the ring, routed by size: a transfer-matrix search
   over all configurations (``_transfer_min``, exact) while 0 < k < N and
   4^n N (min(k, N - k) + 1) fits ``TRANSFER_BUDGET``; else brute force
@@ -46,9 +46,9 @@ minima are a loop over counts, one elementwise ``np.minimum`` per count
 doing both directions at once, because numpy's cumulative minimum (the
 ``accumulate`` method of ``np.minimum``) costs 3 to 5 ns per element
 whatever the axis or dtype, and a row of ``np.minimum`` 0.3 to 0.6 ns
-(81 x 3200 states).  Every search state is a plain mismatch count in one
-of three tiers (``_state_type``): int16 while (4N + 4n + 8) * 4 < 2^15,
-int32 while it is < 2^31, int64 past that.  The cyclic DP runs its pinned
+(81 x 3200 states).  Every search state is a plain mismatch count, int16
+for n up to 3275 whatever N, else int32 (``_state_type``): a least count
+never needs more than O(n) mismatches.  The cyclic DP runs its pinned
 first-column counts through that core as one batch.  Every state array is
 ``[count, volume, run]``, run innermost, as the transfer matrix's are
 window-major, so each elementwise operation of a step walks h + 1
@@ -63,11 +63,9 @@ Both DPs backtrack the same way (``_backtrack``).  The value pass keeps
 each step's input states and the retrace recomputes, column by column, the
 smallest count whose state plus ``_column_step``'s cost gives the value
 passed back, so the DP runs once and its states are never encoded.  The
-kept states are int16 while 2N + 2n + 8 < 2^15, else int32: views of the
-step buffers when the pass runs in that type, else saturated copies of
-their windows.  The open DP keeps every step of its one run, 2 bytes a
-state up to N of about 16000; the cyclic DP keeps those of the chunk of
-pins with the least total and retraces its winning pin alone.
+kept states are the pass's own arrays, mostly views of its step buffers.
+The open DP keeps every step of its one run; the cyclic DP keeps those of the
+chunk of pins with the least total and retraces its winning pin alone.
 
 The DP searches prefix profiles only: within each column the occupied
 sites form a bottom prefix.  Moving every column's sites to the bottom
@@ -121,7 +119,6 @@ TRANSFER_BUDGET = 1 << 23  # state updates of one transfer-matrix search (``_tra
 DP_BUDGET = 1 << 28  # states one column-DP run keeps over its pass (``_run_states``)
 _PIN_BATCH = 1 << 21  # states a chunk of cyclic-DP pins keeps over its whole pass, to backtrack
 _BLOCK = 1 << 20  # masks per broadcast add of the brute-force sweep
-_INF = 1 << 30
 
 
 class SolverGuardError(ValueError):
@@ -265,8 +262,10 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
     """Exhaustive exact minimum over all volume-k configurations.
 
     ``boundary`` is "open" or "periodic"; a ring needs at least two sites.
-    Past ``DP_BUDGET`` sites it is refused before any configuration is
-    built.  k in {0, N} is the constant configuration, with energy 0.
+    An instance past the column DP's own guard (``_run_states``) is refused
+    before any configuration is built, so no request holds more sites than
+    a column DP may.  k in {0, N} is the constant configuration, with
+    energy 0.
     Otherwise, for N <= 28 the split-cut sweep (``_split_sweep``) counts
     every one of the 2^N masks once per shape (n, L, boundary), for all
     volumes, and is cached; ``config`` is the minimizer with the smallest
@@ -276,10 +275,9 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
     Every result is re-evaluated for its energy and volume (``_checked``).
     """
     L, N, periodic = _instance(n, L, k, boundary)
-    if N > DP_BUDGET:
-        raise SolverGuardError(f"instance too large for brute force: N={N} > {DP_BUDGET} sites")
+    _run_states(n, N, k, "brute force past the column DP's guard")
     if k in (0, N):
-        cfg = SpinConfig(n, L, (int(k > 0),) * N)
+        cfg = SpinConfig._trusted(n, L, (int(k > 0),) * N)
         return _checked(cfg, 0, k, periodic, "BruteForce", True)
     if N > FULL_SWEEP_MAX_N:
         if not _transfer_fits(n, N, k, periodic):
@@ -298,22 +296,37 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
 
 
 def _state_type(N: int, n: int) -> tuple[type, int]:
-    """The state dtype of a search over N sites and its sentinel ``inf``.
+    """The state dtype of a search over N sites with n rows, and its sentinel:
+    ``inf = min(5n + 8, 2N + 1)``, int16 while inf + 5n + 6 < 2^15, else int32.
 
-    Unreachable states start at ``inf``.  A reachable state counts at most
-    2N pairs, seam included, so it stays below 2N + 1.  An unreachable one
-    rises by at most n + 2 a column step, about 3N over all steps; the
-    cyclic seam adds at most 2n + 1 and a step's sums 2n + 2 more.  With
-    inf = 2^(b-2) every value then stays below 2^(b-2) + 4N + 4n + 8, which
-    is under 2^(b-1) while (4N + 4n + 8) * 4 < 2^b.  Three tiers, the
-    smallest that holds: int16 (b = 15), int32 (b = 31), else int64 with
-    ``inf = _INF``.  The transfer matrix (``_transfer_pass``) stays inside
-    the same bound on its own terms.
+    Every state is a least mismatch count, and unreachable ones start at inf.
+
+    Reachable states are below inf.  A state counts distinct pairs of sites,
+    at most 2N.  A column-DP state (a, v) after column c, reached by some
+    profile with first count a0, is also reached by the profile that keeps
+    a0, fills the columns between in order (full ones, one partial, then
+    empty ones) and ends at a: the first column costs at most 1, the steps
+    into and out of the filled columns n + 2 each and the filled columns
+    n + 1, so 3n + 6.  The ring's seam adds at most n before the last step
+    and n + 1 after it: 5n + 7.  A transfer-matrix state is reached likewise
+    by its first window, a block of ones then zeros, and its last window:
+    at most 2n + 1 distance-1 and 3n distance-n pairs.
+
+    Unreachable states are at least inf and at most inf + 3n + 3.  In the
+    column DP count 0 after count 0 costs nothing, so an unreachable (0, v)
+    is at most its input or the padding, inf; count a after count 0 costs at
+    most a + 2, and the seams add at most 2n + 1.  In the transfer matrix the
+    predecessor whose oldest bit is 0 costs at most 2 a site, and window 0
+    after window 0 nothing, so n sites shift any window out at most 2n
+    above inf.  A step's values lie in [-n, m + n + 3] for inputs up to m,
+    and a column step's inputs are at most inf + 2n + 2, seam included.
+
+    So every value lies in [-n, inf + 5n + 6): int16 holds it at every N
+    for n <= 3275, and int32 for n < 2^27, past every instance that
+    ``DP_BUDGET`` (n <= 16382) and ``TRANSFER_BUDGET`` admit.
     """
-    for dtype, bits in ((np.int16, 15), (np.int32, 31)):
-        if (4 * N + 4 * n + 8) * 4 < 1 << bits:
-            return dtype, 1 << (bits - 2)
-    return np.int64, _INF
+    inf = min(5 * n + 8, 2 * N + 1)
+    return (np.int16 if inf + 5 * n + 6 < 1 << 15 else np.int32), inf
 
 
 @lru_cache(maxsize=512)
@@ -436,18 +449,16 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
     the horizontal pair are the same pair, so it is counted once.  Only
     volumes that can still reach k are kept: after columns 0..ci, holding S
     sites, the window is [k - (N - S), S] within [0, k], so the work is
-    O(ncols n min(k, N - k)) per run.  The states are plain counts, int16,
-    int32 or, on large shapes, int64 (``_state_type``).
+    O(ncols n min(k, N - k)) per run.  The states are plain counts in the
+    dtype of ``_state_type``, int16 for n up to 3275.
 
     Returns ``(totals, states)``: ``totals[p]`` is run p's least count, and
     ``states`` lists ``(lo, kept)`` per column: the states after that
     column, ``kept[a, v - lo, p]`` at count a and volume v, as the next
     step took them (the second to last column's include ``seam[0]``) and,
-    last, the final states with ``seam[1]``.  They are kept in the smallest
-    type that holds every reachable count and every value a retrace
-    compares with, int16 while 2N + 2n + 8 < 2^15, else int32: as views of
-    the step buffers when the pass runs in that type, else as copies of the
-    windows saturated at its maximum, which only unreachable states reach.
+    last, the final states with ``seam[1]``.  Each is an array the pass
+    computed, in its dtype, most of them views of its step buffers; none is
+    copied for keeping.
 
     Fixed point: a full step without seam reads volumes v - n .. v for v.
     Once one, with two more ahead, outputs its input aligned by volume
@@ -457,19 +468,12 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
     """
     N = sum(heights)
     dtype, big = _state_type(N, n)
-    keep = np.int16 if 2 * N + 2 * n + 8 < 1 << 15 else np.int32
     terms = {(hp, h): _step_terms(hp, h, n > 1, np.dtype(dtype))
              for hp, h in set(zip(heights, heights[1:]))}
     ends = np.cumsum(heights)
 
     def window(ci):
         return max(0, k - (N - int(ends[ci]))), min(k, int(ends[ci]))
-
-    def kept(cur):
-        if cur.dtype == keep:
-            return cur
-        return np.minimum(cur, np.iinfo(keep).max, out=np.empty(cur.shape, keep),
-                          casting="unsafe")
 
     lo, hi = window(0)
     cur = np.full((n + 1, hi - lo + 1, len(pins)), big, dtype)
@@ -480,35 +484,31 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
 
     # the last plain full -> full step: no partial column, no seam added
     last = len(heights) - 1 - (seam is not None or heights[-1] < n)
-    states, kcur, fixed = [], kept(cur), None
+    states, fixed = [], None
     for ci in range(1, len(heights)):
         if seam is not None and ci == len(heights) - 1:
             cur = cur + seam[0].T[:, None].astype(dtype)
-            kcur = kept(cur)
-        states.append((lo, kcur))
+        states.append((lo, cur))
         lo_next, hi_next = window(ci)
         if fixed is not None and ci <= last:  # past the fixed point: views, no step
-            ref_lo, ref, kref = fixed
+            ref_lo, ref = fixed
             s = 0 if ref_lo is None else lo_next - ref_lo
-            part = slice(s, s + hi_next - lo_next + 1)
-            cur, kcur = ref[:, part], kref[:, part]
+            cur = ref[:, s : s + hi_next - lo_next + 1]
         else:
             h_prev = heights[ci - 1]
             out = _column_step(cur, h_prev, terms[h_prev, heights[ci]], big)
             nxt = out[:, lo_next - lo : hi_next - lo + 1]
-            kcur = kept(nxt)
             if ci + 2 <= last:
                 if hi == k and _same(nxt, cur[:, lo_next - lo :]):
-                    fixed = lo_next, nxt, kcur  # volume-aligned
+                    fixed = lo_next, nxt  # volume-aligned
                 elif lo_next == lo + n and _same(nxt, cur[:, : nxt.shape[1]]):
-                    fixed = None, nxt, kcur  # hole-aligned
+                    fixed = None, nxt  # hole-aligned
             cur = nxt
         lo, hi = lo_next, hi_next
     if seam is not None:
         cur = cur + seam[1].T[:, None].astype(dtype)
-        kcur = kept(cur)
     # the last window is [k, k]
-    return cur[:, k - lo].min(axis=0), states + [(lo, kcur)]
+    return cur[:, k - lo].min(axis=0), states + [(lo, cur)]
 
 
 def _backtrack(n: int, heights: tuple[int, ...], k: int, p: int, states: list,
@@ -555,15 +555,16 @@ def _backtrack(n: int, heights: tuple[int, ...], k: int, p: int, states: list,
     return total, counts
 
 
-def _run_states(n: int, N: int, k: int) -> int:
+def _run_states(n: int, N: int, k: int, solver: str = "the column DP") -> int:
     """The states one run of ``_column_dp`` keeps over its pass, about:
     ceil(N / n) columns of n + 1 counts by min(k, N - k) + n + 2 volumes
     (the window and the step's shift).  Past ``DP_BUDGET`` it raises
-    ``SolverGuardError`` naming the count, before anything is built."""
+    ``SolverGuardError`` naming ``solver`` and the count, before anything
+    is built."""
     states = -(-N // n) * (n + 1) * (min(k, N - k) + n + 2)
     if states > DP_BUDGET:
         raise SolverGuardError(
-            f"instance too large for the column DP: one run keeps about {states} states "
+            f"instance too large for {solver}: one run keeps about {states} states "
             f"> {DP_BUDGET}"
         )
     return states
@@ -577,14 +578,15 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
     volume used); each column step is an L1 distance transform over the
     count axis, vectorised over the volume axis (``_column_step``), so the
     DP costs O(ncols n k) time and memory: one value pass that keeps every
-    column's states, int16 up to N of about 16000, and one retrace of the
+    column's states, int16 for n up to 3275, and one retrace of the
     profile from them (``_backtrack``).  The first column contributes its
     own internal jump.  Ties break toward the smaller count, then the
     smaller column index, so the returned profile is deterministic.
 
     Prefix profiles do not always contain an open minimizer: at
     (n, L, k) = (6, 5/4, 39) this returns 7/6, while a configuration of
-    volume 39 with energy 1 exists.  The ``exact`` flag does not say so yet.
+    volume 39 with energy 1 exists.  So the result is labelled exact only
+    at k in {0, N}, where the constant configuration is the only one.
 
     n < 1 or L <= 0 is a ``ValueError``; a chain without sites (L n^2 < 1)
     has the empty configuration, energy 0.  An instance whose run would keep
@@ -600,7 +602,7 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
         _, states = _column_dp(n, heights, k, [range(min(heights[0], k) + 1)])
         total, counts = _backtrack(n, heights, k, 0, states)
     profile = ColumnProfile(n, heights, tuple(counts))
-    return _checked(profile_to_config(profile, L), total, k, False, "ColumnDP", True,
+    return _checked(profile_to_config(profile, L), total, k, False, "ColumnDP", k in (0, N),
                     profile=profile)
 
 
@@ -634,11 +636,10 @@ def _transfer_pass(n: int, N: int, k: int, start: np.ndarray, choices: list) -> 
     ring's P = 2^(n-2) + 1 pinned runs.
 
     The states are plain counts in the dtype of ``_state_type(N, n)``,
-    int16 up to about N = 2000, and unreachable ones start at its ``inf``.
-    That bound holds here on its own terms: a reachable count is at most
-    2N, plus a ring seam of at most n + 1, so it stays below inf; an
-    unreachable state rises by at most 2 per site, so with the seam every
-    value stays below inf + 2N + n + 1, inside the dtype.
+    int16 at every n the guard admits, and unreachable ones start at its
+    ``inf``.  Its proof covers this pass: a reachable state is at most
+    5n + 1, below inf, and an unreachable one at most inf + 2n, so the
+    ring's seam, at most n + 1, keeps every total inside the dtype.
     """
     W, half, quarter = 1 << n, 1 << (n - 1), 1 << (n - 2)
     dtype, inf = _state_type(N, n)
@@ -767,7 +768,7 @@ def _cyclic_dp(n: int, L, k: int) -> Optional[SolveResult]:
         before = np.abs(np.minimum(a1, n - lam) - np.clip(counts - lam, 0, n - lam))
         after = np.abs(np.maximum(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
     else:
-        before = np.zeros((len(pins), n + 1), np.int64)
+        before = np.zeros((len(pins), n + 1), int)
         after = np.abs(a1 - counts)
     after += (a1 >= 1) != (counts == heights[-1])  # distance N-1 pair
 

@@ -72,7 +72,7 @@ class TestSweep:
         assert first["k_n"] == 2
         assert first["tau_n"] == "0/1"
         assert first["discrete_min"] == 1.5
-        assert first["exact"] is True
+        assert first["exact"] is False  # a column-DP answer at 0 < k < N
         assert first["continuum_min"] == 1.0
         assert first["gap"] == 0.5
         for r in rows:
@@ -117,7 +117,7 @@ class TestSweep:
         # (n+1)(k+1)ncols is just over 5e7 states here; a state budget once sent
         # this row to annealing, which returned 503/20
         (row,) = run_sweep(SweepSpec(L=1, sigma=F(1, 2), n_list=(100,)))
-        assert (row["k_n"], row["method"], row["exact"]) == (5000, "ColumnDP", True)
+        assert (row["k_n"], row["method"], row["exact"]) == (5000, "ColumnDP", False)
         assert row["discrete_min"] == float(F(101, 100))
 
     def test_volume_rule_ties_to_even(self):
@@ -148,7 +148,7 @@ class TestMainEntry:
         assert main(["minimize", "--n", "2", "--L", "1", "--k", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == "3/2"
-        assert doc["exact"] is True
+        assert doc["exact"] is False  # prefix profiles only: exact only at k in {0, N}
         assert doc["profile"] is not None
 
     def test_minimize_brute_guard_exit_code(self, capsys):
@@ -223,7 +223,7 @@ class TestMainEntry:
         assert main(["sweep", str(spec)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "n,k_n,tau_n,discrete_min,method,exact,continuum_min,gap"
-        assert out[1].startswith("2,2,0/1,1.5,ColumnDP,True,1.0,0.5")
+        assert out[1].startswith("2,2,0/1,1.5,ColumnDP,False,1.0,0.5")
 
     def test_phase_command(self, tmp_path, monkeypatch):
         calls = []
@@ -332,7 +332,7 @@ class TestMainEntry:
     def test_brute_too_large_exit_code(self, capsys, argv):
         # N = 10^11: a ring's trivial volumes and --method brute went to
         # brute force, which built the constant configuration of N sites and
-        # ended in a MemoryError; it refuses N past DP_BUDGET before that
+        # ended in a MemoryError; it refuses past the column DP's guard first
         tracemalloc.start()
         try:
             code = main(["minimize", "--n", "10", "--L", "1e9"] + argv)
@@ -342,8 +342,25 @@ class TestMainEntry:
         assert code == 3 and peak < 1 << 20
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert ("error: instance too large for brute force: N=100000000000 > 268435456 sites"
-                in captured.err)
+        assert captured.err.startswith("error: instance too large for brute force past the "
+                                       "column DP's guard: one run keeps about ")
+
+    def test_brute_one_row_past_the_guard_exit_code(self, capsys):
+        # N = 10^8 sites at n = 1, under 2^28: the constant configuration
+        # would hold about 0.8 GB, but one column-DP run would keep 6 * 10^8
+        # states, so brute force refuses before building it
+        tracemalloc.start()
+        try:
+            code = main(["minimize", "--n", "1", "--L", "100000000", "--k", "0", "--periodic",
+                         "--method", "brute"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: instance too large for brute force past the column DP's guard: one run "
+                "keeps about 600000000 states > 268435456" in captured.err)
 
     @pytest.mark.parametrize("volume", [[], ["--volume", "0"]])
     def test_huge_L_recover_exit_code(self, tmp_path, capsys, volume):

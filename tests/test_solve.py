@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -542,67 +543,75 @@ class TestColumnStepAgainstDense:
                 assert totals.tolist() == want, k
 
 
-def kept_states(monkeypatch):
-    """Spy on ``_column_dp``; returns the list its kept states go into."""
-    column_dp = solve._column_dp
-    kept = []
+def pass_arrays(monkeypatch):
+    """Spy on ``_column_dp`` and ``_column_step``: returns the lists that
+    each pass's kept states and each step's input and output go into."""
+    column_dp, column_step = solve._column_dp, solve._column_step
+    kept, stepped = [], []
 
-    def spy(*args):
+    def dp_spy(*args):
         totals, states = column_dp(*args)
-        kept.extend(s for _, s in states)
+        kept.append([s for _, s in states])
         return totals, states
 
-    monkeypatch.setattr(solve, "_column_dp", spy)
-    return kept
+    def step_spy(cur, *args):
+        out = column_step(cur, *args)
+        stepped.append((cur, out))
+        return out
+
+    monkeypatch.setattr(solve, "_column_dp", dp_spy)
+    monkeypatch.setattr(solve, "_column_step", step_spy)
+    return kept, stepped
 
 
-def copies_or_their_views(kept):
-    """Whether each kept state is a copy or a view of a kept copy, never a
-    view of a step buffer."""
-    copies = {id(s) for s in kept if s.base is None}
-    return all(s.base is None or id(s.base) in copies for s in kept)
+def own_arrays(kept, stepped, dtype):
+    """Whether every kept state is in ``dtype`` and, but for each pass's
+    final states, an array that a step read or a view of a buffer that a
+    step wrote: no state is copied for keeping."""
+    read = {id(cur) for cur, _ in stepped}
+    written = {id(out.base) for _, out in stepped}
+    return kept and all(
+        all(s.dtype == dtype for s in states)
+        and all(id(s) in read or id(s.base) in written for s in states[:-1])
+        for states in kept)
 
 
-def saturated_copies(monkeypatch):
-    """Every state ``_column_dp`` keeps across the test must be int16 and a
-    copy, the saturated one kept when the pass runs wider, or a view of one
-    (the columns past the fixed point share one copy)."""
-    kept = kept_states(monkeypatch)
+def forced_type(monkeypatch, dtype):
+    """Patch ``_state_type`` to give ``dtype`` with the rule's ``inf``; every
+    state ``_column_dp`` keeps across the test must be its own array in that
+    type (``own_arrays``)."""
+    state_type = solve._state_type
+    picked = []
+
+    def forced(N, n):
+        picked.append(state_type(N, n))
+        return dtype, picked[-1][1]
+
+    monkeypatch.setattr(solve, "_state_type", forced)
+    kept, stepped = pass_arrays(monkeypatch)
     yield
-    assert kept and all(s.dtype == np.int16 for s in kept) and copies_or_their_views(kept)
+    assert picked and own_arrays(kept, stepped, dtype)
 
 
 class TestColumnStepInt64(TestColumnStepAgainstDense):
-    """The dense-reference grid again with int64 states, as on shapes past
-    the int32 bound of ``_state_type``; the retrace reads saturated int16
-    copies of them."""
+    """The dense-reference grid again with int64 states forced: the pass and
+    its retrace take whatever integer type ``_state_type`` gives."""
 
     @pytest.fixture(autouse=True)
     def int64_states(self, monkeypatch):
-        picked = []
-
-        def state_type(N, n):
-            picked.append(N)
-            return np.int64, solve._INF
-
-        monkeypatch.setattr(solve, "_state_type", state_type)
-        yield
-        assert picked
-
-    @pytest.fixture(autouse=True)
-    def kept_copies(self, monkeypatch):
-        yield from saturated_copies(monkeypatch)
+        yield from forced_type(monkeypatch, np.int64)
 
 
 def skip_int16(monkeypatch):
-    """Patch ``_state_type`` to give the int32 tier where it picks int16."""
+    """Patch ``_state_type`` to give int32, with the rule's ``inf``, where it
+    picks int16, as past n = 3275."""
     state_type = solve._state_type
     picked = []
 
     def no_int16(N, n):
         dtype, inf = state_type(N, n)
         picked.append(dtype)
-        return (np.int32, 1 << 29) if dtype is np.int16 else (dtype, inf)
+        return np.int32, inf
 
     monkeypatch.setattr(solve, "_state_type", no_int16)
     yield
@@ -611,16 +620,11 @@ def skip_int16(monkeypatch):
 
 class TestColumnStepInt32(TestColumnStepAgainstDense):
     """The dense-reference grid again with int32 where ``_state_type`` picks
-    int16, as on shapes past the int16 bound; the retrace reads saturated
-    int16 copies of the states."""
+    int16, as past n = 3275; the retrace reads the int32 states."""
 
     @pytest.fixture(autouse=True)
     def int32_states(self, monkeypatch):
         yield from skip_int16(monkeypatch)
-
-    @pytest.fixture(autouse=True)
-    def kept_copies(self, monkeypatch):
-        yield from saturated_copies(monkeypatch)
 
 
 class TestColumnStepFormula:
@@ -635,8 +639,8 @@ class TestColumnStepFormula:
         C = data.draw(st.integers(1, 6), label="C")
         P = data.draw(st.integers(1, 5), label="P")
         wrap = data.draw(st.booleans(), label="wrap")
-        dtype, big = data.draw(st.sampled_from(
-            [(np.int16, 1 << 13), (np.int32, 1 << 29), (np.int64, solve._INF)]), label="dtype")
+        dtype = data.draw(st.sampled_from([np.int16, np.int32]), label="dtype")
+        big = solve._state_type(1 << 20, n)[1]  # the rule's inf, above every state below
         R = n + 1
         cells = st.one_of(st.integers(0, 3 * n), st.just(big))  # some states unreachable
         cur = np.array(data.draw(st.lists(cells, min_size=R * C * P, max_size=R * C * P)),
@@ -661,17 +665,13 @@ class TestColumnStepFormula:
 
 def reference_column_dp(n, heights, k, pins, seam=None):
     """``_column_dp`` as a plain loop that runs ``_column_step`` for every
-    column: the same windows, state types and kept states, no fast-forward."""
+    column: the same windows, state type and kept states, no fast-forward."""
     N = sum(heights)
     dtype, big = solve._state_type(N, n)
-    keep = np.int16 if 2 * N + 2 * n + 8 < 1 << 15 else np.int32
     ends = np.cumsum(heights)
 
     def window(ci):
         return max(0, k - (N - int(ends[ci]))), min(k, int(ends[ci]))
-
-    def kept(cur):
-        return np.minimum(cur, np.iinfo(keep).max).astype(keep)
 
     lo, hi = window(0)
     cur = np.full((n + 1, hi - lo + 1, len(pins)), big, dtype)
@@ -683,7 +683,7 @@ def reference_column_dp(n, heights, k, pins, seam=None):
     for ci in range(1, len(heights)):
         if seam is not None and ci == len(heights) - 1:
             cur = cur + seam[0].T[:, None].astype(dtype)
-        states.append((lo, kept(cur)))
+        states.append((lo, cur))
         h_prev = heights[ci - 1]
         terms = solve._step_terms(h_prev, heights[ci], n > 1, np.dtype(dtype))
         out = solve._column_step(cur, h_prev, terms, big)
@@ -691,7 +691,7 @@ def reference_column_dp(n, heights, k, pins, seam=None):
         cur, lo = out[:, lo_next - lo : hi - lo + 1], lo_next
     if seam is not None:
         cur = cur + seam[1].T[:, None].astype(dtype)
-    return cur[:, k - lo].min(axis=0), states + [(lo, kept(cur))]
+    return cur[:, k - lo].min(axis=0), states + [(lo, cur)]
 
 
 def column_step_calls(monkeypatch):
@@ -707,26 +707,31 @@ def column_step_calls(monkeypatch):
     return calls
 
 
+def draw_column_dp_instance(data, least_n):
+    """``(n, heights, k, pins, seam)`` for ``_column_dp``: one open run of
+    every first count, or pinned runs with the cyclic seam where the cyclic
+    DP runs (n >= 2, N > 2n), partial last columns included."""
+    n = data.draw(st.integers(least_n, 12), label="n")
+    L = data.draw(st.sampled_from([F(1), F(5, 4), F(3, 2), F(3)]), label="L")
+    heights = column_heights(n, L)
+    N = sum(heights)
+    k = data.draw(st.integers(0, N), label="k")
+    first = range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
+    if n >= 2 and N > 2 * n and data.draw(st.booleans(), label="seam"):
+        chosen = data.draw(st.lists(st.sampled_from(first), min_size=1, max_size=4,
+                                    unique=True), label="pins")
+        seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a in chosen))))
+        return n, heights, k, [(a,) for a in chosen], seam
+    return n, heights, k, [first], None
+
+
 class TestFixedPoint:
     @given(st.data())
     def test_matches_every_step(self, data):
         # the fast-forward against the plain loop: totals and every kept
         # state (window start, dtype, values), open runs and pinned runs with
         # the cyclic seam, partial last columns included
-        n = data.draw(st.integers(2, 12), label="n")
-        L = data.draw(st.sampled_from([F(1), F(5, 4), F(3, 2), F(3)]), label="L")
-        heights = column_heights(n, L)
-        N = sum(heights)
-        k = data.draw(st.integers(0, N), label="k")
-        first = range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
-        seam = None
-        if N > 2 * n and data.draw(st.booleans(), label="seam"):  # where the cyclic DP runs
-            chosen = data.draw(st.lists(st.sampled_from(first), min_size=1, max_size=4,
-                                        unique=True), label="pins")
-            pins = [(a,) for a in chosen]
-            seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a in chosen))))
-        else:
-            pins = [first]
+        n, heights, k, pins, seam = draw_column_dp_instance(data, 2)
         totals, states = solve._column_dp(n, heights, k, pins, seam)
         want_totals, want_states = reference_column_dp(n, heights, k, pins, seam)
         assert np.array_equal(totals, want_totals)
@@ -775,74 +780,181 @@ class TestStateType:
         (1, 2), (2, 4), (7, 8), (20, 32),
     ])
     def test_int16_up_to_the_bound(self, n, k, monkeypatch):
-        last = ((1 << 15) // 4 - 4 * n - 9) // 4  # (4N + 4n + 8) 4 < 2^15
-        dtype, inf = solve._state_type(last, n)
-        assert dtype is np.int16 and inf <= 1 << 13
-        # reachable states stay below inf, unreachable ones below 2^14
-        assert 2 * last + 1 < inf
-        assert inf + 4 * last + 4 * n + 8 <= 1 << 14
-        assert solve._state_type(last + 1, n) == (np.int32, 1 << 29)
-        # a column DP of volume k over those N sites on int16 states gives
-        # what it gives on int64 ones
-        L = F(last, n * n)
+        # int16 at every N up to n = 3275, inf = min(5n + 8, 2N + 1)
+        for N in (1, n, 2 * n + 1, 2100, 1 << 40):
+            inf = min(5 * n + 8, 2 * N + 1)
+            assert solve._state_type(N, n) == (np.int16, inf)
+            assert inf + 5 * n + 6 < 1 << 15
+        # a column DP of volume k over 2100 sites on int16 states gives what
+        # it gives on int64 ones
+        L = F(2100, n * n)
         res = column_dp_min(n, L, k)
-        monkeypatch.setattr(solve, "_state_type", lambda N, n: (np.int64, solve._INF))
+        monkeypatch.setattr(solve, "_state_type", lambda N, n: (np.int64, 1 << 40))
         wide = column_dp_min(n, L, k)
         assert (res.value, res.profile) == (wide.value, wide.profile)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 80, 300, 1000])
-    def test_int64_past_the_bound(self, n):
-        last = ((1 << 31) // 4 - 4 * n - 9) // 4  # (4N + 4n + 8) 4 < 2^31
-        dtype, inf = solve._state_type(last, n)
-        assert dtype is np.int32 and inf <= 1 << 29
-        # reachable states stay below inf, unreachable ones below 2^30
-        assert 2 * last + 1 < inf
-        assert inf + 4 * last + 4 * n + 8 <= 1 << 30
-        assert solve._state_type(last + 1, n) == (np.int64, solve._INF)
+    def test_two_tiers_one_rule(self, n):
+        # the largest N the column-DP guard admits at n (k = 0) runs int16;
+        # int32 begins at n = 3276 (int16 again where 2N + 1 keeps inf
+        # small) and holds every n the guard admits: there is no third tier
+        N = n * (solve.DP_BUDGET // ((n + 1) * (n + 2)))
+        assert solve._run_states(n, N, 0) <= solve.DP_BUDGET
+        assert solve._state_type(N, n) == (np.int16, 5 * n + 8)
+        assert solve._state_type(1 << 40, 3275) == (np.int16, 5 * 3275 + 8)
+        assert solve._state_type(1 << 40, 3276) == (np.int32, 5 * 3276 + 8)
+        assert solve._state_type(100, 3276) == (np.int16, 201)
+        largest = 16382  # one column of n sites at k = 0 keeps (n + 1)(n + 2) states
+        assert solve._run_states(largest, largest, 0) <= solve.DP_BUDGET
+        with pytest.raises(SolverGuardError):
+            solve._run_states(largest + 1, largest + 1, 0)
+        dtype, inf = solve._state_type(1 << 40, largest)
+        assert dtype is np.int32 and inf + 5 * largest + 6 < 1 << 31
+
+    def test_transfer_matrix_states_int16(self):
+        # every n that _transfer_fits admits (open, k = 0, N = 2n + 1 is its
+        # cheapest instance) searches int16 states at every N
+        admitted = [n for n in range(2, 40) if _transfer_fits(n, 2 * n + 1, 0, False)]
+        assert admitted == list(range(2, 18))
+        for n in admitted:
+            assert solve._state_type(TRANSFER_BUDGET, n)[0] is np.int16
 
     @pytest.mark.parametrize("n", [80, 1000])
     def test_kept_states_int16_up_to_the_bound(self, n, monkeypatch):
-        # the last N with 2N + 2n + 8 < 2^15 keeps saturated int16 copies of
-        # its int32 states (or views of such a copy), the first N past it
-        # views of the int32 step buffers; three ones at the bottom of the
-        # first column cost one jump and three horizontal pairs
+        # N up to the bound where kept states once became int32, and one
+        # past it: int16 passes, and each kept state is the pass's own
+        # array; three ones at the bottom of the first column cost one
+        # jump and three horizontal pairs
         last = (1 << 14) - n - 5
-        kept = kept_states(monkeypatch)
-        for N, dtype, copied in ((last, np.int16, True), (last + 1, np.int32, False)):
-            assert solve._state_type(N, n)[0] is np.int32
+        kept, stepped = pass_arrays(monkeypatch)
+        for N in (last, last + 1):
+            assert solve._state_type(N, n)[0] is np.int16
             res = column_dp_min(n, F(N, n * n), 3)
             assert res.value == F(4, n) and res.profile.counts[0] == 3
-            assert {s.dtype for s in kept} == {np.dtype(dtype)}
-            if copied:
-                assert copies_or_their_views(kept)
-            else:
-                assert all(s.base is not None for s in kept[1:])  # kept[0] is np.full's
+            assert own_arrays(kept, stepped, np.int16)
             kept.clear()
+            stepped.clear()
 
-    def test_open_anchor_keeps_int16_copies(self, monkeypatch):
-        # n = 80, N = 6400: int32 states, kept as saturated int16 copies or
-        # views of one; value and profile as the encoded parents gave them
-        kept = kept_states(monkeypatch)
+    def test_open_anchor_keeps_int16_views(self, monkeypatch):
+        # n = 80, N = 6400: int16 states, kept as the pass's own arrays;
+        # value and profile as the encoded parents gave them
+        kept, stepped = pass_arrays(monkeypatch)
         res = column_dp_min(80, 1, 3200)
-        assert solve._state_type(6400, 80)[0] is np.int32
-        assert kept and all(s.dtype == np.int16 for s in kept) and copies_or_their_views(kept)
+        assert solve._state_type(6400, 80) == (np.int16, 408)
+        assert own_arrays(kept, stepped, np.int16)
         assert res.value == F(81, 80)
         assert res.profile.counts == (80,) * 40 + (0,) * 40
 
     def test_run_past_the_bound(self, monkeypatch):
-        # N = 131000 sites at n = 1000: int32 states, past the int16 bound
-        # of the kept states too, so they are kept as views; five ones at the
-        # bottom of the first column cost one jump and five horizontal pairs
+        # N = 131000 sites at n = 1000, far past any bound in N: int16
+        # states; five ones at the bottom of the first column cost one jump
+        # and five horizontal pairs
         picked = []
         state_type = solve._state_type
         monkeypatch.setattr(solve, "_state_type",
                             lambda *args: picked.append(state_type(*args)) or picked[-1])
-        kept = kept_states(monkeypatch)
+        kept, stepped = pass_arrays(monkeypatch)
         res = column_dp_min(1000, F(131, 1000), 5)
-        assert picked == [(np.int32, 1 << 29)]
-        assert kept and all(s.dtype == np.int32 for s in kept)
-        assert all(s.base is not None for s in kept[1:])
+        assert picked == [(np.int16, 5008)]
+        assert own_arrays(kept, stepped, np.int16)
         assert res.value == F(6, 1000)
+
+
+class ValueSpy:
+    """``numpy`` for ``solve``, recording the dtype, least and largest value
+    of every integer array that ``add``, ``subtract``, ``minimum`` or
+    ``less`` reads or writes: every state and step value of a search."""
+
+    def __init__(self):
+        self.dtypes, self.low, self.high = set(), 0, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _recorded(ufunc):
+        def call(self, *args, **kwargs):
+            result = ufunc(*args, **kwargs)
+            for a in (*args, result):
+                if isinstance(a, np.ndarray) and a.dtype.kind == "i" and a.size:
+                    self.dtypes.add(a.dtype)
+                    self.low, self.high = min(self.low, a.min()), max(self.high, a.max())
+            return result
+        return call
+
+    add, subtract, minimum, less = map(_recorded, (np.add, np.subtract, np.minimum, np.less))
+
+
+def spied(search):
+    """``search()`` on the rule's states under ``ValueSpy``, and again on
+    int64 states with inf = 2^40, where a state is reachable iff below 2^40."""
+    spy = ValueSpy()
+    with patch.object(solve, "np", spy):
+        got = search()
+    with patch.object(solve, "_state_type", lambda N, n: (np.int64, 1 << 40)):
+        wide = search()
+    return spy, got, wide
+
+
+def check_states(got, wide, inf, top):
+    """Reachable states equal the wide run's and lie below inf; unreachable
+    ones lie in [inf, top]."""
+    reach = wide < 1 << 40
+    assert np.array_equal(got[reach], wide[reach]) and (got[reach] < inf).all()
+    assert ((got[~reach] >= inf) & (got[~reach] <= top)).all()
+
+
+class TestStateBound:
+    """``_state_type``'s proof, observed: reachable states below inf,
+    unreachable ones within its bound, every value of a search inside
+    [-n, inf + 5n + 6), and the rule's type holding that range."""
+
+    @given(st.data())
+    def test_column_dp_values(self, data):
+        # open runs and pinned runs with the seam, partial last columns too
+        n, heights, k, pins, seam = draw_column_dp_instance(data, 1)
+        dtype, inf = solve._state_type(sum(heights), n)
+        spy, (totals, states), (wide_totals, wide_states) = spied(
+            lambda: solve._column_dp(n, heights, k, pins, seam))
+        assert spy.dtypes <= {np.dtype(dtype)}  # a one-column chain runs no step
+        assert -n <= spy.low and spy.high < inf + 5 * n + 6
+        check_states(totals, wide_totals, inf, inf + 3 * n + 3)
+        for (_, got), (_, wide) in zip(states, wide_states, strict=True):
+            assert got.dtype == dtype
+            check_states(got, wide, inf, inf + 3 * n + 3)
+
+    @given(st.integers(2, 8), st.data())
+    def test_transfer_pass_values(self, n, data):
+        # the open run and the ring's pinned runs, every volume window
+        N = data.draw(st.integers(2 * n + 1, 6 * n), label="N")
+        j = data.draw(st.integers(0, N // 2), label="j")
+        W = 1 << n
+        if data.draw(st.booleans(), label="periodic"):
+            windows = np.arange(W)
+            start = windows[np.flatnonzero((windows & 3 == 2) | (windows == 0)), None] == windows
+        else:
+            start = np.ones((1, W), bool)
+        dtype, inf = solve._state_type(N, n)
+        runs = []
+
+        def search():
+            runs.append([])
+            return _transfer_pass(n, N, j, start, runs[-1])
+
+        spy, got, wide = spied(search)
+        assert spy.dtypes == {np.dtype(dtype)} and got.dtype == dtype
+        assert -n <= spy.low and spy.high < inf + 5 * n + 6
+        check_states(got[:, j], wide[:, j], inf, inf + 2 * n)
+        assert got.max() <= inf + 2 * n  # every volume, the last step's additions too
+        picks, wide_picks = runs
+        assert len(picks) == len(wide_picks) == N - n
+        assert all(np.array_equal(a, b) for a, b in zip(picks, wide_picks))
+
+    @given(st.integers(1, 20000), st.integers(1, 1 << 40))
+    def test_type_holds_the_bound(self, n, N):
+        dtype, inf = solve._state_type(N, n)
+        assert inf == min(5 * n + 8, 2 * N + 1)
+        assert inf + 5 * n + 6 <= np.iinfo(dtype).max
+        assert dtype is np.int16 or inf + 5 * n + 6 >= 1 << 15
 
 
 class TestProfiles:
