@@ -39,22 +39,20 @@ step walks 2^(n-1) contiguous blocks of (volume, run) states rather than
 many short rows of one run each.
 
 Both column DPs share one core (``_column_dp``): each column step takes
-the minimum over the previous column's count as an L1 distance transform,
-two running minima over the count axis vectorised over the volume axis,
-so a solve costs O(ncols n k) rather than O(ncols n^2 k).  The running
-minima are a loop over counts, one elementwise ``np.minimum`` per count
-doing both directions at once, because numpy's cumulative minimum (the
-``accumulate`` method of ``np.minimum``) costs 3 to 5 ns per element
-whatever the axis or dtype, and a row of ``np.minimum`` 0.3 to 0.6 ns
-(81 x 3200 states).  Every search state is a plain mismatch count, int16
-for n up to 3275 whatever N, else int32 (``_state_type``): a least count
-never needs more than O(n) mismatches.  The cyclic DP runs its pinned
-first-column counts through that core as one batch.  Every state array is
-``[count, volume, run]``, run innermost, as the transfer matrix's are
-window-major, so each elementwise operation of a step walks h + 1
-contiguous (volume, run) blocks whatever the number of runs.  The pins go
-in chunks of about ``_PIN_BATCH`` states kept over the whole pass, so a
-ring of n <= 16 and L <= 3/2 runs every pin in one pass.  A run that
+the minimum over the previous column's count, as one broadcast minimum
+over a cost table while numpy's cost per call dominates, else as an L1
+distance transform, two running minima over the count axis vectorised over
+the volume axis, so a solve costs O(ncols n k) rather than O(ncols n^2 k).
+Every state is capped at one above the count of a fill profile the DP
+itself searches (``_fill_bound``), which changes no total or retrace, so
+states are plain mismatch counts in the narrowest type holding a step's
+values (``_state_type``): int8 up to n of about 60.  The cyclic DP runs
+its pinned first-column counts through that core as one batch.  Every
+state array is ``[count, volume, run]``, run innermost, as the transfer
+matrix's are window-major, so each elementwise operation of a step walks
+h + 1 contiguous (volume, run) blocks whatever the number of runs.  The
+pins go in chunks of about ``_PIN_BATCH`` states kept over the whole pass,
+so a ring of n <= 16 and L <= 3/2 runs every pin in one pass.  A run that
 would keep more than ``DP_BUDGET`` states (``_run_states``) is refused
 with ``SolverGuardError`` before any column is built.  Once a full column
 step gives back its input states, the later full columns are views.
@@ -81,9 +79,11 @@ minimum there by the transfer matrix.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -119,6 +119,7 @@ TRANSFER_BUDGET = 1 << 23  # state updates of one transfer-matrix search (``_tra
 DP_BUDGET = 1 << 28  # states one column-DP run keeps over its pass (``_run_states``)
 _PIN_BATCH = 1 << 21  # states a chunk of cyclic-DP pins keeps over its whole pass, to backtrack
 _BLOCK = 1 << 20  # masks per broadcast add of the brute-force sweep
+_SMALL_STEP = 1 << 17  # candidates of a column step taken as one broadcast minimum
 
 
 class SolverGuardError(ValueError):
@@ -295,53 +296,79 @@ def brute_force_min(n: int, L, k: int, boundary: str = "open") -> SolveResult:
 # --- column dynamic program ---------------------------------------------------
 
 
-def _state_type(N: int, n: int) -> tuple[type, int]:
-    """The state dtype of a search over N sites with n rows, and its sentinel:
-    ``inf = min(5n + 8, 2N + 1)``, int16 while inf + 5n + 6 < 2^15, else int32.
+def _state_type(top: int) -> type:
+    """The narrowest of int8, int16 and int32 holding [-top, top], for a
+    search whose values are proved to lie in that range.
 
-    Every state is a least mismatch count, and unreachable ones start at inf.
-
-    Reachable states are below inf.  A state counts distinct pairs of sites,
-    at most 2N.  A column-DP state (a, v) after column c, reached by some
-    profile with first count a0, is also reached by the profile that keeps
-    a0, fills the columns between in order (full ones, one partial, then
-    empty ones) and ends at a: the first column costs at most 1, the steps
-    into and out of the filled columns n + 2 each and the filled columns
-    n + 1, so 3n + 6.  The ring's seam adds at most n before the last step
-    and n + 1 after it: 5n + 7.  A transfer-matrix state is reached likewise
-    by its first window, a block of ones then zeros, and its last window:
-    at most 2n + 1 distance-1 and 3n distance-n pairs.
-
-    Unreachable states are at least inf and at most inf + 3n + 3.  In the
-    column DP count 0 after count 0 costs nothing, so an unreachable (0, v)
-    is at most its input or the padding, inf; count a after count 0 costs at
-    most a + 2, and the seams add at most 2n + 1.  In the transfer matrix the
-    predecessor whose oldest bit is 0 costs at most 2 a site, and window 0
-    after window 0 nothing, so n sites shift any window out at most 2n
-    above inf.  A step's values lie in [-n, m + n + 3] for inputs up to m,
-    and a column step's inputs are at most inf + 2n + 2, seam included.
-
-    So every value lies in [-n, inf + 5n + 6): int16 holds it at every N
-    for n <= 3275, and int32 for n < 2^27, past every instance that
-    ``DP_BUDGET`` (n <= 16382) and ``TRANSFER_BUDGET`` admit.
+    ``_column_dp`` passes cap + n + 1.  It clamps its states at cap = ub + 1,
+    ``ub`` the count of a profile it searches (``_fill_bound``), after each
+    step and seam sum.  Costs are non-negative, so a clamped state is
+    exactly min(unclamped state, cap).  The least total is at most ub, so
+    states on an optimal path are below cap, while a clamped state plus
+    any cost is above every value the retrace compares it with: totals and
+    retrace are those of the unclamped DP.  From inputs in [0, cap] a step
+    computes values in [-n, cap + n + 1]: it subtracts at most h <= n, adds
+    at most a1 <= n plus one wrap unit to a raw backward row and at most
+    h + 1 in the top row and the cost table, and after the running minima
+    adds at most 2 to the least of a row; a seam adds at most n + 1.  The
+    fill profiles cost at most 3n + 4, and 5n + 5 with the ring's seam.
     """
-    inf = min(5 * n + 8, 2 * N + 1)
-    return (np.int16 if inf + 5 * n + 6 < 1 << 15 else np.int32), inf
+    return np.int8 if top < 1 << 7 else np.int16 if top < 1 << 15 else np.int32
+
+
+def _fill_bound(n: int, heights: tuple[int, ...], k: int, firsts: list, seam=None) -> int:
+    """Least count of two fill profiles that ``_column_dp``'s runs search.
+
+    ``firsts[p]`` lists the first counts run p may hold (within the first
+    window).  One profile starts with the largest of them and fills the
+    later columns from the left to volume k (full ones, one partial, then
+    empty ones), the other with the smallest and fills from the right; each
+    adds its run's ``seam``.  Both are profiles the DP searches, so the
+    least of their counts bounds its least total (Land & Doig's bound step,
+    Econometrica 28, 1960).  Heights do not grow, so a step between two
+    full or two empty columns costs nothing, and only the steps into
+    column 1, the first column not filled like its left neighbour and the
+    one after it are counted.
+    """
+    ends = list(accumulate(heights))
+    N, last = ends[-1], len(heights) - 1
+    bounds = []
+    for a0, p, left in (max((max(f), p, True) for p, f in enumerate(firsts) if f),
+                        min((min(f), p, False) for p, f in enumerate(firsts) if f)):
+        def count(i):  # column i of the profile; later columns fill in order
+            if i == 0:
+                return a0
+            before = ends[i - 1] - heights[0] if left else N - ends[i]
+            return min(max(k - a0 - before, 0), heights[i])
+
+        q = bisect_right(ends, k - a0 + heights[0] if left else N - k + a0)
+        total = 0 < a0 < heights[0]
+        for i in {1, q, q + 1}:
+            if i <= last:
+                a1, a2, h = count(i - 1), count(i), heights[i]
+                total += (abs(min(a1, h) - a2) + (n > 1 and (a1 == heights[i - 1]) != (a2 >= 1))
+                          + (0 < a2 < h))
+        if seam is not None:
+            total += int(seam[0][p, count(last - 1)] + seam[1][p, count(last)])
+        bounds.append(total)
+    return min(bounds)
 
 
 @lru_cache(maxsize=512)
 def _step_terms(h_prev: int, h: int, wrap: bool, dtype: np.dtype) -> tuple[np.ndarray, ...]:
     """Cost terms for ``_column_step`` from a column of height h_prev to one of h.
 
-    Returns ``(forward, backward, updown, top)`` in ``dtype``, laid out to
-    broadcast against ``_column_step``'s count-major arrays: ``updown`` as
-    (h + 1, 2, 1, 1) against its buffer, the others as (h + 1, 1, 1)
-    against rows of states.  ``forward`` and ``backward`` (the latter in
-    reversed count order) add -a1 and +a1 to the rows a1 = 0..h of the
-    previous column before the two running minima.  ``updown`` holds the
-    wrap and internal terms plus and minus a2, over a2 = 0..h, for the two
-    halves, and ``top`` is the whole cost of the row a1 == h_prev.  The
-    terms depend only on the arguments, so they are cached (``dtype`` an
+    Returns ``(forward, backward, updown, top, cost)`` in ``dtype``, laid
+    out to broadcast against ``_column_step``'s count-major arrays:
+    ``updown`` as (h + 1, 2, 1, 1) against its buffer, ``cost`` as
+    (h_prev + 1, h + 1, 1, 1) against the input rows, the others as
+    (h + 1, 1, 1) against rows of states.  ``forward`` and ``backward``
+    (the latter in reversed count order) add -a1 and +a1 to the rows
+    a1 = 0..h of the previous column before the two running minima.
+    ``updown`` holds the wrap and internal terms plus and minus a2, over
+    a2 = 0..h, for the two halves, ``top`` is the whole cost of the row
+    a1 == h_prev, and ``cost[a1, a2]`` the whole cost table.  The terms
+    depend only on the arguments, so they are cached (``dtype`` an
     ``np.dtype``) and returned read-only.
 
     When h == h_prev, row a1 = h is that top row, so it enters both running
@@ -360,45 +387,75 @@ def _step_terms(h_prev: int, h: int, wrap: bool, dtype: np.dtype) -> tuple[np.nd
     backward = a.copy()
     backward[h] += w
     updown = np.stack([rest + a, (rest - a)[::-1]], axis=1)
+    a1 = np.arange(h_prev + 1)[:, None]
+    cost = abs(a1.clip(max=h) - a) + w * ((a1 == h_prev) != (a >= 1)) + inner
     column = (-1, 1, 1)
     terms = (-a.reshape(column), backward[::-1].reshape(column),
-             updown.reshape(-1, 2, 1, 1), top.reshape(column))
+             updown.reshape(-1, 2, 1, 1), top.reshape(column),
+             cost.astype(dtype).reshape(h_prev + 1, h + 1, 1, 1))
     for t in terms:
         t.flags.writeable = False
     return terms
 
 
-def _column_step(cur: np.ndarray, h_prev: int, terms, big: int) -> np.ndarray:
+def _column_step(cur: np.ndarray, h_prev: int, terms, cap: int) -> np.ndarray:
     """One step of the column DP: a column of height h after one of height h_prev.
 
     ``cur[a1, c, p]`` is the least mismatch count of a prefix profile of
     run p whose current column holds a1 ones and whose columns so far hold
     ``lo + c`` ones (``lo`` is the caller's window start).  Rows above
-    h_prev are unreachable (>= big).  Only the last column may be shorter,
+    h_prev are unreachable (>= cap).  Only the last column may be shorter,
     so h <= h_prev.  ``terms`` is ``_step_terms(h_prev, h, wrap,
-    cur.dtype)``.  Returns ``out`` of shape (n + 1, C + n, P) with
+    cur.dtype)``.  Returns ``out`` of shape (n + 1, C + n, P), cap where
+    no a1 contributes, with
 
         out[a2, c, p] = min over a1 of cur[a1, c - a2, p] + cost(a1, a2),
         cost(a1, a2) = |min(a1, h) - a2|              horizontal pairs
                      + [(a1 == h_prev) != (a2 >= 1)]  wrap pair (if ``wrap``)
                      + [0 < a2 < h]                   internal jump.
 
-    The horizontal term makes the minimum over a1 an L1 distance transform
-    (Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled
-    Functions", Theory of Computing 8, 2012): a forward and a backward
-    running minimum over the count axis, so a step costs O(n C) per run
-    rather than O(n^2 C).  Both minima run in one count-major buffer of
-    shape (h + 1, 2, C, P), the backward rows in reversed count order, so
-    one contiguous ``np.minimum`` per count advances both, for every run
-    and volume; numpy's cumulative minimum costs about ten times as much
-    per element.  The run axis is innermost, as in ``_transfer_pass``, so
-    every elementwise operation walks h + 1 contiguous blocks of
-    (volume, run) states, not (h + 1) P short rows of one run each.  The
-    a1 == h_prev row differs in its wrap term and is also taken on its own.
+    A step of at most ``_SMALL_STEP`` candidates, (h_prev + 1)(h + 1) C P,
+    is one broadcast sum over the cost table and one minimum over a1: at
+    that size numpy's fixed cost per call, not the elements, sets its time.
+    A larger one is an L1 distance transform (``_distance_transform``).
     """
-    forward, backward, updown, top = terms
+    top, cost = terms[3:]
     h = len(top) - 1
     R, C, P = cur.shape
+
+    # best[a2] is written into a padded buffer whose rows, read back with a
+    # row stride P elements shorter, come out shifted right by a2 volumes
+    padded = np.empty((R, C + R, P), cur.dtype)
+    padded[:, :R] = cap
+    if h < R - 1:
+        padded[h + 1 :, R:] = cap
+    best = padded[: h + 1, R:]
+    if cost.size * C * P <= _SMALL_STEP:
+        np.add(cur[: h_prev + 1, None], cost).min(axis=0, out=best)
+    else:
+        _distance_transform(cur, h_prev, terms, best)
+    return padded.reshape(-1)[R * P :].reshape(R, C + R - 1, P)
+
+
+def _distance_transform(cur: np.ndarray, h_prev: int, terms, best: np.ndarray) -> None:
+    """``_column_step``'s minimum over a1, written into ``best[a2, c, p]``.
+
+    The horizontal term makes it an L1 distance transform (Felzenszwalb &
+    Huttenlocher, "Distance Transforms of Sampled Functions", Theory of
+    Computing 8, 2012): a forward and a backward running minimum over the
+    count axis, so it costs O(n C) per run rather than O(n^2 C).  Both
+    minima run in one count-major buffer of shape (h + 1, 2, C, P), the
+    backward rows in reversed count order, so one contiguous
+    ``np.minimum`` per count advances both, for every run and volume;
+    numpy's cumulative minimum costs about ten times as much per element.
+    The run axis is innermost, as in ``_transfer_pass``, so every
+    elementwise operation walks h + 1 contiguous blocks of (volume, run)
+    states.  The a1 == h_prev row differs in its wrap term and is also
+    taken on its own.
+    """
+    forward, backward, updown, top, _ = terms
+    h = len(top) - 1
+    _, C, P = cur.shape
 
     # buf[i, 0] holds row a1 = i, buf[i, 1] row a1 = h - i; on a partial
     # column (h < h_prev) rows h .. h_prev-1 all land on position h
@@ -413,18 +470,9 @@ def _column_step(cur: np.ndarray, h_prev: int, terms, big: int) -> np.ndarray:
     for prev, row in zip(counts, counts[1:]):
         np.minimum(prev, row, out=row)
     np.add(buf, updown, out=buf)
-
-    # best[a2] is written into a padded buffer whose rows, read back with a
-    # row stride P elements shorter, come out shifted right by a2 volumes
-    padded = np.empty((R, C + R, P), cur.dtype)
-    padded[:, :R] = big
-    if h < R - 1:
-        padded[h + 1 :, R:] = big
-    best = padded[: h + 1, R:]
     np.minimum(buf[:, 0], buf[::-1, 1], out=best)
     np.add(cur[h_prev], top, out=buf[:, 1])
     np.minimum(best, buf[:, 1], out=best)
-    return padded.reshape(-1)[R * P :].reshape(R, C + R - 1, P)
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
@@ -449,38 +497,47 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
     the horizontal pair are the same pair, so it is counted once.  Only
     volumes that can still reach k are kept: after columns 0..ci, holding S
     sites, the window is [k - (N - S), S] within [0, k], so the work is
-    O(ncols n min(k, N - k)) per run.  The states are plain counts in the
-    dtype of ``_state_type``, int16 for n up to 3275.
+    O(ncols n min(k, N - k)) per run.  The states are plain counts clamped
+    at cap, one above ``_fill_bound``, in the type ``_state_type`` gives for
+    [-n, cap + n + 1].
 
-    Returns ``(totals, states)``: ``totals[p]`` is run p's least count, and
-    ``states`` lists ``(lo, kept)`` per column: the states after that
-    column, ``kept[a, v - lo, p]`` at count a and volume v, as the next
-    step took them (the second to last column's include ``seam[0]``) and,
-    last, the final states with ``seam[1]``.  Each is an array the pass
-    computed, in its dtype, most of them views of its step buffers; none is
-    copied for keeping.
+    Returns ``(totals, states)``: ``totals[p]`` is run p's least count, or
+    cap if that is more, so the least over the runs is exact (a least total
+    above the fill bound raises ``AssertionError`` explicitly, so the check
+    survives ``python -O``), and ``states`` lists ``(lo, kept)`` per
+    column: the states after that column, ``kept[a, v - lo, p]`` at count
+    a and volume v, as the next step took them (the second to last
+    column's include ``seam[0]``) and, last, the final states with
+    ``seam[1]``.  Each is an array the pass computed, in its dtype, most of
+    them views of its step buffers; none is copied for keeping.
 
     Fixed point: a full step without seam reads volumes v - n .. v for v.
     Once one, with two more ahead, outputs its input aligned by volume
     (both windows end at k) or by empty sites (both start at k - (N - S)),
     each later one reads only the states just found equal, or none on both
-    sides, so those columns are views of that array and run no step.
+    sides, so those columns are views of that array and run no step.  The
+    cap makes states that cannot beat the bound equal, so it comes sooner.
     """
     N = sum(heights)
-    dtype, big = _state_type(N, n)
-    terms = {(hp, h): _step_terms(hp, h, n > 1, np.dtype(dtype))
-             for hp, h in set(zip(heights, heights[1:]))}
     ends = np.cumsum(heights)
 
     def window(ci):
         return max(0, k - (N - int(ends[ci]))), min(k, int(ends[ci]))
 
     lo, hi = window(0)
-    cur = np.full((n + 1, hi - lo + 1, len(pins)), big, dtype)
-    for p, first in enumerate(pins):
+    firsts = [[a for a in first if lo <= a <= hi] for first in pins]
+    ub = _fill_bound(n, heights, k, firsts, seam)
+    cap = ub + 1
+    dtype = _state_type(cap + n + 1)
+    terms = {(hp, h): _step_terms(hp, h, n > 1, np.dtype(dtype))
+             for hp, h in set(zip(heights, heights[1:]))}
+    cur = np.full((n + 1, hi - lo + 1, len(pins)), cap, dtype)
+    # the clamp's operand: a row of caps as wide as any window (numpy's
+    # minimum against a scalar skips its vector loop and is ten times slower)
+    caps = np.full((min(k, N - k) + 1, len(pins)), cap, dtype)
+    for p, first in enumerate(firsts):
         for a in first:
-            if lo <= a <= hi:
-                cur[a, a - lo, p] = 0 < a < heights[0]
+            cur[a, a - lo, p] = 0 < a < heights[0]
 
     # the last plain full -> full step: no partial column, no seam added
     last = len(heights) - 1 - (seam is not None or heights[-1] < n)
@@ -488,6 +545,7 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
     for ci in range(1, len(heights)):
         if seam is not None and ci == len(heights) - 1:
             cur = cur + seam[0].T[:, None].astype(dtype)
+            np.minimum(cur, caps[: cur.shape[1]], out=cur)
         states.append((lo, cur))
         lo_next, hi_next = window(ci)
         if fixed is not None and ci <= last:  # past the fixed point: views, no step
@@ -496,8 +554,9 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
             cur = ref[:, s : s + hi_next - lo_next + 1]
         else:
             h_prev = heights[ci - 1]
-            out = _column_step(cur, h_prev, terms[h_prev, heights[ci]], big)
+            out = _column_step(cur, h_prev, terms[h_prev, heights[ci]], cap)
             nxt = out[:, lo_next - lo : hi_next - lo + 1]
+            np.minimum(nxt, caps[: nxt.shape[1]], out=nxt)
             if ci + 2 <= last:
                 if hi == k and _same(nxt, cur[:, lo_next - lo :]):
                     fixed = lo_next, nxt  # volume-aligned
@@ -507,8 +566,12 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
         lo, hi = lo_next, hi_next
     if seam is not None:
         cur = cur + seam[1].T[:, None].astype(dtype)
+        np.minimum(cur, caps[: cur.shape[1]], out=cur)
     # the last window is [k, k]
-    return cur[:, k - lo].min(axis=0), states + [(lo, cur)]
+    totals = cur[:, k - lo].min(axis=0)
+    if totals.min() > ub:
+        raise AssertionError("column DP total must not exceed its fill bound")
+    return totals, states + [(lo, cur)]
 
 
 def _backtrack(n: int, heights: tuple[int, ...], k: int, p: int, states: list,
@@ -575,11 +638,11 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
 
     Prefix profile: within each column the occupied sites form a bottom
     prefix, so a column is described by its count.  State: (column, count,
-    volume used); each column step is an L1 distance transform over the
-    count axis, vectorised over the volume axis (``_column_step``), so the
-    DP costs O(ncols n k) time and memory: one value pass that keeps every
-    column's states, int16 for n up to 3275, and one retrace of the
-    profile from them (``_backtrack``).  The first column contributes its
+    volume used); each column step is a minimum over the previous count,
+    vectorised over the volume axis (``_column_step``), so the DP costs
+    O(ncols n k) time and memory: one value pass that keeps every column's
+    states, int8 up to n of about 60, and one retrace of the profile from
+    them (``_backtrack``).  The first column contributes its
     own internal jump.  Ties break toward the smaller count, then the
     smaller column index, so the returned profile is deterministic.
 
@@ -635,14 +698,19 @@ def _transfer_pass(n: int, N: int, k: int, start: np.ndarray, choices: list) -> 
     most k + 1 states each, and that per-block cost would dominate the
     ring's P = 2^(n-2) + 1 pinned runs.
 
-    The states are plain counts in the dtype of ``_state_type(N, n)``,
-    int16 at every n the guard admits, and unreachable ones start at its
-    ``inf``.  Its proof covers this pass: a reachable state is at most
-    5n + 1, below inf, and an unreachable one at most inf + 2n, so the
-    ring's seam, at most n + 1, keeps every total inside the dtype.
+    The states are plain counts, and unreachable ones start at inf =
+    min(5n + 8, 2N + 1).  A reachable state is at most 5n + 1 (its first
+    window, a block of ones then zeros, and its last: at most 2n + 1
+    distance-1 and 3n distance-n pairs) and 2N, below inf.  An unreachable
+    one is at most inf + 2n: a predecessor whose oldest bit is 0 costs at
+    most 2 a site, window 0 after window 0 nothing, and n sites shift any
+    window out.  So every value lies in [0, inf + 2n + 1], inside the range
+    [0, inf + 5n + 5] the pass takes its type for: int8 up to n = 11, int16
+    at every other n the guard admits.
     """
     W, half, quarter = 1 << n, 1 << (n - 1), 1 << (n - 2)
-    dtype, inf = _state_type(N, n)
+    inf = min(5 * n + 8, 2 * N + 1)
+    dtype = _state_type(inf + 5 * n + 5)
     vols = np.bitwise_count(np.arange(W))
     p, first = np.nonzero(start & (vols <= k))
     D = np.full((W, k + 1, len(start)), inf, dtype)

@@ -529,18 +529,21 @@ class TestColumnStepAgainstDense:
     def test_value_pass_totals(self, n, L):
         # one batched pass, one run per first-column count that reaches k,
         # open and with the cyclic seam: each run's total is the dense
-        # reference's least count at k with that count pinned
+        # reference's least count at k with that count pinned, capped at
+        # the fill bound plus one, and the least total is exact
         heights = column_heights(n, L)
         N = sum(heights)
         for cyclic in (False, True) if (n, L) in CYCLIC_SHAPES else (False,):
             for k in range(0, N + 1, max(1, N // 40)):
-                pins = range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
+                pins = [(a,) for a in range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)]
                 seam = None
                 if cyclic:
-                    seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a in pins))))
-                totals = solve._column_dp(n, heights, k, [(a,) for a in pins], seam)[0]
-                want = [dense_pinned(n, L, a, cyclic)[:, k].min() for a in pins]
-                assert totals.tolist() == want, k
+                    seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a, in pins))))
+                cap = solve._fill_bound(n, heights, k, pins, seam) + 1
+                totals = solve._column_dp(n, heights, k, pins, seam)[0]
+                want = [dense_pinned(n, L, a, cyclic)[:, k].min() for a, in pins]
+                assert totals.tolist() == [min(w, cap) for w in want], k
+                assert min(want) < cap
 
 
 def pass_arrays(monkeypatch):
@@ -577,20 +580,20 @@ def own_arrays(kept, stepped, dtype):
 
 
 def forced_type(monkeypatch, dtype):
-    """Patch ``_state_type`` to give ``dtype`` with the rule's ``inf``; every
-    state ``_column_dp`` keeps across the test must be its own array in that
-    type (``own_arrays``)."""
+    """Patch ``_state_type`` to give ``dtype`` for every range; the rule must
+    have been asked, and every state ``_column_dp`` keeps across the test
+    must be its own array in that type (``own_arrays``)."""
     state_type = solve._state_type
     picked = []
 
-    def forced(N, n):
-        picked.append(state_type(N, n))
-        return dtype, picked[-1][1]
+    def forced(top):
+        picked.append(state_type(top))
+        return dtype
 
     monkeypatch.setattr(solve, "_state_type", forced)
     kept, stepped = pass_arrays(monkeypatch)
     yield
-    assert picked and own_arrays(kept, stepped, dtype)
+    assert picked and (not kept or own_arrays(kept, stepped, dtype))
 
 
 class TestColumnStepInt64(TestColumnStepAgainstDense):
@@ -602,106 +605,96 @@ class TestColumnStepInt64(TestColumnStepAgainstDense):
         yield from forced_type(monkeypatch, np.int64)
 
 
-def skip_int16(monkeypatch):
-    """Patch ``_state_type`` to give int32, with the rule's ``inf``, where it
-    picks int16, as past n = 3275."""
-    state_type = solve._state_type
-    picked = []
-
-    def no_int16(N, n):
-        dtype, inf = state_type(N, n)
-        picked.append(dtype)
-        return np.int32, inf
-
-    monkeypatch.setattr(solve, "_state_type", no_int16)
-    yield
-    assert picked
-
-
 class TestColumnStepInt32(TestColumnStepAgainstDense):
-    """The dense-reference grid again with int32 where ``_state_type`` picks
-    int16, as past n = 3275; the retrace reads the int32 states."""
+    """The dense-reference grid again with int32 states, the type past n of
+    about 5000; the retrace reads the int32 states."""
 
     @pytest.fixture(autouse=True)
     def int32_states(self, monkeypatch):
-        yield from skip_int16(monkeypatch)
+        yield from forced_type(monkeypatch, np.int32)
 
 
 class TestColumnStepFormula:
     @given(st.data())
     def test_matches_the_documented_formula(self, data):
-        # _column_step against its docstring, evaluated directly in O(n^2 C):
-        # out[a2, c, p] = min over a1 <= h_prev of cur[a1, c - a2, p] + cost(a1, a2),
-        # big where no a1 contributes (a2 > h, or c - a2 outside the window)
+        # both kernels of _column_step against its docstring, evaluated
+        # directly in O(n^2 C): out[a2, c, p] = min over a1 <= h_prev of
+        # cur[a1, c - a2, p] + cost(a1, a2), cap where no a1 contributes
+        # (a2 > h, or c - a2 outside the window); states lie in [0, cap]
         n = data.draw(st.integers(1, 6), label="n")
         h_prev = data.draw(st.integers(1, n), label="h_prev")
         h = data.draw(st.integers(1, h_prev), label="h")  # h < h_prev: a partial column
         C = data.draw(st.integers(1, 6), label="C")
         P = data.draw(st.integers(1, 5), label="P")
         wrap = data.draw(st.booleans(), label="wrap")
-        dtype = data.draw(st.sampled_from([np.int16, np.int32]), label="dtype")
-        big = solve._state_type(1 << 20, n)[1]  # the rule's inf, above every state below
+        dtype = data.draw(st.sampled_from([np.int8, np.int16]), label="dtype")
+        cap = data.draw(st.integers(1, np.iinfo(dtype).max - n - 1), label="cap")
         R = n + 1
-        cells = st.one_of(st.integers(0, 3 * n), st.just(big))  # some states unreachable
+        cells = st.one_of(st.integers(0, cap), st.just(cap))  # some states unreachable
         cur = np.array(data.draw(st.lists(cells, min_size=R * C * P, max_size=R * C * P)),
                        dtype).reshape(R, C, P)
-        cur[h_prev + 1 :] = big  # rows above h_prev are unreachable
+        cur[h_prev + 1 :] = cap  # rows above h_prev are unreachable
 
         def cost(a1, a2):
             return (abs(min(a1, h) - a2) + (wrap and (a1 == h_prev) != (a2 >= 1))
                     + (0 < a2 < h))
 
-        want = np.full((R, C + R - 1, P), big, np.int64)
+        want = np.full((R, C + R - 1, P), cap, np.int64)
         for a2 in range(h + 1):
             for c in range(a2, a2 + C):
                 for p in range(P):
                     want[a2, c, p] = min(int(cur[a1, c - a2, p]) + cost(a1, a2)
                                          for a1 in range(h_prev + 1))
         terms = solve._step_terms(h_prev, h, wrap, np.dtype(dtype))
-        out = solve._column_step(cur, h_prev, terms, big)
-        assert out.dtype == dtype and out.shape == want.shape
-        assert np.array_equal(out, want)
+        for small_step in (0, 1 << 62):  # the running minima, then one broadcast minimum
+            with patch.object(solve, "_SMALL_STEP", small_step):
+                out = solve._column_step(cur, h_prev, terms, cap)
+            assert out.dtype == dtype and out.shape == want.shape
+            assert np.array_equal(out, want), small_step
 
 
 def reference_column_dp(n, heights, k, pins, seam=None):
     """``_column_dp`` as a plain loop that runs ``_column_step`` for every
-    column: the same windows, state type and kept states, no fast-forward."""
+    column: the same windows, cap, state type and kept states, no
+    fast-forward."""
     N = sum(heights)
-    dtype, big = solve._state_type(N, n)
     ends = np.cumsum(heights)
 
     def window(ci):
         return max(0, k - (N - int(ends[ci]))), min(k, int(ends[ci]))
 
     lo, hi = window(0)
-    cur = np.full((n + 1, hi - lo + 1, len(pins)), big, dtype)
-    for p, first in enumerate(pins):
+    firsts = [[a for a in first if lo <= a <= hi] for first in pins]
+    cap = solve._fill_bound(n, heights, k, firsts, seam) + 1
+    dtype = solve._state_type(cap + n + 1)
+    cur = np.full((n + 1, hi - lo + 1, len(pins)), cap, dtype)
+    for p, first in enumerate(firsts):
         for a in first:
-            if lo <= a <= hi:
-                cur[a, a - lo, p] = 0 < a < heights[0]
+            cur[a, a - lo, p] = 0 < a < heights[0]
     states = []
     for ci in range(1, len(heights)):
         if seam is not None and ci == len(heights) - 1:
-            cur = cur + seam[0].T[:, None].astype(dtype)
+            cur = np.minimum(cur + seam[0].T[:, None].astype(dtype), cap)
         states.append((lo, cur))
         h_prev = heights[ci - 1]
         terms = solve._step_terms(h_prev, heights[ci], n > 1, np.dtype(dtype))
-        out = solve._column_step(cur, h_prev, terms, big)
+        out = solve._column_step(cur, h_prev, terms, cap)
         lo_next, hi = window(ci)
-        cur, lo = out[:, lo_next - lo : hi - lo + 1], lo_next
+        cur, lo = np.minimum(out[:, lo_next - lo : hi - lo + 1], cap), lo_next
     if seam is not None:
-        cur = cur + seam[1].T[:, None].astype(dtype)
+        cur = np.minimum(cur + seam[1].T[:, None].astype(dtype), cap)
     return cur[:, k - lo].min(axis=0), states + [(lo, cur)]
 
 
 def column_step_calls(monkeypatch):
-    """Spy on ``_column_step``; returns the list its calls' h_prev go into."""
+    """Spy on ``_column_step``, whichever kernel it takes; returns the list
+    its calls' h_prev go into."""
     calls = []
     column_step = solve._column_step
 
-    def spy(cur, h_prev, terms, big):
+    def spy(cur, h_prev, terms, cap):
         calls.append(h_prev)
-        return column_step(cur, h_prev, terms, big)
+        return column_step(cur, h_prev, terms, cap)
 
     monkeypatch.setattr(solve, "_column_step", spy)
     return calls
@@ -774,73 +767,98 @@ class TestStepTermsCache:
             assert term.dtype == args[-1] and np.array_equal(term, want)
 
 
+def picked_types(monkeypatch):
+    """Spy on ``_state_type``; returns the list of the types it gives."""
+    picked = []
+    state_type = solve._state_type
+    monkeypatch.setattr(solve, "_state_type",
+                        lambda top: picked.append(state_type(top)) or picked[-1])
+    return picked
+
+
+def parent_type(n, N):
+    """The state type every search over N sites with n rows took before the
+    cap: int16 while min(5n + 8, 2N + 1) + 5n + 6 < 2^15, else int32."""
+    return np.int16 if min(5 * n + 8, 2 * N + 1) + 5 * n + 6 < 1 << 15 else np.int32
+
+
 class TestStateType:
     @pytest.mark.parametrize("n,k", [
         (1, 1), (2, 1), (7, 1), (80, 1), (300, 1), (1000, 1),
         (1, 2), (2, 4), (7, 8), (20, 32),
     ])
     def test_int16_up_to_the_bound(self, n, k, monkeypatch):
-        # int16 at every N up to n = 3275, inf = min(5n + 8, 2N + 1)
-        for N in (1, n, 2 * n + 1, 2100, 1 << 40):
-            inf = min(5 * n + 8, 2 * N + 1)
-            assert solve._state_type(N, n) == (np.int16, inf)
-            assert inf + 5 * n + 6 < 1 << 15
-        # a column DP of volume k over 2100 sites on int16 states gives what
-        # it gives on int64 ones
+        # a column DP of volume k over 2100 sites runs the narrowest type
+        # holding cap + n + 1, int16 or narrower up to n = 3275 as before
+        # the cap, and gives what it gives on int64 states
         L = F(2100, n * n)
+        picked = picked_types(monkeypatch)
         res = column_dp_min(n, L, k)
-        monkeypatch.setattr(solve, "_state_type", lambda N, n: (np.int64, 1 << 40))
+        heights = column_heights(n, L)
+        N = sum(heights)
+        cap = solve._fill_bound(n, heights, k, [range(max(0, k - (N - heights[0])),
+                                                      min(heights[0], k) + 1)]) + 1
+        assert picked == [np.int8 if cap + n + 1 < 1 << 7 else np.int16]
+        assert np.dtype(picked[0]).itemsize <= np.dtype(parent_type(n, N)).itemsize
+        monkeypatch.setattr(solve, "_state_type", lambda top: np.int64)
         wide = column_dp_min(n, L, k)
         assert (res.value, res.profile) == (wide.value, wide.profile)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 80, 300, 1000])
     def test_two_tiers_one_rule(self, n):
-        # the largest N the column-DP guard admits at n (k = 0) runs int16;
-        # int32 begins at n = 3276 (int16 again where 2N + 1 keeps inf
-        # small) and holds every n the guard admits: there is no third tier
+        # one rule, the narrowest type holding [-top, top]; at the largest N
+        # the column-DP guard admits at n (k = 0), the largest cap the proof
+        # allows, 5n + 6 on the ring, takes no wider type than before the cap
         N = n * (solve.DP_BUDGET // ((n + 1) * (n + 2)))
         assert solve._run_states(n, N, 0) <= solve.DP_BUDGET
-        assert solve._state_type(N, n) == (np.int16, 5 * n + 8)
-        assert solve._state_type(1 << 40, 3275) == (np.int16, 5 * 3275 + 8)
-        assert solve._state_type(1 << 40, 3276) == (np.int32, 5 * 3276 + 8)
-        assert solve._state_type(100, 3276) == (np.int16, 201)
+        for top, dtype in ((127, np.int8), (128, np.int16), ((1 << 15) - 1, np.int16),
+                           (1 << 15, np.int32), ((1 << 31) - 1, np.int32)):
+            assert solve._state_type(top) is dtype
+        ring = solve._state_type(5 * n + 6 + n + 1)
+        assert np.dtype(ring).itemsize <= np.dtype(parent_type(n, N)).itemsize
         largest = 16382  # one column of n sites at k = 0 keeps (n + 1)(n + 2) states
         assert solve._run_states(largest, largest, 0) <= solve.DP_BUDGET
         with pytest.raises(SolverGuardError):
             solve._run_states(largest + 1, largest + 1, 0)
-        dtype, inf = solve._state_type(1 << 40, largest)
-        assert dtype is np.int32 and inf + 5 * largest + 6 < 1 << 31
+        assert solve._state_type(6 * largest + 9) is np.int32
 
     def test_transfer_matrix_states_int16(self):
         # every n that _transfer_fits admits (open, k = 0, N = 2n + 1 is its
-        # cheapest instance) searches int16 states at every N
+        # cheapest instance) searches int16 states or narrower at every N:
+        # int8 up to n = 11, where inf + 5n + 6 <= 2^7
         admitted = [n for n in range(2, 40) if _transfer_fits(n, 2 * n + 1, 0, False)]
         assert admitted == list(range(2, 18))
         for n in admitted:
-            assert solve._state_type(TRANSFER_BUDGET, n)[0] is np.int16
+            for N in (2 * n + 1, TRANSFER_BUDGET):
+                inf = min(5 * n + 8, 2 * N + 1)
+                dtype = solve._state_type(inf + 5 * n + 5)
+                assert dtype is (np.int8 if inf + 5 * n + 6 <= 1 << 7 else np.int16)
+            assert (dtype is np.int8) == (n <= 11)
 
     @pytest.mark.parametrize("n", [80, 1000])
     def test_kept_states_int16_up_to_the_bound(self, n, monkeypatch):
         # N up to the bound where kept states once became int32, and one
-        # past it: int16 passes, and each kept state is the pass's own
-        # array; three ones at the bottom of the first column cost one
-        # jump and three horizontal pairs
+        # past it: int8 passes at n = 80, int16 at n = 1000, and each kept
+        # state is the pass's own array; three ones at the bottom of the
+        # first column cost one jump and three horizontal pairs
         last = (1 << 14) - n - 5
+        dtype = np.int8 if n == 80 else np.int16
         kept, stepped = pass_arrays(monkeypatch)
+        picked = picked_types(monkeypatch)
         for N in (last, last + 1):
-            assert solve._state_type(N, n)[0] is np.int16
             res = column_dp_min(n, F(N, n * n), 3)
             assert res.value == F(4, n) and res.profile.counts[0] == 3
-            assert own_arrays(kept, stepped, np.int16)
-            kept.clear()
-            stepped.clear()
+            assert picked == [dtype] and own_arrays(kept, stepped, dtype)
+            for found in (kept, stepped, picked):
+                found.clear()
 
     def test_open_anchor_keeps_int16_views(self, monkeypatch):
-        # n = 80, N = 6400: int16 states, kept as the pass's own arrays;
-        # value and profile as the encoded parents gave them
+        # n = 80, N = 6400: cap 82, so int16 states, kept as the pass's own
+        # arrays; value and profile as the encoded parents gave them
         kept, stepped = pass_arrays(monkeypatch)
         res = column_dp_min(80, 1, 3200)
-        assert solve._state_type(6400, 80) == (np.int16, 408)
+        assert solve._fill_bound(80, (80,) * 80, 3200, [range(81)]) == 81
+        assert solve._state_type(82 + 81) is np.int16
         assert own_arrays(kept, stepped, np.int16)
         assert res.value == F(81, 80)
         assert res.profile.counts == (80,) * 40 + (0,) * 40
@@ -849,13 +867,10 @@ class TestStateType:
         # N = 131000 sites at n = 1000, far past any bound in N: int16
         # states; five ones at the bottom of the first column cost one jump
         # and five horizontal pairs
-        picked = []
-        state_type = solve._state_type
-        monkeypatch.setattr(solve, "_state_type",
-                            lambda *args: picked.append(state_type(*args)) or picked[-1])
+        picked = picked_types(monkeypatch)
         kept, stepped = pass_arrays(monkeypatch)
         res = column_dp_min(1000, F(131, 1000), 5)
-        assert picked == [(np.int16, 5008)]
+        assert picked == [np.int16]
         assert own_arrays(kept, stepped, np.int16)
         assert res.value == F(6, 1000)
 
@@ -884,47 +899,56 @@ class ValueSpy:
     add, subtract, minimum, less = map(_recorded, (np.add, np.subtract, np.minimum, np.less))
 
 
-def spied(search):
-    """``search()`` on the rule's states under ``ValueSpy``, and again on
-    int64 states with inf = 2^40, where a state is reachable iff below 2^40."""
-    spy = ValueSpy()
-    with patch.object(solve, "np", spy):
-        got = search()
-    with patch.object(solve, "_state_type", lambda N, n: (np.int64, 1 << 40)):
-        wide = search()
-    return spy, got, wide
-
-
-def check_states(got, wide, inf, top):
-    """Reachable states equal the wide run's and lie below inf; unreachable
-    ones lie in [inf, top]."""
-    reach = wide < 1 << 40
-    assert np.array_equal(got[reach], wide[reach]) and (got[reach] < inf).all()
-    assert ((got[~reach] >= inf) & (got[~reach] <= top)).all()
+def transfer_reachable(n, N, j, start):
+    """``reach[w, p]``: whether run p has a configuration of volume j whose
+    last window is w.  For N > 2n the first and last windows are disjoint,
+    so it does iff some first window of the run leaves a volume the N - 2n
+    sites between can hold."""
+    vols = np.bitwise_count(np.arange(1 << n)).astype(int)
+    between = j - vols[:, None, None] - vols  # [last window, run's first window]
+    return ((between >= 0) & (between <= N - 2 * n) & start[None]).any(axis=2)
 
 
 class TestStateBound:
-    """``_state_type``'s proof, observed: reachable states below inf,
-    unreachable ones within its bound, every value of a search inside
-    [-n, inf + 5n + 6), and the rule's type holding that range."""
+    """The proofs of ``_state_type``'s callers, observed: every value of a
+    search inside its proved range, held by the rule's type; capped
+    column-DP states equal to the uncapped ones up to the cap; reachable
+    transfer-matrix states below inf, unreachable ones within its bound."""
 
     @given(st.data())
     def test_column_dp_values(self, data):
-        # open runs and pinned runs with the seam, partial last columns too
+        # open runs and pinned runs with the seam, partial last columns too,
+        # through either kernel: the capped pass stores min(uncapped, cap),
+        # so equals the uncapped pass on every state <= ub and stores nothing
+        # above cap, and computes nothing outside [-n, cap + n + 1]
         n, heights, k, pins, seam = draw_column_dp_instance(data, 1)
-        dtype, inf = solve._state_type(sum(heights), n)
-        spy, (totals, states), (wide_totals, wide_states) = spied(
-            lambda: solve._column_dp(n, heights, k, pins, seam))
+        small_step = data.draw(st.sampled_from([0, solve._SMALL_STEP]), label="small_step")
+        N = sum(heights)
+        lo, hi = max(0, k - (N - heights[0])), min(k, heights[0])
+        ub = solve._fill_bound(n, heights, k, [[a for a in p if lo <= a <= hi] for p in pins], seam)
+        cap = ub + 1
+        dtype = solve._state_type(cap + n + 1)
+        assert dtype is np.int8  # n <= 12: every drawn instance
+        spy = ValueSpy()
+        with patch.object(solve, "_SMALL_STEP", small_step):
+            with patch.object(solve, "np", spy):
+                totals, states = solve._column_dp(n, heights, k, pins, seam)
+            with patch.object(solve, "_state_type", lambda top: np.int64), \
+                 patch.object(solve, "_fill_bound", lambda *args: (1 << 40) - 1):
+                wide_totals, wide_states = solve._column_dp(n, heights, k, pins, seam)
         assert spy.dtypes <= {np.dtype(dtype)}  # a one-column chain runs no step
-        assert -n <= spy.low and spy.high < inf + 5 * n + 6
-        check_states(totals, wide_totals, inf, inf + 3 * n + 3)
+        assert -n <= spy.low and spy.high <= cap + n + 1
+        assert totals.min() <= ub and np.array_equal(totals, np.minimum(wide_totals, cap))
         for (_, got), (_, wide) in zip(states, wide_states, strict=True):
-            assert got.dtype == dtype
-            check_states(got, wide, inf, inf + 3 * n + 3)
+            assert got.dtype == dtype and got.max() <= cap
+            assert np.array_equal(got, np.minimum(wide, cap))
 
     @given(st.integers(2, 8), st.data())
     def test_transfer_pass_values(self, n, data):
-        # the open run and the ring's pinned runs, every volume window
+        # the open run and the ring's pinned runs, every volume window: the
+        # same states and choices as on int64, reachable states at volume j
+        # below inf and unreachable ones in [inf, inf + 2n], every value in
+        # [0, inf + 5n + 6)
         N = data.draw(st.integers(2 * n + 1, 6 * n), label="N")
         j = data.draw(st.integers(0, N // 2), label="j")
         W = 1 << n
@@ -933,28 +957,68 @@ class TestStateBound:
             start = windows[np.flatnonzero((windows & 3 == 2) | (windows == 0)), None] == windows
         else:
             start = np.ones((1, W), bool)
-        dtype, inf = solve._state_type(N, n)
-        runs = []
-
-        def search():
-            runs.append([])
-            return _transfer_pass(n, N, j, start, runs[-1])
-
-        spy, got, wide = spied(search)
+        inf = min(5 * n + 8, 2 * N + 1)
+        dtype = solve._state_type(inf + 5 * n + 5)
+        spy = ValueSpy()
+        picks, wide_picks = [], []
+        with patch.object(solve, "np", spy):
+            got = _transfer_pass(n, N, j, start, picks)
+        with patch.object(solve, "_state_type", lambda top: np.int64):
+            wide = _transfer_pass(n, N, j, start, wide_picks)
         assert spy.dtypes == {np.dtype(dtype)} and got.dtype == dtype
-        assert -n <= spy.low and spy.high < inf + 5 * n + 6
-        check_states(got[:, j], wide[:, j], inf, inf + 2 * n)
+        assert 0 <= spy.low and spy.high < inf + 5 * n + 6
+        assert np.array_equal(got, wide)
+        reach = transfer_reachable(n, N, j, start)
+        assert (got[:, j][reach] < inf).all()
+        assert ((got[:, j][~reach] >= inf) & (got[:, j][~reach] <= inf + 2 * n)).all()
         assert got.max() <= inf + 2 * n  # every volume, the last step's additions too
-        picks, wide_picks = runs
         assert len(picks) == len(wide_picks) == N - n
         assert all(np.array_equal(a, b) for a, b in zip(picks, wide_picks))
 
     @given(st.integers(1, 20000), st.integers(1, 1 << 40))
     def test_type_holds_the_bound(self, n, N):
-        dtype, inf = solve._state_type(N, n)
-        assert inf == min(5 * n + 8, 2 * N + 1)
-        assert inf + 5 * n + 6 <= np.iinfo(dtype).max
-        assert dtype is np.int16 or inf + 5 * n + 6 >= 1 << 15
+        # the column DP's widest range, cap = 5n + 8 on the ring, and the
+        # transfer matrix's: each in the narrowest type that holds it, none
+        # wider than before the cap
+        inf = min(5 * n + 8, 2 * N + 1)
+        for top in (min(5 * n + 8, 2 * N + 1) + n + 1, inf + 5 * n + 5):
+            dtype = solve._state_type(top)
+            assert top <= np.iinfo(dtype).max
+            assert dtype is np.int8 or top > np.iinfo(np.int8 if dtype is np.int16 else np.int16).max
+            assert np.dtype(dtype).itemsize <= np.dtype(parent_type(n, N)).itemsize
+
+
+class TestFillBound:
+    @pytest.mark.parametrize("n,L", DENSE_SHAPES)
+    def test_count_of_a_fill_profile(self, n, L):
+        # every volume, open and on the ring: the bound is n times the energy
+        # of the cheaper fill profile's configuration (largest first count,
+        # filled from the left; smallest, filled from the right), and at
+        # least the dense reference's least count
+        heights = column_heights(n, L)
+        N = sum(heights)
+        open_table = dense_open(n, L)
+        ring_table = dense_cyclic(n, L) if (n, L) in CYCLIC_SHAPES else None
+
+        def filled(a0, k, order):
+            counts, left = [a0] + [0] * (len(heights) - 1), k - a0
+            for i in order:
+                counts[i] = min(left, heights[i])
+                left -= counts[i]
+            return profile_to_config(ColumnProfile(n, heights, tuple(counts)), L)
+
+        for k in range(N + 1):
+            lo, hi = max(0, k - (N - heights[0])), min(k, heights[0])
+            fills = filled(hi, k, range(1, len(heights))), filled(lo, k, range(len(heights) - 1, 0, -1))
+            ub = solve._fill_bound(n, heights, k, [range(lo, hi + 1)])
+            assert ub == min(n * energy_open(c) for c in fills) >= open_table[k][0], k
+            assert ub <= 3 * n + 4  # _state_type's bound
+            if ring_table is not None:
+                pins = [(a,) for a in range(lo, hi + 1)]
+                seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a, in pins))))
+                ub = solve._fill_bound(n, heights, k, pins, seam)
+                assert ub == min(n * energy_periodic(c) for c in fills) >= ring_table[k][0], k
+                assert ub <= 5 * n + 5
 
 
 class TestProfiles:
@@ -1055,7 +1119,8 @@ class TestPeriodicMin:
 def reference_transfer_pass(n: int, N: int, k: int, start: np.ndarray,
                             choices=None) -> np.ndarray:
     W, half = 1 << n, 1 << (n - 1)
-    dtype, inf = solve._state_type(N, n)
+    inf = min(5 * n + 8, 2 * N + 1)
+    dtype = solve._state_type(inf + 5 * n + 5)
     vols = np.bitwise_count(np.arange(W))
     p, first = np.nonzero(start & (vols <= k))
     D = np.full((len(start), W, k + 1), inf, dtype)
@@ -1185,12 +1250,48 @@ class TestTransferMatrix:
 
 
 class TestTransferMatrixInt32(TestTransferMatrix):
-    """The transfer-matrix grid again with int32 where ``_state_type`` picks
-    int16."""
+    """The transfer-matrix grid again with int32 states forced; the identity
+    with the two-pass search is checked on forced types on a few shapes
+    (``TestForcedType``)."""
+
+    test_same_as_two_pass_search = None
 
     @pytest.fixture(autouse=True)
     def int32_states(self, monkeypatch):
-        yield from skip_int16(monkeypatch)
+        yield from forced_type(monkeypatch, np.int32)
+
+
+class TestForcedType:
+    """One test per search on a few shapes of its grid, with int16 and then
+    int32 states forced, the types of instances larger than these: the
+    searches and their retraces take whatever type ``_state_type`` gives."""
+
+    @pytest.fixture(autouse=True, params=[np.int16, np.int32], ids=["int16", "int32"])
+    def forced_states(self, request, monkeypatch):
+        yield from forced_type(monkeypatch, request.param)
+
+    def test_column_dps(self):
+        # both column DPs at every volume of a full-column shape and two
+        # with a partial last column, against the dense reference
+        for n, L in ((4, F(1)), (7, F(7, 5)), (10, F(5, 4))):
+            for k, (total, counts) in enumerate(dense_open(n, L)):
+                res = column_dp_min(n, L, k)
+                assert (res.value, res.profile.counts) == (F(total, n), counts), (n, L, k)
+            for k, (total, counts) in enumerate(dense_cyclic(n, L)):
+                res = _cyclic_dp(n, L, k)
+                assert (res.value, res.profile.counts) == (F(total, n), counts), (n, L, k)
+
+    def test_transfer_matrix(self):
+        # the one-pass search against the two-pass one at every volume that
+        # fits, both boundaries, on shapes from the smallest n to the largest
+        for n, N in ((2, 9), (4, 25), (6, 37), (8, 45)):
+            L = F(N, n * n)
+            for periodic in (False, True):
+                for k in range(N + 1):
+                    if _transfer_fits(n, N, k, periodic):
+                        res = _transfer_min(n, L, k, periodic)
+                        want = reference_transfer_answer(n, L, k, periodic)
+                        assert (res.value, res.config) == want, (n, N, k, periodic)
 
 
 def reference_transfer_ring(n, N, k):
@@ -1661,6 +1762,17 @@ for solver in (_cyclic_dp, column_dp_min):
         print(solver.__name__, "backtrack raised:", exc)
     spinchain.solve._column_dp = column_dp
 
+# a column step one too high on every state: the DP total passes its fill
+# bound, on the ring and on the open chain
+column_step = spinchain.solve._column_step
+spinchain.solve._column_step = lambda *args: column_step(*args) + 1
+for solver in (_cyclic_dp, column_dp_min):
+    try:
+        solver(10, Fraction(1), 50)
+    except AssertionError as exc:
+        print(solver.__name__, "bound raised:", exc)
+spinchain.solve._column_step = column_step
+
 # the transfer matrix's bit for site 0 on the winning path flipped
 L = Fraction(22, 25)
 mask = sum(x << i for i, x in enumerate(_transfer_min(5, L, 11, True).config.values))
@@ -1684,9 +1796,10 @@ except AssertionError as exc:
 def test_self_checks_survive_python_O():
     """The energy and volume self-checks of the four solver routes, the
     classifier's energy self-check, the column DP's backtrack over a
-    tampered state on the ring and on the open chain, and the result check of a transfer matrix whose
-    recorded choice was flipped raise under ``python -O``, which strips
-    ``assert`` statements; the same routes pass unpatched."""
+    tampered state and its fill-bound check over a faulty step, each on the
+    ring and on the open chain, and the result check of a transfer matrix
+    whose recorded choice was flipped raise under ``python -O``, which
+    strips ``assert`` statements; the same routes pass unpatched."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", SELF_CHECKS], env=env,
@@ -1697,5 +1810,7 @@ def test_self_checks_survive_python_O():
         + [f"{name} raised" for name in routes + ["classify_open"]]  # wrong energy
         + [f"{name} raised" for name in routes]  # wrong volume
         + [f"{name} backtrack raised: column DP backtrack must retrace its value pass"
+           for name in ("_cyclic_dp", "column_dp_min")]
+        + [f"{name} bound raised: column DP total must not exceed its fill bound"
            for name in ("_cyclic_dp", "column_dp_min")]
         + ["transfer raised: TransferMatrix bookkeeping must match the energy and volume"])
