@@ -280,12 +280,11 @@ def profile_to_config(profile: ColumnProfile, L=None) -> SpinConfig:
 
     ``L`` defaults to N / n^2, the shortest length with the profile's sites.
     """
-    values: list[int] = []
-    for h, a in zip(profile.heights, profile.counts):
-        values.extend([1] * a + [0] * (h - a))
+    values = tuple(b"".join(b"\x01" * a + b"\x00" * (h - a)
+                            for h, a in zip(profile.heights, profile.counts)))
     if L is None:
         L = Fraction(len(values), profile.n * profile.n)
-    return SpinConfig._trusted(profile.n, frac(L), tuple(values))
+    return SpinConfig._trusted(profile.n, frac(L), values)
 
 
 def config_to_profile(cfg: SpinConfig) -> ColumnProfile:

@@ -60,7 +60,9 @@ step gives back its input states, the later full columns are views.
 Both DPs backtrack the same way (``_backtrack``).  The value pass keeps
 each step's input states and the retrace recomputes, column by column, the
 smallest count whose state plus ``_column_step``'s cost gives the value
-passed back, so the DP runs once and its states are never encoded.  The
+passed back, so the DP runs once and its states are never encoded.  It
+scans counts a1 >= a - value only: states are >= 0 and a step to count a
+costs at least a - a1, so no smaller a1 can match.  The
 kept states are the pass's own arrays, mostly views of its step buffers.
 The open DP keeps every step of its one run; the cyclic DP keeps those of the
 chunk of pins with the least total and retraces its winning pin alone.
@@ -590,7 +592,10 @@ def _backtrack(n: int, heights: tuple[int, ...], k: int, p: int, states: list,
 
     ``cost`` as in ``_column_step``, with the wrap term only for n > 1; with
     a seam, the second to last column's states carry ``seam[0]``, which is
-    taken off the value passed back.  A step without such an a1 raises
+    taken off the value passed back.  The scan starts at a1 = max(0, a2 -
+    value): every kept state is >= 0 (so are the seam terms), and for
+    a1 < a2 <= h the horizontal term alone makes cost(a1, a2) >= a2 - a1, so
+    a smaller a1 has state + cost > value.  A step without such an a1 raises
     ``AssertionError`` explicitly, so the check survives ``python -O``.
     """
     lo, final = states[-1]
@@ -606,7 +611,8 @@ def _backtrack(n: int, heights: tuple[int, ...], k: int, p: int, states: list,
         v -= a
         lo, kept = states[ci - 1]
         jump = 0 < a < h
-        for a1, s in enumerate(kept[: h_prev + 1, v - lo, p].tolist()):
+        start = max(0, a - value)
+        for a1, s in enumerate(kept[start : h_prev + 1, v - lo, p].tolist(), start):
             wrap = n > 1 and (a1 == h_prev) != (a >= 1)
             if s + abs(min(a1, h) - a) + wrap + jump == value:
                 break

@@ -368,6 +368,27 @@ class TestTrustedBuilds:
             assert profile_to_config(ColumnProfile(n, heights, counts), L) == \
                 SpinConfig(n, L, values)
 
+    @given(st.integers(1, 12), st.sampled_from([Fraction(1, 200), Fraction(1, 2), Fraction(1),
+                                                Fraction(5, 4), Fraction(7, 5), Fraction(3)]),
+           st.booleans(), st.data())
+    def test_profile_to_config_per_site(self, n, L, given_L, data):
+        # site i sits in column i // n at height i % n and holds a one iff
+        # that height is below the column's count; the empty chain (L = 1/200),
+        # L = None, n = 1 and partial last columns included
+        heights = column_heights(n, L)
+        N = site_count(n, L)
+        counts = tuple(data.draw(st.integers(0, h), label="count") for h in heights)
+        profile = ColumnProfile(n, heights, counts)
+        if not (given_L or heights):  # L = None on the empty chain: L = 0
+            with pytest.raises(ValueError, match="L must be positive"):
+                profile_to_config(profile)
+            return
+        cfg = profile_to_config(profile, L if given_L else None)
+        assert cfg.values == tuple(int(i % n < counts[i // n]) for i in range(N))
+        assert type(cfg.values) is tuple and all(type(v) is int for v in cfg.values)
+        assert cfg.L == (L if given_L else Fraction(N, n * n)) and type(cfg.L) is Fraction
+        assert cfg == SpinConfig(n, cfg.L, cfg.values)
+
     def test_bad_input_still_raises(self):
         with pytest.raises(ValueError, match="values must be 0/1"):
             SpinConfig(2, 1, (1, 0, 2, 0))

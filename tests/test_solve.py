@@ -700,11 +700,11 @@ def column_step_calls(monkeypatch):
     return calls
 
 
-def draw_column_dp_instance(data, least_n):
+def draw_column_dp_instance(data, least_n, most_n=12):
     """``(n, heights, k, pins, seam)`` for ``_column_dp``: one open run of
     every first count, or pinned runs with the cyclic seam where the cyclic
     DP runs (n >= 2, N > 2n), partial last columns included."""
-    n = data.draw(st.integers(least_n, 12), label="n")
+    n = data.draw(st.integers(least_n, most_n), label="n")
     L = data.draw(st.sampled_from([F(1), F(5, 4), F(3, 2), F(3)]), label="L")
     heights = column_heights(n, L)
     N = sum(heights)
@@ -749,6 +749,51 @@ class TestFixedPoint:
         want = solver(*args)
         assert len(calls) == steps
         assert (res.value, res.profile) == (want.value, want.profile)
+
+
+def reference_backtrack(n, heights, k, p, states, seam=None):
+    """``_backtrack`` scanning every count a1 = 0..h_prev of each column."""
+    lo, final = states[-1]
+    last = final[:, k - lo, p].tolist()
+    total = min(last)
+    a = last.index(total)
+    value = total - int(seam[1][p, a]) if seam is not None else total
+    counts = [0] * len(heights)
+    v = k
+    for ci in range(len(heights) - 1, 0, -1):
+        counts[ci] = a
+        h_prev, h = heights[ci - 1], heights[ci]
+        v -= a
+        lo, kept = states[ci - 1]
+        jump = 0 < a < h
+        for a1, s in enumerate(kept[: h_prev + 1, v - lo, p].tolist()):
+            wrap = n > 1 and (a1 == h_prev) != (a >= 1)
+            if s + abs(min(a1, h) - a) + wrap + jump == value:
+                break
+        else:
+            raise AssertionError("column DP backtrack must retrace its value pass")
+        value = s - int(seam[0][p, a1]) if seam is not None and ci == len(heights) - 1 else s
+        a = a1
+    counts[0] = a
+    return total, counts
+
+
+class TestBacktrack:
+    @given(st.data())
+    def test_matches_the_full_scan(self, data):
+        # the scan from a1 = max(0, a - value) against every a1: the same
+        # total and counts for every run not above the fill bound (a run
+        # above it holds capped states), open passes and pinned passes with
+        # the cyclic seam, partial last columns too, n past the dense grid
+        n, heights, k, pins, seam = draw_column_dp_instance(data, 1, 40)
+        N = sum(heights)
+        lo, hi = max(0, k - (N - heights[0])), min(k, heights[0])
+        firsts = [[a for a in first if lo <= a <= hi] for first in pins]
+        ub = solve._fill_bound(n, heights, k, firsts, seam)
+        totals, states = _column_dp(n, heights, k, pins, seam)
+        for p in np.flatnonzero(totals <= ub):
+            want = reference_backtrack(n, heights, k, p, states, seam)
+            assert solve._backtrack(n, heights, k, p, states, seam) == want
 
 
 class TestStepTermsCache:
