@@ -12,13 +12,13 @@ chain goes to ``column_dp_min`` and a periodic one to ``periodic_min``;
   transfer matrix (``_transfer_min``) while it fits ``TRANSFER_BUDGET``.
 * ``column_dp_min``     open-chain minimum over prefix profiles by dynamic
   programming over per-column occupation counts, each column filled
-  bottom-up; exact only at k in {0, N}, where one configuration exists.
+  bottom-up; exact only at k in {0, N}, where one configuration exists,
+  and at n = 1, where every configuration is a prefix profile.
 * ``periodic_min``      the ring, routed by size: a transfer-matrix search
   over all configurations (``_transfer_min``, exact) while 0 < k < N and
   4^n N (min(k, N - k) + 1) fits ``TRANSFER_BUDGET``; else brute force
   for k in {0, N} or N <= 28 (exact); else the cyclic column DP
-  (``_cyclic_dp``), or, on rings it declines (n = 1 or N <= 2n), the open
-  column-DP minimizer scored on the ring, both flagged as upper bounds.
+  (``_cyclic_dp``), labelled exact by the same rule as the open one.
 
 Every solver checks its instance through ``_instance``: (n, L, k) by
 ``check_volume``, the boundary by ``is_periodic``, and a ring needs at
@@ -350,8 +350,8 @@ def _fill_bound(n: int, heights: tuple[int, ...], k: int, firsts: list, seam=Non
                 a1, a2, h = count(i - 1), count(i), heights[i]
                 total += (abs(min(a1, h) - a2) + (n > 1 and (a1 == heights[i - 1]) != (a2 >= 1))
                           + (0 < a2 < h))
-        if seam is not None:
-            total += int(seam[0][p, count(last - 1)] + seam[1][p, count(last)])
+        if seam is not None:  # a one-column ring adds no seam[0]
+            total += int(seam[1][p, count(last)]) + (last > 0 and int(seam[0][p, count(last - 1)]))
         bounds.append(total)
     return min(bounds)
 
@@ -655,7 +655,9 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
     Prefix profiles do not always contain an open minimizer: at
     (n, L, k) = (6, 5/4, 39) this returns 7/6, while a configuration of
     volume 39 with energy 1 exists.  So the result is labelled exact only
-    at k in {0, N}, where the constant configuration is the only one.
+    at k in {0, N}, where the constant configuration is the only one, and
+    at n = 1, where every column holds one site, so every configuration is
+    a prefix profile.
 
     n < 1 or L <= 0 is a ``ValueError``; a chain without sites (L n^2 < 1)
     has the empty configuration, energy 0.  An instance whose run would keep
@@ -671,8 +673,8 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
         _, states = _column_dp(n, heights, k, [range(min(heights[0], k) + 1)])
         total, counts = _backtrack(n, heights, k, 0, states)
     profile = ColumnProfile(n, heights, tuple(counts))
-    return _checked(profile_to_config(profile, L), total, k, False, "ColumnDP", k in (0, N),
-                    profile=profile)
+    return _checked(profile_to_config(profile, L), total, k, False, "ColumnDP",
+                    n == 1 or k in (0, N), profile=profile)
 
 
 # --- transfer matrix (both boundaries) and cyclic DP ---------------------------
@@ -809,42 +811,50 @@ def _transfer_min(n: int, L: Fraction, k: int, periodic: bool) -> SolveResult:
                     True)
 
 
-def _cyclic_dp(n: int, L, k: int) -> Optional[SolveResult]:
+def _cyclic_dp(n: int, L, k: int) -> SolveResult:
     """Best periodic energy over cyclic prefix profiles; upper bound on the minimum.
 
-    Pins the first column's count and adds the seam: the distance N-1 pair
-    and the n distance N-n pairs (shifted by the column defect when the last
-    column is partial).  The seam cost splits into a term in the second to
-    last column's count and a term in the last column's count, so it enters
-    as two vectors per pin.  One value pass runs every pin that can reach
+    Pins the first column's count and adds the seam: the ring's pair
+    classes (``pair_distances``) that the columns do not count already,
+    those other than 1 and n; classes that coincide count once, so at n = 1
+    the class N-1 is N-n.  The class N-n adds the n distance N-n pairs
+    (shifted by the column defect when the last column is partial), the
+    class N-1 the one distance N-1 pair.  The seam cost splits into a term
+    in the second to last column's count and a term in the last column's
+    count, so it enters as two vectors per pin; a one-column ring (N <= n)
+    has only the last.  One value pass runs every pin that can reach
     volume k through ``_column_dp`` as one batch, the pins on the innermost
     state axis, in chunks of at most about ``_PIN_BATCH`` states kept over
     the whole pass (``_run_states`` a pin, at least one pin a chunk), one
     call per chunk.  The first chunk with a strictly lower least total
     keeps its states, so the smallest pin with the least total wins;
-    ``_backtrack`` retraces that pin alone from them.  Returns None for
-    n = 1 or N <= 2n, where distance classes collide; a pin past
-    ``DP_BUDGET`` is a ``SolverGuardError``.  The backtrack must retrace
-    the value pass, and the result is re-evaluated (``_checked``).
+    ``_backtrack`` retraces that pin alone from them.  It applies to every
+    ring of at least two sites; a pin past ``DP_BUDGET`` is a
+    ``SolverGuardError``.  The result is exact at n = 1, where every
+    configuration is a profile and every first count is pinned, and at
+    k in {0, N}, where one configuration exists; else exact=False.  The
+    backtrack must retrace the value pass, and the result is re-evaluated
+    (``_checked``).
     """
     L, N, _ = _instance(n, L, k, "periodic")
-    if n < 2 or N <= 2 * n:  # distance classes collide; not worth special-casing
-        return None
     step = max(1, _PIN_BATCH // _run_states(n, N, k))
     heights = column_heights(n, L)
     lam = lambda_defect(n, L)
     pins = np.arange(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
     a1 = pins[:, None]
     counts = np.arange(n + 1)
-    # distance N-n pairs of the first column against the last n sites,
-    # which start lam sites up the second to last column when lam != 0
-    if lam:
-        before = np.abs(np.minimum(a1, n - lam) - np.clip(counts - lam, 0, n - lam))
-        after = np.abs(np.maximum(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
-    else:
-        before = np.zeros((len(pins), n + 1), int)
-        after = np.abs(a1 - counts)
-    after += (a1 >= 1) != (counts == heights[-1])  # distance N-1 pair
+    before = np.zeros((len(pins), n + 1), int)
+    after = np.zeros((len(pins), n + 1), int)
+    for d in set(pair_distances(n, N, True)) - {1, n}:  # the classes the columns miss
+        if d != N - n:  # the distance N-1 pair
+            after += (a1 >= 1) != (counts == heights[-1])
+        # distance N-n pairs of the first column against the last n sites,
+        # which start lam sites up the second to last column when lam != 0
+        elif lam:
+            before = np.abs(np.minimum(a1, n - lam) - np.clip(counts - lam, 0, n - lam))
+            after += np.abs(np.maximum(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
+        else:
+            after += np.abs(a1 - counts)
 
     best = None  # (total, run, states, seam) of the first chunk with the least total
     for i in range(0, len(pins), step):
@@ -857,8 +867,8 @@ def _cyclic_dp(n: int, L, k: int) -> Optional[SolveResult]:
     _, p, states, seam = best
     total, found = _backtrack(n, heights, k, p, states, seam)
     profile = ColumnProfile(n, heights, tuple(found))
-    return _checked(profile_to_config(profile, L), total, k, True, "ColumnDP", False,
-                    profile=profile)
+    return _checked(profile_to_config(profile, L), total, k, True, "ColumnDP",
+                    n == 1 or k in (0, N), profile=profile)
 
 
 def periodic_min(n: int, L, k: int) -> SolveResult:
@@ -869,9 +879,8 @@ def periodic_min(n: int, L, k: int) -> SolveResult:
     exact) while 0 < k < N and ``_transfer_fits``, i.e. n >= 2, N > 2n and
     4^n N (min(k, N - k) + 1) <= ``TRANSFER_BUDGET``; ``brute_force_min``
     (exact) for the trivial volumes k in {0, N} and for the split-cut sweep
-    while N <= 28; the cyclic column DP; and where that declines (n = 1 or
-    N <= 2n) the open column-DP minimizer scored on the ring.  The last two
-    are flagged exact=False: upper bounds on the true minimum.  Every
+    while N <= 28; else the cyclic column DP, an upper bound flagged
+    exact=False but at n = 1, where it searches every configuration.  Every
     configuration is re-evaluated for its energy and volume.  The transfer
     matrix pins only 2^(n-2) + 1 first windows, since the ring's energy
     does not change under rotation, so it does about a quarter of the work
@@ -883,12 +892,7 @@ def periodic_min(n: int, L, k: int) -> SolveResult:
         return _transfer_min(n, L, k, True)
     if k in (0, N) or N <= FULL_SWEEP_MAX_N:
         return brute_force_min(n, L, k, boundary="periodic")
-    res = _cyclic_dp(n, L, k)
-    if res is not None:
-        return res
-    res = column_dp_min(n, L, k)
-    return SolveResult(energy_periodic(res.config), res.config, "ColumnDP", False,
-                       profile=res.profile)
+    return _cyclic_dp(n, L, k)
 
 
 # --- the entry point ---------------------------------------------------------
@@ -900,9 +904,9 @@ def minimize(n: int, L, k: int, boundary: str = "open", method: str = "auto") ->
     ``method="auto"`` runs ``column_dp_min`` on an open chain and
     ``periodic_min`` on a periodic one (transfer matrix, split-cut sweep or
     cyclic DP by size).  ``"brute"`` runs ``brute_force_min``; ``"dp"`` the
-    column DP, or on a ring the cyclic DP (an upper bound flagged inexact,
-    ``SolverGuardError`` where it does not apply: n = 1 or N <= 2n).  An
-    unknown boundary or method, an invalid instance and a ring with fewer
+    column DP, or on a ring the cyclic DP (an upper bound, flagged exact
+    only at n = 1 or k in {0, N}; ``SolverGuardError`` past ``DP_BUDGET``).
+    An unknown boundary or method, an invalid instance and a ring with fewer
     than two sites are a ``ValueError`` under every method.  Every result
     has been re-evaluated for its energy and volume.
     """
@@ -912,10 +916,5 @@ def minimize(n: int, L, k: int, boundary: str = "open", method: str = "auto") ->
     if method == "brute":
         return brute_force_min(n, L, k, boundary)
     if method == "dp":
-        if not periodic:
-            return column_dp_min(n, L, k)
-        res = _cyclic_dp(n, L, k)
-        if res is None:
-            raise SolverGuardError("cyclic DP unavailable for this instance")
-        return res
+        return _cyclic_dp(n, L, k) if periodic else column_dp_min(n, L, k)
     raise ValueError(f"unknown method {method!r}: expected auto, brute or dp")

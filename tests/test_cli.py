@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from spinchain import SpinConfig, classify_open, config_to_text, minimize, phase_diagram
+from spinchain import (SpinConfig, brute_force_min, classify_open, config_to_text, minimize,
+                       phase_diagram)
 from spinchain.classify import MinimizerReport
 from spinchain import cli
 from spinchain.cli import (
@@ -158,10 +159,13 @@ class TestMainEntry:
         assert "instance too large for brute force" in capsys.readouterr().err
 
     def test_minimize_cyclic_dp_guard_exit_code(self, capsys):
-        # N = 8 <= 2n: the cyclic DP does not apply
+        # N = 8 = 2n: the classes N-n and n coincide, and the cyclic DP's
+        # seam counts them once
         assert main(["minimize", "--n", "4", "--L", "1/2", "--k", "4",
-                     "--periodic", "--method", "dp"]) == 3
-        assert "cyclic DP unavailable" in capsys.readouterr().err
+                     "--periodic", "--method", "dp"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["exact"] is False
+        assert Fraction(doc["value"]) >= brute_force_min(4, Fraction(1, 2), 4, "periodic").value
 
     @pytest.mark.parametrize("k", ["-1", "17"])
     def test_minimize_cyclic_dp_bad_volume_exit_code(self, capsys, k):

@@ -303,6 +303,24 @@ class TestColumnDP:
             for k in range(L + 1):
                 assert column_dp_min(1, L, k).value == brute_force_min(1, L, k).value
 
+    @pytest.mark.parametrize("boundary,solver", [("open", column_dp_min),
+                                                 ("periodic", _cyclic_dp)])
+    def test_single_row_is_exact(self, boundary, solver):
+        # at n = 1 every column holds one site, so every configuration is a
+        # prefix profile and both DPs search them all: exact at every volume
+        for N in range(2, 27):
+            for k in range(N + 1):
+                res = solver(1, N, k)
+                want = brute_force_min(1, N, k, boundary).value
+                assert (res.value, res.exact) == (want, True), (N, k)
+
+    def test_exact_only_at_the_ends_past_one_row(self):
+        # n > 1: prefix profiles miss some configurations, so both DPs are
+        # labelled exact only at k in {0, N}, where one configuration exists
+        for solver in (column_dp_min, _cyclic_dp):
+            labels = [solver(2, F(5, 2), k).exact for k in range(11)]
+            assert labels == [True] + [False] * 9 + [True], solver.__name__
+
     def test_counts_above_255_backtrack(self):
         # counts past 255: the retrace recomputes each count from the kept
         # states, so no count type of its own bounds it
@@ -495,8 +513,9 @@ def dense_cyclic(n, L):
 
 DENSE_SHAPES = [(n, L) for n in range(2, 11)
                 for L in (F(1), F(5, 4), F(7, 5), F(3, 2), F(3))]
-# the cyclic DP declines shapes whose distance classes collide
-CYCLIC_SHAPES = [(n, L) for n, L in DENSE_SHAPES if _cyclic_dp(n, L, 0) is not None]
+# rings whose distance classes are distinct: ``_seam_cost`` adds the classes
+# N-1 and N-n whatever they coincide with, so it double-counts at N <= 2n
+CYCLIC_SHAPES = [(n, L) for n, L in DENSE_SHAPES if site_count(n, L) > 2 * n]
 
 
 class TestColumnStepAgainstDense:
@@ -1115,12 +1134,21 @@ class TestPeriodicMin:
             N = site_count(n, L)
             for k in (N // 4, N // 2):
                 exact = brute_force_min(n, L, k, "periodic").value
-                dp = _cyclic_dp(n, F(L), k)
-                if dp is not None:
-                    assert dp.value >= exact
+                assert _cyclic_dp(n, F(L), k).value >= exact
 
     @given(st.integers(3, 5), st.integers(29, 60), st.data())
     def test_cyclic_dp_at_least_ring_oracle(self, n, N, data):
+        # within the split-cut sweep, rings whose distance classes coincide
+        # (n = 1 or N <= 2n) included: the cyclic DP never beats brute force
+        # and is never above the open column DP's minimizer scored on the
+        # ring, the answer those rings once fell back to
+        m = data.draw(st.integers(1, 10), label="small n")
+        M = data.draw(st.integers(2, 26), label="small N")
+        j = data.draw(st.integers(0, M), label="small k")
+        ring = F(M, m * m)
+        value = _cyclic_dp(m, ring, j).value
+        assert brute_force_min(m, ring, j, "periodic").value <= value
+        assert value <= energy_periodic(column_dp_min(m, ring, j).config)
         # past the split-cut sweep, partial last columns included: the cyclic
         # DP never beats the transfer matrix's exact ring minimum
         k = data.draw(st.integers(0, N), label="k")
@@ -1144,8 +1172,6 @@ class TestPeriodicMin:
             N = site_count(n, L)
             for k in range(0, N + 1, 3):
                 dp = _cyclic_dp(n, L, k)
-                if dp is None:
-                    continue
                 total += 1
                 exact = brute_force_min(n, L, k, "periodic").value
                 assert dp.value >= exact
@@ -1538,12 +1564,14 @@ class TestBatchedCyclicDP:
             _cyclic_dp(n, L, k)
 
 
-# --- rings the cyclic DP declines, past the brute-force guard -------------------
+# --- rings whose distance classes coincide, past the brute-force guard ----------
 
 
 class TestPeriodicFallback:
-    # n = 1 or N <= 2n; the values equal what simulated annealing (10^5 steps,
-    # seed 0) returned here before it was removed
+    # n = 1 or N <= 2n, where the cyclic DP's seam adds only the classes the
+    # chain misses; these rings once fell back to the open column DP's
+    # minimizer scored on the ring.  The values equal what simulated
+    # annealing (10^5 steps, seed 0) returned here before it was removed
     @pytest.mark.parametrize("n,L,k,value", [
         (1, F(40), 13, F(2)), (1, F(40), 20, F(2)),
         (1, F(61, 2), 10, F(2)), (1, F(61, 2), 15, F(2)),
@@ -1557,13 +1585,11 @@ class TestPeriodicFallback:
         N = site_count(n, L)
         assert k in (N // 3, N // 2)
         res = periodic_min(n, L, k)
-        assert (res.value, res.method, res.exact) == (value, "ColumnDP", False)
-        assert res.config == column_dp_min(n, L, k).config
+        assert (res.value, res.method, res.exact) == (value, "ColumnDP", n == 1)
         assert energy_periodic(res.config) == value and volume(res.config) == k
         with pytest.raises(SolverGuardError):
             minimize(n, L, k, "periodic", "brute")
-        with pytest.raises(SolverGuardError, match="cyclic DP unavailable"):
-            minimize(n, L, k, "periodic", "dp")
+        assert _solved(minimize, n, L, k, "periodic", "dp") == _solved(periodic_min, n, L, k)
 
 
 # --- the retired annealer as a reference --------------------------------------
@@ -1696,10 +1722,7 @@ def _direct(boundary, method, n, L, k):
         return column_dp_min(n, L, k)
     if method == "auto":
         return periodic_min(n, L, k)
-    res = _cyclic_dp(n, L, k)
-    if res is None:
-        raise SolverGuardError("cyclic DP unavailable for this instance")
-    return res
+    return _cyclic_dp(n, L, k)
 
 
 def _solved(solver, *args):
@@ -1726,8 +1749,6 @@ class TestMinimize:
         assert minimize(4, F(1, 2), 4, "periodic").method == "BruteForce"  # N <= 2n
         res = minimize(10, 1, 50, "periodic")  # past the guard and the budget
         assert not res.exact and res.method == "ColumnDP"
-        with pytest.raises(SolverGuardError, match="cyclic DP unavailable"):
-            minimize(4, F(1, 2), 4, "periodic", "dp")
 
     def test_accepts_int_and_string_L(self):
         want = minimize(4, F(5, 4), 9)
@@ -1773,8 +1794,10 @@ def run(calls):
         else:
             print(f.__name__, "passed")
 
+# the last ring has N = 2n, so its seam leaves out the class N-n = n
 routes = [(column_dp_min, 3, 1, 4), (brute_force_min, 3, 1, 4),
-          (_transfer_min, 3, Fraction(5, 4), 5, True), (_cyclic_dp, 3, Fraction(1), 4)]
+          (_transfer_min, 3, Fraction(5, 4), 5, True), (_cyclic_dp, 3, Fraction(1), 4),
+          (_cyclic_dp, 4, Fraction(1, 2), 4)]
 run(routes)
 energies = spinchain.solve.energy_open, spinchain.solve.energy_periodic
 spinchain.solve.energy_open = spinchain.solve.energy_periodic = wrong
@@ -1849,7 +1872,7 @@ def test_self_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", SELF_CHECKS], env=env,
                          capture_output=True, text=True, timeout=120, check=True).stdout
-    routes = ["column_dp_min", "brute_force_min", "_transfer_min", "_cyclic_dp"]
+    routes = ["column_dp_min", "brute_force_min", "_transfer_min", "_cyclic_dp", "_cyclic_dp"]
     assert out.split("\n")[:-1] == (
         [f"{name} passed" for name in routes]
         + [f"{name} raised" for name in routes + ["classify_open"]]  # wrong energy
