@@ -57,13 +57,26 @@ would keep more than ``DP_BUDGET`` states (``_run_states``) is refused
 with ``SolverGuardError`` before any column is built.  Once a full column
 step gives back its input states, the later full columns are views.
 
+The open DP's first full columns do not depend on L or k: they are the
+states of one run over every volume from every first count, cut to the
+request's window and clamped at its cap.  ``_open_prefix`` computes them
+once per n and state type, for as many columns as fit ``_PREFIX_STATES``
+= 2^16 states in all (at most 64 KB in int8, 128 KB in int16; the cache
+keeps 64 tables), and an open request views them and steps only the
+columns after them.  That is exact: a step at volume v reads volumes v - h
+to v only, a window drops only volumes that cannot reach k, and a table
+clamped at cap_d >= cap differs only in states >= cap, which neither the
+total (<= the fill bound < cap) nor the retrace (state + cost == a value
+< cap) can use.
+
 Both DPs backtrack the same way (``_backtrack``).  The value pass keeps
 each step's input states and the retrace recomputes, column by column, the
 smallest count whose state plus ``_column_step``'s cost gives the value
 passed back, so the DP runs once and its states are never encoded.  It
 scans counts a1 >= a - value only: states are >= 0 and a step to count a
 costs at least a - a1, so no smaller a1 can match.  The
-kept states are the pass's own arrays, mostly views of its step buffers.
+kept states are the pass's own arrays, mostly views of its step buffers or
+of the open DP's table.
 The open DP keeps every step of its one run; the cyclic DP keeps those of the
 chunk of pins with the least total and retraces its winning pin alone.
 
@@ -121,7 +134,9 @@ TRANSFER_BUDGET = 1 << 23  # state updates of one transfer-matrix search (``_tra
 DP_BUDGET = 1 << 28  # states one column-DP run keeps over its pass (``_run_states``)
 _PIN_BATCH = 1 << 21  # states a chunk of cyclic-DP pins keeps over its whole pass, to backtrack
 _BLOCK = 1 << 20  # masks per broadcast add of the brute-force sweep
-_SMALL_STEP = 1 << 17  # candidates of a column step taken as one broadcast minimum
+_SMALL_STEP = 5 << 15  # charge of a column step taken as one broadcast minimum (``_column_step``)
+_PAIR_CHARGE = 24  # candidates a broadcast step is charged per (a1, a2) pair of its cost table
+_PREFIX_STATES = 1 << 16  # states the open DP's table of first full columns holds, per n and type
 
 
 class SolverGuardError(ValueError):
@@ -416,10 +431,14 @@ def _column_step(cur: np.ndarray, h_prev: int, terms, cap: int) -> np.ndarray:
                      + [(a1 == h_prev) != (a2 >= 1)]  wrap pair (if ``wrap``)
                      + [0 < a2 < h]                   internal jump.
 
-    A step of at most ``_SMALL_STEP`` candidates, (h_prev + 1)(h + 1) C P,
-    is one broadcast sum over the cost table and one minimum over a1: at
-    that size numpy's fixed cost per call, not the elements, sets its time.
-    A larger one is an L1 distance transform (``_distance_transform``).
+    A step charged at most ``_SMALL_STEP`` is one broadcast sum over the
+    cost table and one minimum over a1: at that size numpy's fixed cost per
+    call, not the elements, sets its time.  Its charge is its candidates,
+    (h_prev + 1)(h + 1) C P, plus ``_PAIR_CHARGE`` per (a1, a2) pair, since
+    the broadcast runs one inner loop of C P elements per pair, about 10 ns
+    each: at n = 80 and a narrow window that overhead makes it slower than
+    the running minima.  A larger one is an L1 distance transform
+    (``_distance_transform``).
     """
     top, cost = terms[3:]
     h = len(top) - 1
@@ -432,7 +451,7 @@ def _column_step(cur: np.ndarray, h_prev: int, terms, cap: int) -> np.ndarray:
     if h < R - 1:
         padded[h + 1 :, R:] = cap
     best = padded[: h + 1, R:]
-    if cost.size * C * P <= _SMALL_STEP:
+    if cost.size * (C * P + _PAIR_CHARGE) <= _SMALL_STEP:
         np.add(cur[: h_prev + 1, None], cost).min(axis=0, out=best)
     else:
         _distance_transform(cur, h_prev, terms, best)
@@ -484,6 +503,39 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
             and np.array_equal(a, b))
 
 
+@lru_cache(maxsize=64)
+def _open_prefix(n: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """The open DP's states after each of its first g full columns of
+    height n, for every volume: entry c is ``[count, volume, run]`` of shape
+    (n + 1, (c + 1) n + 1, 1), from one run that allows every first count.
+
+    States are clamped at cap_d = max(dtype) - n - 1, the largest cap for
+    which ``_state_type`` gives ``dtype``, so a request in that type has a
+    cap <= cap_d.  g is the most columns whose states fit
+    ``_PREFIX_STATES`` in all, 0 once one column's do not (n >= 256).  The
+    entries depend on n and the type only, so they are built once, as
+    compact copies rather than views of padded step buffers, and returned
+    read-only.
+    """
+    g, held = 0, (n + 1) ** 2  # states of entries 0..g
+    while held <= _PREFIX_STATES:
+        g += 1
+        held += (n + 1) * ((g + 1) * n + 1)
+    if not g:
+        return ()
+    cap = int(np.iinfo(dtype).max) - n - 1
+    terms = _step_terms(n, n, n > 1, dtype)
+    cur = np.full((n + 1, n + 1, 1), cap, dtype)
+    first = np.arange(n + 1)
+    cur[first, first, 0] = (0 < first) & (first < n)
+    table = [cur]
+    for _ in range(g - 1):
+        table.append(np.minimum(_column_step(table[-1], n, terms, cap), cap))
+    for prefix in table:
+        prefix.flags.writeable = False
+    return tuple(table)
+
+
 def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
                seam=None) -> tuple[np.ndarray, list]:
     """Least mismatch counts over prefix profiles of volume k, one per run,
@@ -510,8 +562,16 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
     column: the states after that column, ``kept[a, v - lo, p]`` at count
     a and volume v, as the next step took them (the second to last
     column's include ``seam[0]``) and, last, the final states with
-    ``seam[1]``.  Each is an array the pass computed, in its dtype, most of
-    them views of its step buffers; none is copied for keeping.
+    ``seam[1]``.  Each is in the pass's dtype: an array a step read, or a
+    view of a step buffer or of the open table; none is copied for keeping.
+
+    Open table: an open run (no seam, one run of every first count in the
+    first window, heights[0] == n) views its first g full columns in
+    ``_open_prefix(n, dtype)``, g as many as the table holds, each cut to
+    its window, and steps from the clamped copy of column g - 1.  Views of
+    the table are clamped at cap_d >= cap, so they equal the stepped
+    states below cap and are >= cap wherever those are cap; totals,
+    retraces and labels are those of stepping every column.
 
     Fixed point: a full step without seam reads volumes v - n .. v for v.
     Once one, with two more ahead, outputs its input aligned by volume
@@ -533,18 +593,33 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
     dtype = _state_type(cap + n + 1)
     terms = {(hp, h): _step_terms(hp, h, n > 1, np.dtype(dtype))
              for hp, h in set(zip(heights, heights[1:]))}
-    cur = np.full((n + 1, hi - lo + 1, len(pins)), cap, dtype)
     # the clamp's operand: a row of caps as wide as any window (numpy's
     # minimum against a scalar skips its vector loop and is ten times slower)
     caps = np.full((min(k, N - k) + 1, len(pins)), cap, dtype)
-    for p, first in enumerate(firsts):
-        for a in first:
-            cur[a, a - lo, p] = 0 < a < heights[0]
-
     # the last plain full -> full step: no partial column, no seam added
     last = len(heights) - 1 - (seam is not None or heights[-1] < n)
-    states, fixed = [], None
-    for ci in range(1, len(heights)):
+
+    # an open run from every first count takes its first full columns from
+    # the table, each cut to its window; the first stepped one is clamped
+    table = ()
+    if (seam is None and len(pins) == 1 and heights[0] == n
+            and set(firsts[0]) == set(range(lo, hi + 1))):
+        table = _open_prefix(n, np.dtype(dtype))[: last + 1]
+    states = []
+    for ci, prefix in enumerate(table):
+        lo, hi = window(ci)
+        states.append((lo, prefix[:, lo : hi + 1]))
+    if states:
+        lo, cur = states.pop()
+        cur = np.minimum(cur, caps[: cur.shape[1]])
+    else:
+        cur = np.full((n + 1, hi - lo + 1, len(pins)), cap, dtype)
+        for p, first in enumerate(firsts):
+            for a in first:
+                cur[a, a - lo, p] = 0 < a < heights[0]
+
+    fixed = None
+    for ci in range(len(states) + 1, len(heights)):
         if seam is not None and ci == len(heights) - 1:
             cur = cur + seam[0].T[:, None].astype(dtype)
             np.minimum(cur, caps[: cur.shape[1]], out=cur)

@@ -260,15 +260,18 @@ class TestBlockRearrange:
 
 def tamper_first_state(monkeypatch, count, delta):
     """Patch ``_column_dp`` to add delta to the kept first-column state of
-    ``count`` in every run that may start with it."""
+    ``count`` in every run that may start with it.  The kept array may be a
+    read-only view of the open DP's table, so a tampered copy replaces it."""
     column_dp = solve._column_dp
 
     def tampered(n, heights, k, pins, seam=None):
         totals, states = column_dp(n, heights, k, pins, seam)
         lo, first = states[0]
+        first = first.copy()
         for p, counts in enumerate(pins):
             if count in counts:
                 first[count, count - lo, p] += delta
+        states[0] = lo, first
         return totals, states
 
     monkeypatch.setattr(solve, "_column_dp", tampered)
@@ -418,7 +421,8 @@ def _transition_cost(n, h_prev, h):
     a1 = np.arange(n + 1)[:, None]
     a2 = np.arange(n + 1)[None, :]
     horizontal = np.abs(np.minimum(a1, h) - a2)
-    wrap = ((a1 == h_prev) != (a2 >= 1)).astype(np.int64)
+    # at n = 1 the wrap pair is the horizontal pair
+    wrap = ((a1 == h_prev) != (a2 >= 1)).astype(np.int64) * (n > 1)
     internal = ((a2 > 0) & (a2 < h)).astype(np.int64)
     cost = horizontal + wrap + internal
     cost[np.arange(n + 1) > h_prev, :] = DENSE_INF
@@ -426,23 +430,24 @@ def _transition_cost(n, h_prev, h):
     return cost
 
 
-def _prefix_range_mismatch(A, B, lo, hi):
-    return abs(min(max(A, lo), hi) - min(max(B, lo), hi))
-
-
 def _seam_cost(n, L, a1):
-    """cost[ap, al] the cyclic closure adds between the last two columns."""
-    lam = lambda_defect(n, L)
-    h_last = column_heights(n, L)[-1]
+    """cost[ap, al] the cyclic closure adds between the last two columns,
+    pair by pair: the pairs (i, i + d) of each class d of the ring's
+    ``pair_distances`` other than 1 and n, which lists coinciding classes
+    once, for a first column of a1 ones, a second to last column of ap and
+    a last column of al (two columns: the first is the second to last)."""
+    heights = column_heights(n, L)
+    N = sum(heights)
+    classes = set(pair_distances(n, N, True)) - {1, n}
+    starts = np.cumsum((0,) + heights)
+    site = np.zeros(N, bool)  # no class reaches a middle column
     cost = np.zeros((n + 1, n + 1), np.int64)
+    site[: heights[0]] = np.arange(heights[0]) < a1
     for ap in range(n + 1):
         for al in range(n + 1):
-            if lam:
-                seam = _prefix_range_mismatch(a1, ap - lam, 0, n - lam)
-                seam += _prefix_range_mismatch(a1, al + n - lam, n - lam, n)
-            else:
-                seam = abs(a1 - al)
-            cost[ap, al] = seam + ((a1 >= 1) != (al == h_last))
+            site[starts[-3] : starts[-2]] = np.arange(heights[-2]) < ap
+            site[starts[-2] :] = np.arange(heights[-1]) < al
+            cost[ap, al] = sum(site[i] != site[i + d] for d in classes for i in range(N - d))
     return cost
 
 
@@ -513,9 +518,14 @@ def dense_cyclic(n, L):
 
 DENSE_SHAPES = [(n, L) for n in range(2, 11)
                 for L in (F(1), F(5, 4), F(7, 5), F(3, 2), F(3))]
-# rings whose distance classes are distinct: ``_seam_cost`` adds the classes
-# N-1 and N-n whatever they coincide with, so it double-counts at N <= 2n
-CYCLIC_SHAPES = [(n, L) for n, L in DENSE_SHAPES if site_count(n, L) > 2 * n]
+# rings whose distance classes coincide: n = 1, where N - 1 is N - n, and
+# N <= 2n, two columns, full or partial ((2, 1) is one of DENSE_SHAPES)
+COINCIDING_SHAPES = ([(1, F(N)) for N in range(2, 11)]
+                     + [(3, F(2, 3)), (4, F(3, 8)), (4, F(1, 2)), (5, F(7, 25)), (5, F(2, 5)),
+                        (6, F(1, 4)), (6, F(1, 3))])
+# every ring above; those with distinct classes first, so their ids stay put
+CYCLIC_SHAPES = ([(n, L) for n, L in DENSE_SHAPES if site_count(n, L) > 2 * n]
+                 + [(2, F(1))] + COINCIDING_SHAPES)
 
 
 class TestColumnStepAgainstDense:
@@ -544,7 +554,7 @@ class TestColumnStepAgainstDense:
         assert res.value == F(total, n) == value
         assert res.profile.counts == counts
 
-    @pytest.mark.parametrize("n,L", DENSE_SHAPES)
+    @pytest.mark.parametrize("n,L", DENSE_SHAPES + COINCIDING_SHAPES)
     def test_value_pass_totals(self, n, L):
         # one batched pass, one run per first-column count that reaches k,
         # open and with the cyclic seam: each run's total is the dense
@@ -552,7 +562,7 @@ class TestColumnStepAgainstDense:
         # the fill bound plus one, and the least total is exact
         heights = column_heights(n, L)
         N = sum(heights)
-        for cyclic in (False, True) if (n, L) in CYCLIC_SHAPES else (False,):
+        for cyclic in (False, True):
             for k in range(0, N + 1, max(1, N // 40)):
                 pins = [(a,) for a in range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)]
                 seam = None
@@ -586,16 +596,24 @@ def pass_arrays(monkeypatch):
     return kept, stepped
 
 
+def prefix_arrays(n, dtype):
+    """The ids of the open DP's table entries for n rows in ``dtype``."""
+    return {id(prefix) for prefix in solve._open_prefix(n, np.dtype(dtype))}
+
+
 def own_arrays(kept, stepped, dtype):
     """Whether every kept state is in ``dtype`` and, but for each pass's
-    final states, an array that a step read or a view of a buffer that a
-    step wrote: no state is copied for keeping."""
+    final states, an array that a step read, a view of a buffer that a step
+    wrote or a view of the open DP's table: no state is copied for keeping."""
     read = {id(cur) for cur, _ in stepped}
     written = {id(out.base) for _, out in stepped}
-    return kept and all(
-        all(s.dtype == dtype for s in states)
-        and all(id(s) in read or id(s.base) in written for s in states[:-1])
-        for states in kept)
+
+    def own(states):
+        ours = written | prefix_arrays(len(states[0]) - 1, dtype)
+        return (all(s.dtype == dtype for s in states)
+                and all(id(s) in read or id(s.base) in ours for s in states[:-1]))
+
+    return kept and all(map(own, kept))
 
 
 def forced_type(monkeypatch, dtype):
@@ -705,6 +723,24 @@ def reference_column_dp(n, heights, k, pins, seam=None):
     return cur[:, k - lo].min(axis=0), states + [(lo, cur)]
 
 
+def kept_cap(n, heights, k, pins, seam=None):
+    """The cap of a ``_column_dp`` pass: one above its fill bound."""
+    N = sum(heights)
+    lo, hi = max(0, k - (N - heights[0])), min(k, heights[0])
+    return solve._fill_bound(n, heights, k, [[a for a in p if lo <= a <= hi] for p in pins], seam) + 1
+
+
+def assert_same_states(states, want_states, cap):
+    """A pass's kept states against the plain loop's: the same window
+    starts, dtype and values below the cap, and at least the cap wherever
+    the loop holds it (views of the open DP's table are clamped higher)."""
+    assert len(states) == len(want_states)
+    for (lo, got), (want_lo, want) in zip(states, want_states):
+        assert lo == want_lo and got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(np.minimum(got, cap), want)
+        assert (got[want == cap] >= cap).all()
+
+
 def column_step_calls(monkeypatch):
     """Spy on ``_column_step``, whichever kernel it takes; returns the list
     its calls' h_prev go into."""
@@ -721,15 +757,15 @@ def column_step_calls(monkeypatch):
 
 def draw_column_dp_instance(data, least_n, most_n=12):
     """``(n, heights, k, pins, seam)`` for ``_column_dp``: one open run of
-    every first count, or pinned runs with the cyclic seam where the cyclic
-    DP runs (n >= 2, N > 2n), partial last columns included."""
+    every first count, or pinned runs with the cyclic seam on every ring
+    of two sites or more, partial last columns included."""
     n = data.draw(st.integers(least_n, most_n), label="n")
     L = data.draw(st.sampled_from([F(1), F(5, 4), F(3, 2), F(3)]), label="L")
     heights = column_heights(n, L)
     N = sum(heights)
     k = data.draw(st.integers(0, N), label="k")
     first = range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
-    if n >= 2 and N > 2 * n and data.draw(st.booleans(), label="seam"):
+    if N >= 2 and data.draw(st.booleans(), label="seam"):
         chosen = data.draw(st.lists(st.sampled_from(first), min_size=1, max_size=4,
                                     unique=True), label="pins")
         seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a in chosen))))
@@ -741,16 +777,14 @@ class TestFixedPoint:
     @given(st.data())
     def test_matches_every_step(self, data):
         # the fast-forward against the plain loop: totals and every kept
-        # state (window start, dtype, values), open runs and pinned runs with
-        # the cyclic seam, partial last columns included
+        # state (window start, dtype, values up to the cap), open runs and
+        # pinned runs with the cyclic seam, partial last columns included
         n, heights, k, pins, seam = draw_column_dp_instance(data, 2)
         totals, states = solve._column_dp(n, heights, k, pins, seam)
         want_totals, want_states = reference_column_dp(n, heights, k, pins, seam)
         assert np.array_equal(totals, want_totals)
-        assert len(states) == len(want_states) == len(heights)
-        for (lo, got), (want_lo, want) in zip(states, want_states):
-            assert lo == want_lo and got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        assert len(states) == len(heights)
+        assert_same_states(states, want_states, kept_cap(n, heights, k, pins, seam))
 
     @pytest.mark.parametrize("solver,args,steps,most", [
         (column_dp_min, (30, F(3, 2), 600), 44, 30),
@@ -768,6 +802,109 @@ class TestFixedPoint:
         want = solver(*args)
         assert len(calls) == steps
         assert (res.value, res.profile) == (want.value, want.profile)
+
+
+def reference_prefix(n, g):
+    """The open DP's states after each of g full columns of height n, at
+    every volume, from every first count: one dense min-plus product per
+    column, int64 and unclamped (DENSE_INF or more where no profile is)."""
+    a = np.arange(n + 1)
+    cost = _transition_cost(n, n, n)
+    prefix = np.full((n + 1, n + 1), DENSE_INF, np.int64)
+    prefix[a, a] = (0 < a) & (a < n)
+    table = [prefix]
+    for c in range(1, g):
+        nxt = np.full((n + 1, (c + 1) * n + 1), DENSE_INF, np.int64)
+        for a2 in a:
+            nxt[a2, a2 : a2 + c * n + 1] = (table[-1] + cost[:, a2, None]).min(axis=0)
+        table.append(nxt)
+    return table
+
+
+def prefix_budget(n, g):
+    """A ``_PREFIX_STATES`` for which the table of n holds g entries."""
+    return sum((n + 1) * (c * n + 1) for c in range(1, g + 1))
+
+
+class TestOpenPrefix:
+    @pytest.mark.parametrize("n,dtype", [(1, np.int8), (2, np.int8), (10, np.int8),
+                                         (35, np.int16), (80, np.int16), (255, np.int16),
+                                         (256, np.int16)])
+    def test_read_only_within_budget(self, n, dtype):
+        # one cached tuple per (n, type); g is the most entries whose states
+        # fit the budget, none past n = 255; each entry is a compact array of
+        # its own, not a view of a step buffer, and read-only
+        table = solve._open_prefix(n, np.dtype(dtype))
+        assert solve._open_prefix(n, np.dtype(dtype)) is table
+        held = sum(prefix.size for prefix in table)
+        assert held <= solve._PREFIX_STATES < held + (n + 1) * ((len(table) + 1) * n + 1)
+        assert (len(table) == 0) == (n >= 256)
+        for c, prefix in enumerate(table):
+            assert prefix.shape == (n + 1, (c + 1) * n + 1, 1) and prefix.dtype == dtype
+            assert prefix.base is None and prefix.flags.c_contiguous
+            assert prefix.size <= solve._PREFIX_STATES
+            with pytest.raises(ValueError, match="read-only"):
+                prefix[0, 0, 0] = 0
+
+    @given(st.integers(1, 40), st.sampled_from([np.int8, np.int16]))
+    def test_values(self, n, dtype):
+        # a fresh build: entry c is the dense DP's states after c + 1 full
+        # columns clamped at cap_d = max(type) - n - 1, and every value the
+        # build computes lies in [-n, cap_d + n + 1], so in the type
+        cap = int(np.iinfo(dtype).max) - n - 1
+        spy = ValueSpy()
+        with patch.object(solve, "np", spy):
+            table = solve._open_prefix.__wrapped__(n, np.dtype(dtype))
+        assert spy.dtypes == {np.dtype(dtype)}
+        assert -n <= spy.low and spy.high <= cap + n + 1
+        for got, want in zip(table, reference_prefix(n, len(table)), strict=True):
+            assert np.array_equal(got[..., 0], np.minimum(want, cap))
+
+    def test_warm_table_skips_its_columns(self, monkeypatch):
+        # (30, 3/2, 600): the table holds 11 of the 45 columns, so a cold
+        # request steps 10 columns to build it and 15 of its own, a warm one
+        # 15, with the value and profile of stepping every column
+        solve._open_prefix.cache_clear()
+        calls = column_step_calls(monkeypatch)
+        res = column_dp_min(30, F(3, 2), 600)
+        assert len(calls) == 25 and len(solve._open_prefix(30, np.dtype(np.int8))) == 11
+        calls.clear()
+        warm = column_dp_min(30, F(3, 2), 600)
+        assert len(calls) == 15
+        monkeypatch.setattr(solve, "_column_dp", reference_column_dp)
+        want = column_dp_min(30, F(3, 2), 600)
+        for got in (res, warm):
+            assert (got.value, got.profile) == (want.value, want.profile)
+
+    @given(st.data())
+    def test_matches_every_step(self, data):
+        # open runs from every first count, n up to 40, full and partial last
+        # columns, with a cold or warm table of none, some, all or more than
+        # all of the full columns: totals and retraced profiles are the plain
+        # loop's, and kept states equal its states up to the cap
+        n = data.draw(st.integers(1, 40), label="n")
+        L = data.draw(st.sampled_from([F(1), F(5, 4), F(3, 2), F(3)]), label="L")
+        heights = column_heights(n, L)
+        N = sum(heights)
+        k = data.draw(st.integers(0, N), label="k")
+        pins = [range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)]
+        full = len(heights) - (heights[-1] < n)
+        g = data.draw(st.sampled_from([0, full, full + 1]) | st.integers(0, full + 1), label="g")
+        warm = data.draw(st.booleans(), label="warm")
+        try:
+            with patch.object(solve, "_PREFIX_STATES", prefix_budget(n, g)):
+                solve._open_prefix.cache_clear()
+                if warm:
+                    _column_dp(n, heights, k, pins)
+                totals, states = _column_dp(n, heights, k, pins)
+                assert len(solve._open_prefix(n, states[-1][1].dtype)) == g
+        finally:
+            solve._open_prefix.cache_clear()
+        want_totals, want_states = reference_column_dp(n, heights, k, pins)
+        assert np.array_equal(totals, want_totals)
+        assert_same_states(states, want_states, kept_cap(n, heights, k, pins))
+        want = solve._backtrack(n, heights, k, 0, want_states)
+        assert solve._backtrack(n, heights, k, 0, states) == want
 
 
 def reference_backtrack(n, heights, k, p, states, seam=None):
@@ -944,8 +1081,9 @@ class ValueSpy:
     of every integer array that ``add``, ``subtract``, ``minimum`` or
     ``less`` reads or writes: every state and step value of a search."""
 
-    def __init__(self):
+    def __init__(self, skip=()):
         self.dtypes, self.low, self.high = set(), 0, 0
+        self.skip = skip  # ids of arrays whose views are not recorded
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -954,7 +1092,8 @@ class ValueSpy:
         def call(self, *args, **kwargs):
             result = ufunc(*args, **kwargs)
             for a in (*args, result):
-                if isinstance(a, np.ndarray) and a.dtype.kind == "i" and a.size:
+                if (isinstance(a, np.ndarray) and a.dtype.kind == "i" and a.size
+                        and id(a.base) not in self.skip):
                     self.dtypes.add(a.dtype)
                     self.low, self.high = min(self.low, a.min()), max(self.high, a.max())
             return result
@@ -984,16 +1123,17 @@ class TestStateBound:
         # open runs and pinned runs with the seam, partial last columns too,
         # through either kernel: the capped pass stores min(uncapped, cap),
         # so equals the uncapped pass on every state <= ub and stores nothing
-        # above cap, and computes nothing outside [-n, cap + n + 1]
+        # above cap, and computes nothing outside [-n, cap + n + 1]; views of
+        # the open DP's warm table hold min(uncapped, cap_d), and the table's
+        # own values are in TestOpenPrefix
         n, heights, k, pins, seam = draw_column_dp_instance(data, 1)
         small_step = data.draw(st.sampled_from([0, solve._SMALL_STEP]), label="small_step")
-        N = sum(heights)
-        lo, hi = max(0, k - (N - heights[0])), min(k, heights[0])
-        ub = solve._fill_bound(n, heights, k, [[a for a in p if lo <= a <= hi] for p in pins], seam)
-        cap = ub + 1
+        cap = kept_cap(n, heights, k, pins, seam)
+        ub = cap - 1
         dtype = solve._state_type(cap + n + 1)
         assert dtype is np.int8  # n <= 12: every drawn instance
-        spy = ValueSpy()
+        table = prefix_arrays(n, dtype)
+        spy = ValueSpy(skip=table)
         with patch.object(solve, "_SMALL_STEP", small_step):
             with patch.object(solve, "np", spy):
                 totals, states = solve._column_dp(n, heights, k, pins, seam)
@@ -1004,8 +1144,8 @@ class TestStateBound:
         assert -n <= spy.low and spy.high <= cap + n + 1
         assert totals.min() <= ub and np.array_equal(totals, np.minimum(wide_totals, cap))
         for (_, got), (_, wide) in zip(states, wide_states, strict=True):
-            assert got.dtype == dtype and got.max() <= cap
-            assert np.array_equal(got, np.minimum(wide, cap))
+            clamp = np.iinfo(dtype).max - n - 1 if id(got.base) in table else cap
+            assert got.dtype == dtype and np.array_equal(got, np.minimum(wide, clamp))
 
     @given(st.integers(2, 8), st.data())
     def test_transfer_pass_values(self, n, data):
@@ -1053,7 +1193,7 @@ class TestStateBound:
 
 
 class TestFillBound:
-    @pytest.mark.parametrize("n,L", DENSE_SHAPES)
+    @pytest.mark.parametrize("n,L", DENSE_SHAPES + COINCIDING_SHAPES)
     def test_count_of_a_fill_profile(self, n, L):
         # every volume, open and on the ring: the bound is n times the energy
         # of the cheaper fill profile's configuration (largest first count,
@@ -1062,7 +1202,7 @@ class TestFillBound:
         heights = column_heights(n, L)
         N = sum(heights)
         open_table = dense_open(n, L)
-        ring_table = dense_cyclic(n, L) if (n, L) in CYCLIC_SHAPES else None
+        ring_table = dense_cyclic(n, L)
 
         def filled(a0, k, order):
             counts, left = [a0] + [0] * (len(heights) - 1), k - a0
@@ -1077,12 +1217,11 @@ class TestFillBound:
             ub = solve._fill_bound(n, heights, k, [range(lo, hi + 1)])
             assert ub == min(n * energy_open(c) for c in fills) >= open_table[k][0], k
             assert ub <= 3 * n + 4  # _state_type's bound
-            if ring_table is not None:
-                pins = [(a,) for a in range(lo, hi + 1)]
-                seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a, in pins))))
-                ub = solve._fill_bound(n, heights, k, pins, seam)
-                assert ub == min(n * energy_periodic(c) for c in fills) >= ring_table[k][0], k
-                assert ub <= 5 * n + 5
+            pins = [(a,) for a in range(lo, hi + 1)]
+            seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a, in pins))))
+            ub = solve._fill_bound(n, heights, k, pins, seam)
+            assert ub == min(n * energy_periodic(c) for c in fills) >= ring_table[k][0], k
+            assert ub <= 5 * n + 5
 
 
 class TestProfiles:
@@ -1441,26 +1580,28 @@ class TestRingPins:
 
 
 def reference_seam(n, L, a1):
-    """The seam vectors (before, after) of the first-column count a1."""
+    """The seam vectors (before, after) of the first-column count a1: the
+    ring's classes other than 1 and n, each class of ``pair_distances`` once."""
     lam = lambda_defect(n, L)
+    N = site_count(n, L)
+    classes = set(pair_distances(n, N, True)) - {1, n}
     counts = np.arange(n + 1)
+    before, after = np.zeros(n + 1, np.int64), np.zeros(n + 1, np.int64)
     # distance N-n pairs of the first column against the last n sites,
     # which start lam sites up the second to last column when lam != 0
-    if lam:
+    if N - n in classes and lam:
         before = np.abs(min(a1, n - lam) - np.clip(counts - lam, 0, n - lam))
-        after = np.abs(max(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
-    else:
-        before = np.zeros(n + 1, np.int64)
-        after = np.abs(a1 - counts)
-    after += (a1 >= 1) != (counts == column_heights(n, L)[-1])  # distance N-1 pair
+        after += np.abs(max(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
+    elif N - n in classes:
+        after += np.abs(a1 - counts)
+    if N - 1 in classes - {N - n}:  # the distance N-1 pair
+        after += (a1 >= 1) != (counts == column_heights(n, L)[-1])
     return before, after
 
 
 def reference_cyclic_dp(n, L, k):
-    N = site_count(n, L)
-    if n < 2 or N <= 2 * n:
-        return None
     heights = column_heights(n, L)
+    N = sum(heights)
 
     best = None
     for a1 in range(max(0, k - (N - heights[0])), min(heights[0], k) + 1):
@@ -1818,9 +1959,11 @@ for solver in (_cyclic_dp, column_dp_min):
     def tampered(n, heights, k, pins, seam=None):
         totals, states = column_dp(n, heights, k, pins, seam)
         lo, first = states[0]
+        first = first.copy()  # the open DP's may be a read-only view of its table
         for p, counts in enumerate(pins):
             if count in counts:
                 first[count, count - lo, p] += 1
+        states[0] = lo, first
         return totals, states
 
     spinchain.solve._column_dp = tampered
@@ -1831,12 +1974,16 @@ for solver in (_cyclic_dp, column_dp_min):
     spinchain.solve._column_dp = column_dp
 
 # a column step one too high on every state: the DP total passes its fill
-# bound, on the ring and on the open chain
+# bound, on the ring and on the open chain past its warm table of first
+# full columns (8 of the 40 at n = 40)
+shapes = [(_cyclic_dp, 10, Fraction(1), 50), (column_dp_min, 40, Fraction(1), 800)]
+for solver, *args in shapes:
+    solver(*args)
 column_step = spinchain.solve._column_step
 spinchain.solve._column_step = lambda *args: column_step(*args) + 1
-for solver in (_cyclic_dp, column_dp_min):
+for solver, *args in shapes:
     try:
-        solver(10, Fraction(1), 50)
+        solver(*args)
     except AssertionError as exc:
         print(solver.__name__, "bound raised:", exc)
 spinchain.solve._column_step = column_step
