@@ -326,16 +326,18 @@ def parse_config(text: str) -> tuple[SpinConfig, str]:
     """Parse the text format emitted by config_to_text (plain or run-length body).
 
     Returns the configuration and its header's boundary, "open" or "periodic".
+    The empty chain's body is empty, so a header alone is read as that body;
+    ``SpinConfig`` refuses it on a shape with sites.
     """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if len(lines) != 2:
+    if len(lines) not in (1, 2):
         raise ValueError("expected a header line and a body line")
     m = _HEADER_RE.match(lines[0])
     if not m:
         raise ValueError(f"bad header: {lines[0]!r}")
     n = int(m.group("n"))
     L = Fraction(m.group("L"))
-    body = lines[1]
+    body = lines[1] if len(lines) == 2 else ""
     if "x" in body:
         bits: list[int] = []
         for part in body.split(","):

@@ -15,10 +15,11 @@ chain goes to ``column_dp_min`` and a periodic one to ``periodic_min``;
   bottom-up; exact only at k in {0, N}, where one configuration exists,
   and at n = 1, where every configuration is a prefix profile.
 * ``periodic_min``      the ring, routed by size: a transfer-matrix search
-  over all configurations (``_transfer_min``, exact) while 0 < k < N and
-  4^n N (min(k, N - k) + 1) fits ``TRANSFER_BUDGET``; else brute force
-  for k in {0, N} or N <= 28 (exact); else the cyclic column DP
-  (``_cyclic_dp``), labelled exact by the same rule as the open one.
+  over all configurations (``_transfer_min``, exact) while 0 < k < N,
+  n >= 2, N > 2n and 4^n N (min(k, N - k) + 1) fits ``TRANSFER_BUDGET``
+  (``_transfer_fits``); else brute force for k in {0, N} or N <= 28
+  (exact); else the cyclic column DP (``_cyclic_dp``), labelled exact by
+  the same rule as the open one.
 
 Every solver checks its instance through ``_instance``: (n, L, k) by
 ``check_volume``, the boundary by ``is_periodic``, and a ring needs at

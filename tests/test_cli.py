@@ -145,6 +145,20 @@ class TestMainEntry:
         assert main(["energy", str(path), "--periodic"]) == 0
         assert capsys.readouterr().out.startswith("2/1")
 
+    def test_energy_of_the_empty_chain(self, tmp_path, capsys):
+        # L n^2 < 1: a header and an empty body line
+        path = tmp_path / "cfg.txt"
+        path.write_text(config_to_text(SpinConfig(3, F(1, 100), ())))
+        assert main(["energy", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("0/1")
+
+    def test_energy_header_without_body_exit_code(self, tmp_path, capsys):
+        # a shape with sites needs its body line
+        path = tmp_path / "cfg.txt"
+        path.write_text("n=3 L=1 boundary=open\n")
+        assert main(["energy", str(path)]) == 2
+        assert "expected 9 sites for n=3, L=1, got 0" in capsys.readouterr().err
+
     def test_minimize_json(self, capsys):
         assert main(["minimize", "--n", "2", "--L", "1", "--k", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)

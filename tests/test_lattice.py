@@ -255,6 +255,11 @@ class TestSerialization:
         parsed, boundary = parse_config(text)
         assert parsed == cfg and boundary == "periodic"
 
+    @given(configs(), st.sampled_from(["open", "periodic"]), st.booleans())
+    def test_round_trip_any_chain(self, cfg, boundary, rle):
+        # the empty chain included: its body line is empty
+        assert parse_config(config_to_text(cfg, boundary, rle)) == (cfg, boundary)
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_config("not a header\n0101\n")

@@ -1,5 +1,5 @@
 """Solver tests: brute-force oracle, DP equivalence, rearrangement behaviour,
-periodic transfer matrix and heuristics."""
+periodic transfer matrix and the cyclic DP's upper bound."""
 
 import math
 import os
@@ -494,13 +494,15 @@ def dense_pinned(n, L, a1, cyclic):
     return dense_dp(n, L, (a1,), cyclic_a1=a1 if cyclic else None)[0]
 
 
+@lru_cache(maxsize=None)
 def dense_open(n, L):
     """k -> (total, counts) for every volume k."""
     heights = column_heights(n, L)
     dp, parents = dense_dp(n, L, range(heights[0] + 1))
-    return [dense_backtrack(dp, parents, k) for k in range(sum(heights) + 1)]
+    return tuple(dense_backtrack(dp, parents, k) for k in range(sum(heights) + 1))
 
 
+@lru_cache(maxsize=None)
 def dense_cyclic(n, L):
     """k -> (total, counts): the first pinned first-column count that is best."""
     heights = column_heights(n, L)
@@ -513,7 +515,7 @@ def dense_cyclic(n, L):
             if found is not None and (best is None or found[0] < best[0]):
                 best = found
         table.append(best)
-    return table
+    return tuple(table)
 
 
 DENSE_SHAPES = [(n, L) for n in range(2, 11)
@@ -1268,7 +1270,7 @@ class TestPeriodicMin:
             assert periodic_min(3, 1, k).value == want
 
     def test_upper_bound_soundness(self):
-        # heuristics never beat the exact optimum
+        # the cyclic DP never beats the exact optimum
         for n, L in [(3, 1), (4, 1)]:
             N = site_count(n, L)
             for k in (N // 4, N // 2):
@@ -1295,7 +1297,7 @@ class TestPeriodicMin:
         L = F(N, n * n)
         assert _cyclic_dp(n, L, k).value >= _transfer_min(n, L, k, True).value
 
-    def test_heuristic_path_flags_inexact(self):
+    def test_cyclic_dp_path_flags_inexact(self):
         # N = 96: beyond the brute-force guard and the transfer-matrix budget
         assert 4**8 * 96 * 49 > TRANSFER_BUDGET
         res = periodic_min(8, F(3, 2), 48)
@@ -1321,86 +1323,97 @@ class TestPeriodicMin:
 # --- transfer matrix, both boundaries ----------------------------------------
 #
 # The run-major search the one-pass transfer matrix replaced: ``D[p, w, v]``,
-# the ring's best pin run a second time only to record its choices.  Kept
-# verbatim but for ``_state_type``'s signature; the names it takes from
-# ``solve`` are qualified, so that a patched ``_state_type`` reaches it too.
+# the ring's best pin run a second time only to record its choices.  Its
+# lower volume window is dropped: each step updates every volume up to j,
+# so one pass per shape holds every volume <= j.  That changes no entry a
+# volume's answer reads, since an entry at volume v reads only volumes v and
+# v - 1 and a window drops only volumes that cannot reach the target, and
+# the identity check then covers ``_transfer_pass``'s window too.  The
+# names it takes from ``solve`` are qualified, so that a patched
+# ``_state_type`` reaches it too.
 
 
-def reference_transfer_pass(n: int, N: int, k: int, start: np.ndarray,
+def reference_transfer_pass(n: int, N: int, j: int, start: np.ndarray,
                             choices=None) -> np.ndarray:
     W, half = 1 << n, 1 << (n - 1)
     inf = min(5 * n + 8, 2 * N + 1)
     dtype = solve._state_type(inf + 5 * n + 5)
     vols = np.bitwise_count(np.arange(W))
-    p, first = np.nonzero(start & (vols <= k))
-    D = np.full((len(start), W, k + 1), inf, dtype)
+    p, first = np.nonzero(start & (vols <= j))
+    D = np.full((len(start), W, j + 1), inf, dtype)
     D[p, first, vols[first]] = np.bitwise_count((first ^ (first >> 1)) & (half - 1))
     nxt = np.full_like(D, inf)
     # bit n-1 of the predecessors 2w' and 2w'+1 is bit n-2 of w'
     top = ((np.arange(half) >> (n - 2)) & 1).astype(dtype)[:, None]
     for i in range(n, N):
-        lo, hi = max(0, k - (N - 1 - i)), min(k, i + 1)
-        s = max(lo, 1)
+        hi = min(j, i + 1)
         A, B = D[:, 0::2], D[:, 1::2]  # predecessors with oldest bit 0 and 1
-        low, high = nxt[:, :half, lo : hi + 1], nxt[:, half:, s : hi + 1]
+        low, high = nxt[:, :half, : hi + 1], nxt[:, half:, 1 : hi + 1]
         # new bit 0 costs top + b; new bit 1 costs (1 - top) + (1 - b), volume + 1
-        B1 = B[:, :, lo : hi + 1] + 1
-        np.minimum(A[:, :, lo : hi + 1], B1, out=low)
+        B1 = B[:, :, : hi + 1] + 1
+        np.minimum(A[:, :, : hi + 1], B1, out=low)
         low += top
-        A1 = A[:, :, s - 1 : hi] + 1
-        np.minimum(A1, B[:, :, s - 1 : hi], out=high)
+        A1 = A[:, :, :hi] + 1
+        np.minimum(A1, B[:, :, :hi], out=high)
         high += 1 - top
         if choices is not None:
             pick = np.zeros(D.shape, bool)
-            np.less(B1, A[:, :, lo : hi + 1], out=pick[:, :half, lo : hi + 1])
-            np.less(B[:, :, s - 1 : hi], A1, out=pick[:, half:, s : hi + 1])
+            np.less(B1, A[:, :, : hi + 1], out=pick[:, :half, : hi + 1])
+            np.less(B[:, :, :hi], A1, out=pick[:, half:, 1 : hi + 1])
             choices.append(pick)
         D, nxt = nxt, D
     return D
 
 
-def reference_transfer_min(n: int, L: Fraction, k: int, periodic: bool) -> SolveResult:
-    N = site_count(n, L)
-    j = min(k, N - k)
-    W = 1 << n
-    if periodic:
-        windows = np.arange(W)
-        pins = np.flatnonzero((windows & 3 == 2) | (windows == 0))
-        seam = (np.bitwise_count(windows[pins, None] ^ windows)
-                + ((windows[pins, None] & 1) != (windows >> (n - 1))))
-        start = windows[pins, None] == windows
-        totals = reference_transfer_pass(n, N, j, start)[:, :, j] + seam
-        p = int(totals.argmin()) // W
-        start, seam = start[p : p + 1], seam[p]
-    else:
-        start, seam = np.ones((1, W), bool), 0
+def assert_same_as_two_pass(n: int, N: int) -> int:
+    """Compare ``_transfer_min`` with the two-pass search at every volume k
+    that ``_transfer_fits``, both boundaries, and return how many: one value
+    pass over every volume up to the largest j = min(k, N - k) admitted,
+    each volume's first least total over (pin, last window), each winning
+    pin rerun once with its choices; k > N/2 is the complement."""
+    L, W = F(N, n * n), 1 << n
+    windows = np.arange(W)
+    compared = 0
+    for periodic in (False, True):
+        ks = [k for k in range(N + 1) if _transfer_fits(n, N, k, periodic)]
+        top = max(min(k, N - k) for k in ks)
+        if periodic:
+            pins = np.flatnonzero((windows & 3 == 2) | (windows == 0))
+            seam = (np.bitwise_count(windows[pins, None] ^ windows)
+                    + ((windows[pins, None] & 1) != (windows >> (n - 1))))
+            start = windows[pins, None] == windows
+        else:
+            start, seam = np.ones((1, W), bool), np.zeros((1, W), int)
+        states = reference_transfer_pass(n, N, top, start)
+        totals = states + seam[:, :, None]  # [pin, last window, volume]
+        choices, masks = {}, []
+        for j in range(top + 1):
+            p, w = divmod(int(totals[:, :, j].argmin()), W)
+            if p not in choices:
+                choices[p] = []
+                rerun = reference_transfer_pass(n, N, top, start[p : p + 1], choices[p])
+                if not (rerun[0] == states[p]).all():
+                    raise AssertionError("transfer-matrix rerun must match its pin")
+            mask, v = 0, j
+            for i in range(N - 1, n - 1, -1):
+                x = w >> (n - 1)
+                mask |= x << i
+                w = ((w << 1) & (W - 1)) | int(choices[p][i - n][0, w, v])
+                v -= x
+            masks.append(mask | w)
+        for k in ks:
+            j = min(k, N - k)
+            mask = masks[j] if j == k else masks[j] ^ ((1 << N) - 1)
+            want = solve._checked(SpinConfig.from_bitmask(n, L, mask), int(totals[..., j].min()),
+                                  k, periodic, "TransferMatrix", True)
+            res = _transfer_min(n, L, k, periodic)
+            assert (res.value, res.config) == (want.value, want.config), (n, N, k, periodic)
+            compared += 1
+    return compared
 
-    choices: list = []
-    row = reference_transfer_pass(n, N, j, start, choices)[0, :, j] + seam
-    w = int(row.argmin())
-    total = int(row[w])
-    if periodic and total != int(totals.min()):
-        raise AssertionError("transfer-matrix rerun must match its pin")
-    mask, v = 0, j
-    for i in range(N - 1, n - 1, -1):
-        x = w >> (n - 1)
-        mask |= x << i
-        w = ((w << 1) & (W - 1)) | int(choices[i - n][0, w, v])
-        v -= x
-    mask |= w
-    if j < k:
-        mask ^= (1 << N) - 1
 
-    return solve._checked(SpinConfig.from_bitmask(n, L, mask), total, k, periodic,
-                          "TransferMatrix", True)
-
-
-@lru_cache(maxsize=None)
-def reference_transfer_answer(n, L, k, periodic):
-    """Value and configuration of ``reference_transfer_min``, kept: they do
-    not depend on the state dtype, so the int32 grid reuses the int16 ones."""
-    res = reference_transfer_min(n, L, k, periodic)
-    return res.value, res.config
+# instances of test_same_as_two_pass_search per n, both boundaries
+TWO_PASS_INSTANCES = {2: 3752, 3: 3726, 4: 3692, 5: 3650, 6: 3600, 7: 2819, 8: 2030}
 
 
 class TestTransferMatrix:
@@ -1425,16 +1438,10 @@ class TestTransferMatrix:
     def test_same_as_two_pass_search(self, n):
         # the one-pass search returns the run-major two-pass search's value
         # and configuration (first pin, then first last window) at every
-        # volume the guard allows, 2n < N <= 60
-        for periodic in (False, True):
-            for N in range(2 * n + 1, 61):
-                L = F(N, n * n)
-                for k in range(N + 1):
-                    if not _transfer_fits(n, N, k, periodic):
-                        continue
-                    res = _transfer_min(n, L, k, periodic)
-                    want = reference_transfer_answer(n, L, k, periodic)
-                    assert (res.value, res.config) == want, (N, k, periodic)
+        # volume the guard allows, 2n < N <= 60: 23,269 instances in all
+        compared = sum(assert_same_as_two_pass(n, N) for N in range(2 * n + 1, 61))
+        assert compared == TWO_PASS_INSTANCES[n]
+        assert sum(TWO_PASS_INSTANCES.values()) == 23269
 
     @pytest.mark.parametrize("n,N", [(3, 45), (3, 120), (4, 40), (4, 90), (5, 60), (5, 120)])
     def test_never_above_cyclic_dp_past_the_guard(self, n, N):
@@ -1460,11 +1467,13 @@ class TestTransferMatrix:
 
 
 class TestTransferMatrixInt32(TestTransferMatrix):
-    """The transfer-matrix grid again with int32 states forced; the identity
-    with the two-pass search is checked on forced types on a few shapes
-    (``TestForcedType``)."""
+    """The brute-force tables again with int32 states forced.  The rest of
+    the grid runs on the types ``_state_type`` gives; the identity with the
+    two-pass search on forced types is ``TestForcedType``'s."""
 
     test_same_as_two_pass_search = None
+    test_never_above_cyclic_dp_past_the_guard = None
+    test_declines_outside_its_range = None
 
     @pytest.fixture(autouse=True)
     def int32_states(self, monkeypatch):
@@ -1495,13 +1504,7 @@ class TestForcedType:
         # the one-pass search against the two-pass one at every volume that
         # fits, both boundaries, on shapes from the smallest n to the largest
         for n, N in ((2, 9), (4, 25), (6, 37), (8, 45)):
-            L = F(N, n * n)
-            for periodic in (False, True):
-                for k in range(N + 1):
-                    if _transfer_fits(n, N, k, periodic):
-                        res = _transfer_min(n, L, k, periodic)
-                        want = reference_transfer_answer(n, L, k, periodic)
-                        assert (res.value, res.config) == want, (n, N, k, periodic)
+            assert_same_as_two_pass(n, N)
 
 
 def reference_transfer_ring(n, N, k):
@@ -1709,10 +1712,11 @@ class TestBatchedCyclicDP:
 
 
 class TestPeriodicFallback:
-    # n = 1 or N <= 2n, where the cyclic DP's seam adds only the classes the
-    # chain misses; these rings once fell back to the open column DP's
-    # minimizer scored on the ring.  The values equal what simulated
-    # annealing (10^5 steps, seed 0) returned here before it was removed
+    # the cyclic DP's own values on rings with n = 1 or N <= 2n, where its
+    # seam adds only the classes the chain misses.  The names keep the route
+    # these rings once took, the open column DP's minimizer scored on the
+    # ring; the values equal what simulated annealing (10^5 steps, seed 0)
+    # returned here before it was removed
     @pytest.mark.parametrize("n,L,k,value", [
         (1, F(40), 13, F(2)), (1, F(40), 20, F(2)),
         (1, F(61, 2), 10, F(2)), (1, F(61, 2), 15, F(2)),
@@ -1848,8 +1852,9 @@ class TestAnnealAgainstReference:
 
 # --- the one entry point -------------------------------------------------------
 
-# (3, 1) and (4, 5/4) full columns, (4, 9/8) a partial one, (4, 1/2) a ring the
-# cyclic DP declines (N <= 2n), (6, 1) past the periodic brute-force guard
+# (3, 1) and (4, 5/4) full columns, (4, 9/8) a partial one, (4, 1/2) a ring
+# whose distance classes coincide (N <= 2n), (6, 1) past the periodic
+# brute-force guard
 MINIMIZE_SHAPES = [(3, F(1), 4), (4, F(5, 4), 9), (4, F(9, 8), 7), (4, F(1, 2), 4),
                    (6, F(1), 18)]
 
