@@ -58,17 +58,23 @@ would keep more than ``DP_BUDGET`` states (``_run_states``) is refused
 with ``SolverGuardError`` before any column is built.  Once a full column
 step gives back its input states, the later full columns are views.
 
-The open DP's first full columns do not depend on L or k: they are the
-states of one run over every volume from every first count, cut to the
-request's window and clamped at its cap.  ``_open_prefix`` computes them
-once per n and state type, for as many columns as fit ``_PREFIX_STATES``
-= 2^16 states in all (at most 64 KB in int8, 128 KB in int16; the cache
-keeps 64 tables), and an open request views them and steps only the
-columns after them.  That is exact: a step at volume v reads volumes v - h
-to v only, a window drops only volumes that cannot reach k, and a table
-clamped at cap_d >= cap differs only in states >= cap, which neither the
-total (<= the fill bound < cap) nor the retrace (state + cost == a value
-< cap) can use.
+The first full columns of both DPs do not depend on L or k: they are the
+states over every volume of the DP's runs, cut to the request's window and
+clamped at its cap.  As ``_transfer_pass`` takes its ``start``, one table
+builder (``_prefix``) takes the run set: the open DP's one run from every
+first count, or the ring's one run pinned to each first count a = 0..n, of
+which a chunk of consecutive pins reads its slice.  Each table is kept per
+n and state type for as many columns as fit ``_PREFIX_STATES`` = 2^16
+states over all its runs (at most 64 KB in int8, 128 KB in int16: 20
+columns at n = 6, 9 at n = 10 and 4 at n = 16 for the ring, none from
+n = 40; the cache keeps 64 tables), built only up to the columns a request
+reads and extended from its last entry by a later one.  A request views
+them and steps only the columns after them.  That is exact: a step at
+volume v reads volumes v - h to v only, a window drops only volumes that
+cannot reach k, and a table clamped at cap_d >= cap differs only in
+states >= cap, which neither the total (<= the fill bound < cap) nor the
+retrace (state + cost == a value < cap) can use.  The ring adds its seam
+after the last full column, past the table.
 
 Both DPs backtrack the same way (``_backtrack``).  The value pass keeps
 each step's input states and the retrace recomputes, column by column, the
@@ -77,7 +83,7 @@ passed back, so the DP runs once and its states are never encoded.  It
 scans counts a1 >= a - value only: states are >= 0 and a step to count a
 costs at least a - a1, so no smaller a1 can match.  The
 kept states are the pass's own arrays, mostly views of its step buffers or
-of the open DP's table.
+of a table of first full columns.
 The open DP keeps every step of its one run; the cyclic DP keeps those of the
 chunk of pins with the least total and retraces its winning pin alone.
 
@@ -137,7 +143,7 @@ _PIN_BATCH = 1 << 21  # states a chunk of cyclic-DP pins keeps over its whole pa
 _BLOCK = 1 << 20  # masks per broadcast add of the brute-force sweep
 _SMALL_STEP = 5 << 15  # charge of a column step taken as one broadcast minimum (``_column_step``)
 _PAIR_CHARGE = 24  # candidates a broadcast step is charged per (a1, a2) pair of its cost table
-_PREFIX_STATES = 1 << 16  # states the open DP's table of first full columns holds, per n and type
+_PREFIX_STATES = 1 << 16  # states a table of first full columns holds over its runs (``_prefix``)
 
 
 class SolverGuardError(ValueError):
@@ -505,36 +511,53 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _open_prefix(n: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
-    """The open DP's states after each of its first g full columns of
-    height n, for every volume: entry c is ``[count, volume, run]`` of shape
-    (n + 1, (c + 1) n + 1, 1), from one run that allows every first count.
+def _prefix_table(n: int, dtype: np.dtype, pinned: bool) -> tuple[int, list]:
+    """``(g, entries)``: the cached table of a column DP's states after each
+    of its first g full columns of height n, for every volume, and the
+    entries built so far (``_prefix`` extends them).  Entry c is
+    ``[count, volume, run]`` of shape (n + 1, (c + 1) n + 1, runs).  The run
+    set is that of ``_transfer_pass``'s ``start``: open, one run that allows
+    every first count; ``pinned``, one run per first count a = 0..n, run a
+    holding a alone, as the ring pins its first column.
 
     States are clamped at cap_d = max(dtype) - n - 1, the largest cap for
     which ``_state_type`` gives ``dtype``, so a request in that type has a
-    cap <= cap_d.  g is the most columns whose states fit
-    ``_PREFIX_STATES`` in all, 0 once one column's do not (n >= 256).  The
-    entries depend on n and the type only, so they are built once, as
-    compact copies rather than views of padded step buffers, and returned
-    read-only.
+    cap <= cap_d.  g is the most columns whose states, over every run, fit
+    ``_PREFIX_STATES`` in all: 0 once one column's do not (open from
+    n = 256, pinned from n = 40).
     """
-    g, held = 0, (n + 1) ** 2  # states of entries 0..g
+    runs = n + 1 if pinned else 1
+    g, held = 0, runs * (n + 1) ** 2  # states of entries 0..g
     while held <= _PREFIX_STATES:
         g += 1
-        held += (n + 1) * ((g + 1) * n + 1)
-    if not g:
-        return ()
-    cap = int(np.iinfo(dtype).max) - n - 1
-    terms = _step_terms(n, n, n > 1, dtype)
-    cur = np.full((n + 1, n + 1, 1), cap, dtype)
-    first = np.arange(n + 1)
-    cur[first, first, 0] = (0 < first) & (first < n)
-    table = [cur]
-    for _ in range(g - 1):
-        table.append(np.minimum(_column_step(table[-1], n, terms, cap), cap))
-    for prefix in table:
-        prefix.flags.writeable = False
-    return tuple(table)
+        held += runs * (n + 1) * ((g + 1) * n + 1)
+    return g, []
+
+
+def _prefix(n: int, dtype: np.dtype, pinned: bool, count: int) -> list:
+    """The first min(count, g) entries of ``_prefix_table(n, dtype,
+    pinned)``.  Entries are built only when a request first reads them,
+    each stepped from the last one built and clamped at cap_d, so a cold
+    request steps only the columns it views.  They depend on n, the type
+    and the run set only, so they are compact read-only arrays shared by
+    every later request, not views of padded step buffers.
+    """
+    g, table = _prefix_table(n, dtype, pinned)
+    count = min(count, g)
+    if len(table) < count:
+        cap = int(np.iinfo(dtype).max) - n - 1
+        if not table:
+            first = np.arange(n + 1)
+            cur = np.full((n + 1, n + 1, len(first) if pinned else 1), cap, dtype)
+            cur[first, first, first if pinned else 0] = (0 < first) & (first < n)
+            cur.flags.writeable = False
+            table.append(cur)
+        terms = _step_terms(n, n, n > 1, dtype)
+        while len(table) < count:
+            cur = np.minimum(_column_step(table[-1], n, terms, cap), cap)
+            cur.flags.writeable = False
+            table.append(cur)
+    return table[:count]
 
 
 def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
@@ -564,15 +587,18 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
     a and volume v, as the next step took them (the second to last
     column's include ``seam[0]``) and, last, the final states with
     ``seam[1]``.  Each is in the pass's dtype: an array a step read, or a
-    view of a step buffer or of the open table; none is copied for keeping.
+    view of a step buffer or of a table; none is copied for keeping.
 
-    Open table: an open run (no seam, one run of every first count in the
-    first window, heights[0] == n) views its first g full columns in
-    ``_open_prefix(n, dtype)``, g as many as the table holds, each cut to
-    its window, and steps from the clamped copy of column g - 1.  Views of
-    the table are clamped at cap_d >= cap, so they equal the stepped
-    states below cap and are >= cap wherever those are cap; totals,
-    retraces and labels are those of stepping every column.
+    Tables: with heights[0] == n, an open run (no seam, one run of every
+    first count in the first window) views its first g full columns in
+    the open table, and runs pinned to single consecutive counts a0, a0 +
+    1, ... (a chunk of the ring's pins) in the pinned table, each column
+    cut to its window and to the run slice [a0, a0 + P), g as many as the
+    table holds (``_prefix``), at most the full columns before the seam or
+    the partial column.  The pass steps from the clamped copy of column
+    g - 1.  Views of a table are clamped at cap_d >= cap, so they equal
+    the stepped states below cap and are >= cap wherever those are cap;
+    totals, retraces and labels are those of stepping every column.
 
     Fixed point: a full step without seam reads volumes v - n .. v for v.
     Once one, with two more ahead, outputs its input aligned by volume
@@ -600,16 +626,21 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
     # the last plain full -> full step: no partial column, no seam added
     last = len(heights) - 1 - (seam is not None or heights[-1] < n)
 
-    # an open run from every first count takes its first full columns from
-    # the table, each cut to its window; the first stepped one is clamped
-    table = ()
-    if (seam is None and len(pins) == 1 and heights[0] == n
-            and set(firsts[0]) == set(range(lo, hi + 1))):
-        table = _open_prefix(n, np.dtype(dtype))[: last + 1]
+    # an open run from every first count, or runs pinned to consecutive
+    # single counts, take their first full columns from a table, each cut to
+    # its window and run slice; the first stepped one is clamped
+    table, runs = [], slice(0, 1)
+    a0 = min(firsts[0], default=-1)
+    if heights[0] == n:
+        if seam is None and len(pins) == 1 and set(firsts[0]) == set(range(lo, hi + 1)):
+            table = _prefix(n, np.dtype(dtype), False, last + 1)
+        elif firsts == [[a] for a in range(a0, a0 + len(firsts))]:
+            runs = slice(a0, a0 + len(firsts))
+            table = _prefix(n, np.dtype(dtype), True, last + 1)
     states = []
     for ci, prefix in enumerate(table):
         lo, hi = window(ci)
-        states.append((lo, prefix[:, lo : hi + 1]))
+        states.append((lo, prefix[:, lo : hi + 1, runs]))
     if states:
         lo, cur = states.pop()
         cur = np.minimum(cur, caps[: cur.shape[1]])
@@ -902,7 +933,11 @@ def _cyclic_dp(n: int, L, k: int) -> SolveResult:
     volume k through ``_column_dp`` as one batch, the pins on the innermost
     state axis, in chunks of at most about ``_PIN_BATCH`` states kept over
     the whole pass (``_run_states`` a pin, at least one pin a chunk), one
-    call per chunk.  The first chunk with a strictly lower least total
+    call per chunk.  A chunk's pins are consecutive counts, so it views its
+    first full columns in the pinned table of first full columns (one run
+    per first count, shared by every ring of that n) and steps only the
+    columns after them, the seam's included.  The first chunk with a
+    strictly lower least total
     keeps its states, so the smallest pin with the least total wins;
     ``_backtrack`` retraces that pin alone from them.  It applies to every
     ring of at least two sites; a pin past ``DP_BUDGET`` is a

@@ -490,3 +490,31 @@ class TestContinuumGolden:
     def test_classify_json(self, capsys, case):
         assert main(case["argv"]) == 0
         assert capsys.readouterr().out == case["stdout"]
+
+
+MINIMIZE_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                               "minimize_golden.json")
+
+
+def _minimize_id(case):
+    argv = case["argv"]
+    return ",".join(argv[2:7:2] + [a.lstrip("-") for a in argv[7:] if a != "--method"])
+
+
+class TestMinimizeGolden:
+    """`minimize` stdout, byte for byte as recorded before the cyclic DP read
+    its first full columns from a table (commit f1192a4): value, method,
+    label, configuration and profile, so tie-breaks too.  Both periodic_mix
+    anchors; the cyclic DP on rings n = 6..16 at L in {5/4, 7/5, 3/2},
+    sigma in turn over {1/3, 1/2, 2/3} (33 shapes, one of them the dp
+    anchor), and on three near-empty or near-full rings; the (5, N = 22)
+    transfer-matrix ring; the open_dp anchors up to n = 40; and seven more
+    open shapes, four of them with a partial last column."""
+
+    with open(MINIMIZE_GOLDEN) as fh:
+        golden = json.load(fh)
+
+    @pytest.mark.parametrize("case", golden["minimize"], ids=_minimize_id)
+    def test_minimize_stdout(self, capsys, case):
+        assert main(case["argv"]) == 0
+        assert capsys.readouterr().out == case["stdout"]

@@ -261,7 +261,8 @@ class TestBlockRearrange:
 def tamper_first_state(monkeypatch, count, delta):
     """Patch ``_column_dp`` to add delta to the kept first-column state of
     ``count`` in every run that may start with it.  The kept array may be a
-    read-only view of the open DP's table, so a tampered copy replaces it."""
+    read-only view of a table of first full columns, so a tampered copy
+    replaces it."""
     column_dp = solve._column_dp
 
     def tampered(n, heights, k, pins, seam=None):
@@ -525,13 +526,18 @@ DENSE_SHAPES = [(n, L) for n in range(2, 11)
 COINCIDING_SHAPES = ([(1, F(N)) for N in range(2, 11)]
                      + [(3, F(2, 3)), (4, F(3, 8)), (4, F(1, 2)), (5, F(7, 25)), (5, F(2, 5)),
                         (6, F(1, 4)), (6, F(1, 3))])
+# a partial last column of 14 under two full ones of 28: at the middle
+# volumes the ring's last step, all 29 pins at once, is wide enough for the
+# running minima (``_distance_transform``), and its best profiles take the
+# backward fold of the rows 14..27 that the partial column cuts to 14
+WIDE_STEP_SHAPES = [(28, F(5, 56))]
 # every ring above; those with distinct classes first, so their ids stay put
 CYCLIC_SHAPES = ([(n, L) for n, L in DENSE_SHAPES if site_count(n, L) > 2 * n]
-                 + [(2, F(1))] + COINCIDING_SHAPES)
+                 + [(2, F(1))] + COINCIDING_SHAPES + WIDE_STEP_SHAPES)
 
 
 class TestColumnStepAgainstDense:
-    @pytest.mark.parametrize("n,L", DENSE_SHAPES)
+    @pytest.mark.parametrize("n,L", DENSE_SHAPES + WIDE_STEP_SHAPES)
     def test_open_values_and_profiles(self, n, L):
         for k, (total, counts) in enumerate(dense_open(n, L)):
             res = column_dp_min(n, L, k)
@@ -556,7 +562,7 @@ class TestColumnStepAgainstDense:
         assert res.value == F(total, n) == value
         assert res.profile.counts == counts
 
-    @pytest.mark.parametrize("n,L", DENSE_SHAPES + COINCIDING_SHAPES)
+    @pytest.mark.parametrize("n,L", DENSE_SHAPES + COINCIDING_SHAPES + WIDE_STEP_SHAPES)
     def test_value_pass_totals(self, n, L):
         # one batched pass, one run per first-column count that reaches k,
         # open and with the cyclic seam: each run's total is the dense
@@ -598,15 +604,24 @@ def pass_arrays(monkeypatch):
     return kept, stepped
 
 
+def prefix_tables(n, dtype):
+    """Both tables of first full columns for n rows in ``dtype``, the open
+    one and the pinned one, each built to every entry its budget allows."""
+    dtype = np.dtype(dtype)
+    return [solve._prefix(n, dtype, pinned, solve._prefix_table(n, dtype, pinned)[0])
+            for pinned in (False, True)]
+
+
 def prefix_arrays(n, dtype):
-    """The ids of the open DP's table entries for n rows in ``dtype``."""
-    return {id(prefix) for prefix in solve._open_prefix(n, np.dtype(dtype))}
+    """The ids of the entries of both tables for n rows in ``dtype``."""
+    return {id(prefix) for table in prefix_tables(n, dtype) for prefix in table}
 
 
 def own_arrays(kept, stepped, dtype):
     """Whether every kept state is in ``dtype`` and, but for each pass's
     final states, an array that a step read, a view of a buffer that a step
-    wrote or a view of the open DP's table: no state is copied for keeping."""
+    wrote or a view of a table of first full columns (open or pinned): no
+    state is copied for keeping."""
     read = {id(cur) for cur, _ in stepped}
     written = {id(out.base) for _, out in stepped}
 
@@ -735,7 +750,8 @@ def kept_cap(n, heights, k, pins, seam=None):
 def assert_same_states(states, want_states, cap):
     """A pass's kept states against the plain loop's: the same window
     starts, dtype and values below the cap, and at least the cap wherever
-    the loop holds it (views of the open DP's table are clamped higher)."""
+    the loop holds it (views of a table of first full columns are clamped
+    higher)."""
     assert len(states) == len(want_states)
     for (lo, got), (want_lo, want) in zip(states, want_states):
         assert lo == want_lo and got.dtype == want.dtype and got.shape == want.shape
@@ -806,84 +822,122 @@ class TestFixedPoint:
         assert (res.value, res.profile) == (want.value, want.profile)
 
 
-def reference_prefix(n, g):
-    """The open DP's states after each of g full columns of height n, at
-    every volume, from every first count: one dense min-plus product per
-    column, int64 and unclamped (DENSE_INF or more where no profile is)."""
+def reference_prefix(n, g, pinned=False):
+    """The states after each of g full columns of height n, at every volume,
+    ``[count, volume, run]``: one run from every first count, or ``pinned``
+    one run per first count a = 0..n.  One dense min-plus product per column
+    and run, int64 and unclamped (DENSE_INF or more where no profile is)."""
     a = np.arange(n + 1)
     cost = _transition_cost(n, n, n)
-    prefix = np.full((n + 1, n + 1), DENSE_INF, np.int64)
-    prefix[a, a] = (0 < a) & (a < n)
+    firsts = [[b] for b in a] if pinned else [a]
+    prefix = np.full((n + 1, n + 1, len(firsts)), DENSE_INF, np.int64)
+    for p, first in enumerate(firsts):
+        prefix[first, first, p] = [0 < b < n for b in first]
     table = [prefix]
     for c in range(1, g):
-        nxt = np.full((n + 1, (c + 1) * n + 1), DENSE_INF, np.int64)
+        nxt = np.full((n + 1, (c + 1) * n + 1, len(firsts)), DENSE_INF, np.int64)
         for a2 in a:
-            nxt[a2, a2 : a2 + c * n + 1] = (table[-1] + cost[:, a2, None]).min(axis=0)
+            nxt[a2, a2 : a2 + c * n + 1] = (table[-1] + cost[:, a2, None, None]).min(axis=0)
         table.append(nxt)
-    return table
+    return table[:g]
 
 
-def prefix_budget(n, g):
-    """A ``_PREFIX_STATES`` for which the table of n holds g entries."""
-    return sum((n + 1) * (c * n + 1) for c in range(1, g + 1))
+def prefix_budget(n, g, pinned=False):
+    """A ``_PREFIX_STATES`` for which the open (or the pinned) table of n
+    holds g entries."""
+    runs = n + 1 if pinned else 1
+    return runs * sum((n + 1) * (c * n + 1) for c in range(1, g + 1))
+
+
+def table_calls(n, heights, k, pins, seam, g, warm):
+    """``_column_dp``'s totals and states with the budget at g entries of
+    the table it reads and that table warmed to ``warm`` entries first, and
+    the number of entries built after it (caches cleared on both sides)."""
+    pinned = seam is not None or len(pins) > 1
+    dtype = np.dtype(solve._state_type(kept_cap(n, heights, k, pins, seam) + n + 1))
+    try:
+        with patch.object(solve, "_PREFIX_STATES", prefix_budget(n, g, pinned)):
+            solve._prefix_table.cache_clear()
+            solve._prefix(n, dtype, pinned, warm)
+            totals, states = _column_dp(n, heights, k, pins, seam)
+            return totals, states, len(solve._prefix_table(n, dtype, pinned)[1])
+    finally:
+        solve._prefix_table.cache_clear()
 
 
 class TestOpenPrefix:
+    """The tables of first full columns: the open DP's, one run from every
+    first count, and the ring's, one run pinned to each first count."""
+
     @pytest.mark.parametrize("n,dtype", [(1, np.int8), (2, np.int8), (10, np.int8),
                                          (35, np.int16), (80, np.int16), (255, np.int16),
                                          (256, np.int16)])
     def test_read_only_within_budget(self, n, dtype):
-        # one cached tuple per (n, type); g is the most entries whose states
-        # fit the budget, none past n = 255; each entry is a compact array of
-        # its own, not a view of a step buffer, and read-only
-        table = solve._open_prefix(n, np.dtype(dtype))
-        assert solve._open_prefix(n, np.dtype(dtype)) is table
-        held = sum(prefix.size for prefix in table)
-        assert held <= solve._PREFIX_STATES < held + (n + 1) * ((len(table) + 1) * n + 1)
-        assert (len(table) == 0) == (n >= 256)
-        for c, prefix in enumerate(table):
-            assert prefix.shape == (n + 1, (c + 1) * n + 1, 1) and prefix.dtype == dtype
-            assert prefix.base is None and prefix.flags.c_contiguous
-            assert prefix.size <= solve._PREFIX_STATES
-            with pytest.raises(ValueError, match="read-only"):
-                prefix[0, 0, 0] = 0
+        # one cached table per (n, type, run set); g is the most entries
+        # whose states over every run fit the budget, none past n = 255 open
+        # and n = 39 pinned; each entry is a compact array of its own, not a
+        # view of a step buffer, and read-only, and a later request gets the
+        # same arrays
+        for pinned, table in zip((False, True), prefix_tables(n, dtype)):
+            runs = n + 1 if pinned else 1
+            assert [id(e) for e in prefix_tables(n, dtype)[pinned]] == [id(e) for e in table]
+            held = sum(prefix.size for prefix in table)
+            assert held <= solve._PREFIX_STATES < held + runs * (n + 1) * ((len(table) + 1) * n + 1)
+            assert (len(table) == 0) == (n >= (40 if pinned else 256))
+            for c, prefix in enumerate(table):
+                assert prefix.shape == (n + 1, (c + 1) * n + 1, runs) and prefix.dtype == dtype
+                assert prefix.base is None and prefix.flags.c_contiguous
+                with pytest.raises(ValueError, match="read-only"):
+                    prefix[0, 0, 0] = 0
 
-    @given(st.integers(1, 40), st.sampled_from([np.int8, np.int16]))
-    def test_values(self, n, dtype):
-        # a fresh build: entry c is the dense DP's states after c + 1 full
-        # columns clamped at cap_d = max(type) - n - 1, and every value the
-        # build computes lies in [-n, cap_d + n + 1], so in the type
+    @given(st.integers(1, 40), st.sampled_from([np.int8, np.int16]), st.booleans())
+    def test_values(self, n, dtype, pinned):
+        # a fresh build of either table: entry c is the dense DP's states
+        # after c + 1 full columns clamped at cap_d = max(type) - n - 1, and
+        # every value the build computes lies in [-n, cap_d + n + 1], so in
+        # the type
         cap = int(np.iinfo(dtype).max) - n - 1
         spy = ValueSpy()
-        with patch.object(solve, "np", spy):
-            table = solve._open_prefix.__wrapped__(n, np.dtype(dtype))
-        assert spy.dtypes == {np.dtype(dtype)}
+        with patch.object(solve, "_prefix_table", lru_cache(solve._prefix_table.__wrapped__)):
+            with patch.object(solve, "np", spy):
+                table = solve._prefix(n, np.dtype(dtype), pinned, 1 << 10)
+        # a table of one entry (pinned, n = 39) runs no step
+        assert spy.dtypes == ({np.dtype(dtype)} if len(table) > 1 else set())
         assert -n <= spy.low and spy.high <= cap + n + 1
-        for got, want in zip(table, reference_prefix(n, len(table)), strict=True):
-            assert np.array_equal(got[..., 0], np.minimum(want, cap))
+        for got, want in zip(table, reference_prefix(n, len(table), pinned), strict=True):
+            assert np.array_equal(got, np.minimum(want, cap))
 
     def test_warm_table_skips_its_columns(self, monkeypatch):
-        # (30, 3/2, 600): the table holds 11 of the 45 columns, so a cold
-        # request steps 10 columns to build it and 15 of its own, a warm one
-        # 15, with the value and profile of stepping every column
-        solve._open_prefix.cache_clear()
+        # a cold request builds the entries it views only: the bench's
+        # warm-up (7, 1, 20) builds 7 of the 47 the budget allows at n = 7
+        # in 6 steps and steps none of its own; (7, 3, 70) extends them to
+        # its 21 columns from the last one, in 14 steps.  (30, 3/2, 600)
+        # builds all 11 entries the budget allows at n = 30, of its 45
+        # columns, in 10 steps and steps 15 of its own, a warm one 15; each
+        # with the value and profile of stepping every column
+        requests = [((7, 1, 20), 6, 7), ((7, 3, 70), 14, 21),
+                    ((30, F(3, 2), 600), 25, 11), ((30, F(3, 2), 600), 15, 11)]
+        solve._prefix_table.cache_clear()
         calls = column_step_calls(monkeypatch)
-        res = column_dp_min(30, F(3, 2), 600)
-        assert len(calls) == 25 and len(solve._open_prefix(30, np.dtype(np.int8))) == 11
-        calls.clear()
-        warm = column_dp_min(30, F(3, 2), 600)
-        assert len(calls) == 15
+        got = []
+        for args, steps, built in requests:
+            got.append(column_dp_min(*args))
+            assert len(calls) == steps, args
+            assert len(solve._prefix_table(args[0], np.dtype(np.int8), False)[1]) == built
+            calls.clear()
         monkeypatch.setattr(solve, "_column_dp", reference_column_dp)
-        want = column_dp_min(30, F(3, 2), 600)
-        for got in (res, warm):
-            assert (got.value, got.profile) == (want.value, want.profile)
+        for (args, _, _), res in zip(requests, got):
+            want = column_dp_min(*args)
+            assert (res.value, res.profile) == (want.value, want.profile)
 
     @given(st.data())
     def test_matches_every_step(self, data):
         # open runs from every first count, n up to 40, full and partial last
-        # columns, with a cold or warm table of none, some, all or more than
-        # all of the full columns: totals and retraced profiles are the plain
-        # loop's, and kept states equal its states up to the cap
+        # columns, with a table budget of none, some, all or more than all of
+        # the full columns, warmed to some or none of them: totals and
+        # retraced profiles are the plain loop's, kept states equal its
+        # states up to the cap, and the table holds the entries the request
+        # viewed, at most g
         n = data.draw(st.integers(1, 40), label="n")
         L = data.draw(st.sampled_from([F(1), F(5, 4), F(3, 2), F(3)]), label="L")
         heights = column_heights(n, L)
@@ -892,21 +946,62 @@ class TestOpenPrefix:
         pins = [range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)]
         full = len(heights) - (heights[-1] < n)
         g = data.draw(st.sampled_from([0, full, full + 1]) | st.integers(0, full + 1), label="g")
-        warm = data.draw(st.booleans(), label="warm")
-        try:
-            with patch.object(solve, "_PREFIX_STATES", prefix_budget(n, g)):
-                solve._open_prefix.cache_clear()
-                if warm:
-                    _column_dp(n, heights, k, pins)
-                totals, states = _column_dp(n, heights, k, pins)
-                assert len(solve._open_prefix(n, states[-1][1].dtype)) == g
-        finally:
-            solve._open_prefix.cache_clear()
+        warm = data.draw(st.integers(0, full + 1), label="warm")
+        totals, states, built = table_calls(n, heights, k, pins, None, g, warm)
+        assert built == min(max(full, warm), g)
         want_totals, want_states = reference_column_dp(n, heights, k, pins)
         assert np.array_equal(totals, want_totals)
         assert_same_states(states, want_states, kept_cap(n, heights, k, pins))
         want = solve._backtrack(n, heights, k, 0, want_states)
         assert solve._backtrack(n, heights, k, 0, states) == want
+
+    @pytest.mark.parametrize("L", [F(5, 4), F(7, 5), F(3, 2)])
+    def test_ring_tables_within_budget(self, L):
+        # the periodic_mix rings, n = 6..16 at a quarter, half and three
+        # quarters of their volume: every pinned table holds at most
+        # _PREFIX_STATES states over all its runs, 64 KB in int8, though the
+        # rings read up to 23 full columns (a budget per run would hold
+        # 1.3M states at n = 16)
+        for n in range(6, 17):
+            N = site_count(n, L)
+            for k in (N // 4, N // 2, 3 * N // 4):
+                _cyclic_dp(n, L, k)
+            tables = [solve._prefix_table(n, np.dtype(t), True)[1] for t in (np.int8, np.int16)]
+            assert tables[0], n  # the rings read the int8 table
+            for table in tables:
+                assert sum(prefix.size for prefix in table) <= solve._PREFIX_STATES, n
+
+    @given(st.data())
+    def test_pinned_matches_every_step(self, data):
+        # a chunk of the ring's pins, consecutive first counts, with the
+        # cyclic seam, n up to 39, full and partial last columns, with a
+        # table budget of none, some, all or more than all of the full
+        # columns before the seam, warmed to some or none of them: totals,
+        # kept states up to the cap and every retraced profile are the plain
+        # loop's
+        n = data.draw(st.integers(2, 39), label="n")
+        L = data.draw(st.sampled_from([F(1), F(5, 4), F(3, 2), F(3)]), label="L")
+        heights = column_heights(n, L)
+        N = sum(heights)
+        k = data.draw(st.integers(0, N), label="k")
+        lo, hi = max(0, k - (N - heights[0])), min(heights[0], k)
+        a0 = data.draw(st.integers(lo, hi), label="a0")
+        a1 = data.draw(st.integers(a0, hi), label="a1")
+        pins = [(a,) for a in range(a0, a1 + 1)]
+        seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a, in pins))))
+        viewed = len(heights) - 1
+        g = data.draw(st.sampled_from([0, viewed, viewed + 1]) | st.integers(0, viewed + 1),
+                      label="g")
+        warm = data.draw(st.integers(0, viewed + 1), label="warm")
+        totals, states, built = table_calls(n, heights, k, pins, seam, g, warm)
+        assert built == min(max(viewed, warm), g)
+        want_totals, want_states = reference_column_dp(n, heights, k, pins, seam)
+        assert np.array_equal(totals, want_totals)
+        cap = kept_cap(n, heights, k, pins, seam)
+        assert_same_states(states, want_states, cap)
+        for p in np.flatnonzero(totals < cap):
+            want = solve._backtrack(n, heights, k, p, want_states, seam)
+            assert solve._backtrack(n, heights, k, p, states, seam) == want
 
 
 def reference_backtrack(n, heights, k, p, states, seam=None):
@@ -1126,8 +1221,8 @@ class TestStateBound:
         # through either kernel: the capped pass stores min(uncapped, cap),
         # so equals the uncapped pass on every state <= ub and stores nothing
         # above cap, and computes nothing outside [-n, cap + n + 1]; views of
-        # the open DP's warm table hold min(uncapped, cap_d), and the table's
-        # own values are in TestOpenPrefix
+        # the warm open or pinned table hold min(uncapped, cap_d), and the
+        # tables' own values are in TestOpenPrefix
         n, heights, k, pins, seam = draw_column_dp_instance(data, 1)
         small_step = data.draw(st.sampled_from([0, solve._SMALL_STEP]), label="small_step")
         cap = kept_cap(n, heights, k, pins, seam)
@@ -1979,9 +2074,9 @@ for solver in (_cyclic_dp, column_dp_min):
     spinchain.solve._column_dp = column_dp
 
 # a column step one too high on every state: the DP total passes its fill
-# bound, on the ring and on the open chain past its warm table of first
-# full columns (8 of the 40 at n = 40)
-shapes = [(_cyclic_dp, 10, Fraction(1), 50), (column_dp_min, 40, Fraction(1), 800)]
+# bound, on the ring and on the open chain past their warm tables of first
+# full columns (9 of the ring's 30 at n = 10, 8 of the chain's 40 at n = 40)
+shapes = [(_cyclic_dp, 10, Fraction(3), 150), (column_dp_min, 40, Fraction(1), 800)]
 for solver, *args in shapes:
     solver(*args)
 column_step = spinchain.solve._column_step
