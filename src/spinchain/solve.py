@@ -60,10 +60,14 @@ step gives back its input states, the later full columns are views.
 
 The first full columns of both DPs do not depend on L or k: they are the
 states over every volume of the DP's runs, cut to the request's window and
-clamped at its cap.  As ``_transfer_pass`` takes its ``start``, one table
-builder (``_prefix``) takes the run set: the open DP's one run from every
-first count, or the ring's one run pinned to each first count a = 0..n, of
-which a chunk of consecutive pins reads its slice.  Each table is kept per
+clamped at its cap.  ``_column_dp`` takes one run set, as
+``_transfer_pass`` takes its ``start``: None, the open DP's one run from
+every first count of the window, or a range of consecutive first counts,
+one run pinned to each (a chunk of the ring's pins).  One table builder
+(``_prefix``) takes the same run set over every first count a = 0..n,
+``pinned`` or not, and a chunk of pins reads its run slice.  When no table
+entry applies, the first column is set the way ``_prefix`` sets entry 0,
+in one assignment over the run set.  Each table is kept per
 n and state type for as many columns as fit ``_PREFIX_STATES`` = 2^16
 states over all its runs (at most 64 KB in int8, 128 KB in int16: 20
 columns at n = 6, 9 at n = 10 and 4 at n = 16 for the ring, none from
@@ -340,14 +344,16 @@ def _state_type(top: int) -> type:
     return np.int8 if top < 1 << 7 else np.int16 if top < 1 << 15 else np.int32
 
 
-def _fill_bound(n: int, heights: tuple[int, ...], k: int, firsts: list, seam=None) -> int:
+def _fill_bound(n: int, heights: tuple[int, ...], k: int, firsts: range, seam=None) -> int:
     """Least count of two fill profiles that ``_column_dp``'s runs search.
 
-    ``firsts[p]`` lists the first counts run p may hold (within the first
-    window).  One profile starts with the largest of them and fills the
-    later columns from the left to volume k (full ones, one partial, then
-    empty ones), the other with the smallest and fills from the right; each
-    adds its run's ``seam``.  Both are profiles the DP searches, so the
+    ``firsts`` is the range of first counts the runs hold, within the first
+    window: the open run's every count, or one count per pinned run, the
+    seam's row a - firsts[0] for count a.  One profile starts with the
+    largest, firsts[-1], and fills the later columns from the left to
+    volume k (full ones, one partial, then empty ones), the other with the
+    smallest, firsts[0], and fills from the right; each adds its run's
+    ``seam``.  Both are profiles the DP searches, so the
     least of their counts bounds its least total (Land & Doig's bound step,
     Econometrica 28, 1960).  Heights do not grow, so a step between two
     full or two empty columns costs nothing, and only the steps into
@@ -357,8 +363,7 @@ def _fill_bound(n: int, heights: tuple[int, ...], k: int, firsts: list, seam=Non
     ends = list(accumulate(heights))
     N, last = ends[-1], len(heights) - 1
     bounds = []
-    for a0, p, left in (max((max(f), p, True) for p, f in enumerate(firsts) if f),
-                        min((min(f), p, False) for p, f in enumerate(firsts) if f)):
+    for a0, left in ((firsts[-1], True), (firsts[0], False)):
         def count(i):  # column i of the profile; later columns fill in order
             if i == 0:
                 return a0
@@ -373,6 +378,7 @@ def _fill_bound(n: int, heights: tuple[int, ...], k: int, firsts: list, seam=Non
                 total += (abs(min(a1, h) - a2) + (n > 1 and (a1 == heights[i - 1]) != (a2 >= 1))
                           + (0 < a2 < h))
         if seam is not None:  # a one-column ring adds no seam[0]
+            p = a0 - firsts[0]
             total += int(seam[1][p, count(last)]) + (last > 0 and int(seam[0][p, count(last - 1)]))
         bounds.append(total)
     return min(bounds)
@@ -438,6 +444,10 @@ def _column_step(cur: np.ndarray, h_prev: int, terms, cap: int) -> np.ndarray:
                      + [(a1 == h_prev) != (a2 >= 1)]  wrap pair (if ``wrap``)
                      + [0 < a2 < h]                   internal jump.
 
+    On a partial column (h < n) the rows a2 > h hold cap at c < a2 only
+    and are unset beyond: ``_column_dp`` reads that step at volume k alone,
+    at c = min(k, h) < a2.
+
     A step charged at most ``_SMALL_STEP`` is one broadcast sum over the
     cost table and one minimum over a1: at that size numpy's fixed cost per
     call, not the elements, sets its time.  Its charge is its candidates,
@@ -455,8 +465,6 @@ def _column_step(cur: np.ndarray, h_prev: int, terms, cap: int) -> np.ndarray:
     # row stride P elements shorter, come out shifted right by a2 volumes
     padded = np.empty((R, C + R, P), cur.dtype)
     padded[:, :R] = cap
-    if h < R - 1:
-        padded[h + 1 :, R:] = cap
     best = padded[: h + 1, R:]
     if cost.size * (C * P + _PAIR_CHARGE) <= _SMALL_STEP:
         np.add(cur[: h_prev + 1, None], cost).min(axis=0, out=best)
@@ -560,13 +568,16 @@ def _prefix(n: int, dtype: np.dtype, pinned: bool, count: int) -> list:
     return table[:count]
 
 
-def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
+def _column_dp(n: int, heights: tuple[int, ...], k: int, pins: Optional[range] = None,
                seam=None) -> tuple[np.ndarray, list]:
     """Least mismatch counts over prefix profiles of volume k, one per run,
     and the states that ``_backtrack`` retraces them from.
 
-    ``pins[p]`` lists the counts the first column of run p may hold, and
-    every run must reach volume k; the runs go through every
+    ``pins`` is the run set, as ``_prefix`` takes ``pinned``: None is the
+    open chain's one run, whose first column may hold any count of the
+    first window; a range of consecutive counts within that window (a
+    chunk of the ring's pins) is one run pinned to each, run p to count
+    pins[p].  Every run must reach volume k; the runs go through every
     ``_column_step`` together, one slice each of the innermost state axis:
     every state array is ``[count, volume, run]``.  ``seam = (before,
     after)`` holds one row per run and adds ``before[p, a]`` for the second
@@ -589,16 +600,17 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
     ``seam[1]``.  Each is in the pass's dtype: an array a step read, or a
     view of a step buffer or of a table; none is copied for keeping.
 
-    Tables: with heights[0] == n, an open run (no seam, one run of every
-    first count in the first window) views its first g full columns in
-    the open table, and runs pinned to single consecutive counts a0, a0 +
-    1, ... (a chunk of the ring's pins) in the pinned table, each column
-    cut to its window and to the run slice [a0, a0 + P), g as many as the
-    table holds (``_prefix``), at most the full columns before the seam or
-    the partial column.  The pass steps from the clamped copy of column
-    g - 1.  Views of a table are clamped at cap_d >= cap, so they equal
-    the stepped states below cap and are >= cap wherever those are cap;
-    totals, retraces and labels are those of stepping every column.
+    Tables: with heights[0] == n, the run set views its first g full
+    columns in its table (``_prefix(n, dtype, pins is not None, ...)``),
+    each cut to its window and, pinned, to the run slice [pins[0],
+    pins[-1] + 1), g as many as the table holds, at most the full columns
+    before the seam or the partial column.  The pass steps from the
+    clamped copy of column g - 1; with no entry (a first column of height
+    below n, or a table that holds none) it starts from the first column
+    set as ``_prefix`` sets entry 0.  Views of a table are clamped at
+    cap_d >= cap, so they equal the stepped states below cap and are >= cap
+    wherever those are cap; totals, retraces and labels are those of
+    stepping every column.
 
     Fixed point: a full step without seam reads volumes v - n .. v for v.
     Once one, with two more ahead, outputs its input aligned by volume
@@ -614,7 +626,7 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
         return max(0, k - (N - int(ends[ci]))), min(k, int(ends[ci]))
 
     lo, hi = window(0)
-    firsts = [[a for a in first if lo <= a <= hi] for first in pins]
+    firsts = range(lo, hi + 1) if pins is None else pins
     ub = _fill_bound(n, heights, k, firsts, seam)
     cap = ub + 1
     dtype = _state_type(cap + n + 1)
@@ -622,33 +634,25 @@ def _column_dp(n: int, heights: tuple[int, ...], k: int, pins,
              for hp, h in set(zip(heights, heights[1:]))}
     # the clamp's operand: a row of caps as wide as any window (numpy's
     # minimum against a scalar skips its vector loop and is ten times slower)
-    caps = np.full((min(k, N - k) + 1, len(pins)), cap, dtype)
+    caps = np.full((min(k, N - k) + 1, 1 if pins is None else len(pins)), cap, dtype)
     # the last plain full -> full step: no partial column, no seam added
     last = len(heights) - 1 - (seam is not None or heights[-1] < n)
 
-    # an open run from every first count, or runs pinned to consecutive
-    # single counts, take their first full columns from a table, each cut to
+    # the run set takes its first full columns from its table, each cut to
     # its window and run slice; the first stepped one is clamped
-    table, runs = [], slice(0, 1)
-    a0 = min(firsts[0], default=-1)
-    if heights[0] == n:
-        if seam is None and len(pins) == 1 and set(firsts[0]) == set(range(lo, hi + 1)):
-            table = _prefix(n, np.dtype(dtype), False, last + 1)
-        elif firsts == [[a] for a in range(a0, a0 + len(firsts))]:
-            runs = slice(a0, a0 + len(firsts))
-            table = _prefix(n, np.dtype(dtype), True, last + 1)
     states = []
-    for ci, prefix in enumerate(table):
-        lo, hi = window(ci)
-        states.append((lo, prefix[:, lo : hi + 1, runs]))
+    if heights[0] == n:
+        runs = slice(0, 1) if pins is None else slice(pins[0], pins[-1] + 1)
+        for ci, prefix in enumerate(_prefix(n, np.dtype(dtype), pins is not None, last + 1)):
+            lo, hi = window(ci)
+            states.append((lo, prefix[:, lo : hi + 1, runs]))
     if states:
         lo, cur = states.pop()
         cur = np.minimum(cur, caps[: cur.shape[1]])
     else:
-        cur = np.full((n + 1, hi - lo + 1, len(pins)), cap, dtype)
-        for p, first in enumerate(firsts):
-            for a in first:
-                cur[a, a - lo, p] = 0 < a < heights[0]
+        a = np.array(firsts)
+        cur = np.full((n + 1, hi - lo + 1, caps.shape[1]), cap, dtype)
+        cur[a, a - lo, 0 if pins is None else a - a[0]] = (0 < a) & (a < heights[0])
 
     fixed = None
     for ci in range(len(states) + 1, len(heights)):
@@ -777,7 +781,7 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
     if not heights:  # N = 0: the empty chain
         total, counts = 0, []
     else:
-        _, states = _column_dp(n, heights, k, [range(min(heights[0], k) + 1)])
+        _, states = _column_dp(n, heights, k)
         total, counts = _backtrack(n, heights, k, 0, states)
     profile = ColumnProfile(n, heights, tuple(counts))
     return _checked(profile_to_config(profile, L), total, k, False, "ColumnDP",
@@ -933,12 +937,12 @@ def _cyclic_dp(n: int, L, k: int) -> SolveResult:
     volume k through ``_column_dp`` as one batch, the pins on the innermost
     state axis, in chunks of at most about ``_PIN_BATCH`` states kept over
     the whole pass (``_run_states`` a pin, at least one pin a chunk), one
-    call per chunk.  A chunk's pins are consecutive counts, so it views its
-    first full columns in the pinned table of first full columns (one run
-    per first count, shared by every ring of that n) and steps only the
-    columns after them, the seam's included.  The first chunk with a
-    strictly lower least total
-    keeps its states, so the smallest pin with the least total wins;
+    call per chunk.  The pins are a range of consecutive counts, the first
+    window, and a chunk is a slice of it, so it views its first full
+    columns in the pinned table of first full columns (one run per first
+    count, shared by every ring of that n) and steps only the columns after
+    them, the seam's included.  The first chunk with a strictly lower least
+    total keeps its states, so the smallest pin with the least total wins;
     ``_backtrack`` retraces that pin alone from them.  It applies to every
     ring of at least two sites; a pin past ``DP_BUDGET`` is a
     ``SolverGuardError``.  The result is exact at n = 1, where every
@@ -951,8 +955,8 @@ def _cyclic_dp(n: int, L, k: int) -> SolveResult:
     step = max(1, _PIN_BATCH // _run_states(n, N, k))
     heights = column_heights(n, L)
     lam = lambda_defect(n, L)
-    pins = np.arange(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
-    a1 = pins[:, None]
+    pins = range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
+    a1 = np.array(pins)[:, None]
     counts = np.arange(n + 1)
     before = np.zeros((len(pins), n + 1), int)
     after = np.zeros((len(pins), n + 1), int)
@@ -970,7 +974,7 @@ def _cyclic_dp(n: int, L, k: int) -> SolveResult:
     best = None  # (total, run, states, seam) of the first chunk with the least total
     for i in range(0, len(pins), step):
         seam = before[i : i + step], after[i : i + step]
-        totals, states = _column_dp(n, heights, k, [(int(a),) for a in pins[i : i + step]], seam)
+        totals, states = _column_dp(n, heights, k, pins[i : i + step], seam)
         p = int(totals.argmin())
         if best is None or totals[p] < best[0]:
             best = int(totals[p]), p, states, seam

@@ -509,7 +509,11 @@ class TestMinimizeGolden:
     sigma in turn over {1/3, 1/2, 2/3} (33 shapes, one of them the dp
     anchor), and on three near-empty or near-full rings; the (5, N = 22)
     transfer-matrix ring; the open_dp anchors up to n = 40; and seven more
-    open shapes, four of them with a partial last column."""
+    open shapes, four of them with a partial last column.  Five more,
+    recorded at eed0361, start from a first column that no table holds:
+    the open (300, 1/100, 800), the cyclic DP on the n = 40 rings
+    (3/40, 60) and (17/160, 85), and the one-column ring (6, 5/36, 3); and
+    (15, 2/15, 10), a two-column ring past the split-cut sweep."""
 
     with open(MINIMIZE_GOLDEN) as fh:
         golden = json.load(fh)

@@ -260,18 +260,17 @@ class TestBlockRearrange:
 
 def tamper_first_state(monkeypatch, count, delta):
     """Patch ``_column_dp`` to add delta to the kept first-column state of
-    ``count`` in every run that may start with it.  The kept array may be a
-    read-only view of a table of first full columns, so a tampered copy
-    replaces it."""
+    ``count`` in the run that may start with it: the open run, or the run
+    pinned to it.  The kept array may be a read-only view of a table of
+    first full columns, so a tampered copy replaces it."""
     column_dp = solve._column_dp
 
-    def tampered(n, heights, k, pins, seam=None):
+    def tampered(n, heights, k, pins=None, seam=None):
         totals, states = column_dp(n, heights, k, pins, seam)
         lo, first = states[0]
         first = first.copy()
-        for p, counts in enumerate(pins):
-            if count in counts:
-                first[count, count - lo, p] += delta
+        if pins is None or count in pins:
+            first[count, count - lo, 0 if pins is None else pins.index(count)] += delta
         states[0] = lo, first
         return totals, states
 
@@ -448,7 +447,7 @@ def _seam_cost(n, L, a1):
         for al in range(n + 1):
             site[starts[-3] : starts[-2]] = np.arange(heights[-2]) < ap
             site[starts[-2] :] = np.arange(heights[-1]) < al
-            cost[ap, al] = sum(site[i] != site[i + d] for d in classes for i in range(N - d))
+            cost[ap, al] = sum(np.count_nonzero(site[: N - d] != site[d:]) for d in classes)
     return cost
 
 
@@ -572,13 +571,13 @@ class TestColumnStepAgainstDense:
         N = sum(heights)
         for cyclic in (False, True):
             for k in range(0, N + 1, max(1, N // 40)):
-                pins = [(a,) for a in range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)]
+                pins = range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
                 seam = None
                 if cyclic:
-                    seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a, in pins))))
+                    seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a in pins))))
                 cap = solve._fill_bound(n, heights, k, pins, seam) + 1
                 totals = solve._column_dp(n, heights, k, pins, seam)[0]
-                want = [dense_pinned(n, L, a, cyclic)[:, k].min() for a, in pins]
+                want = [dense_pinned(n, L, a, cyclic)[:, k].min() for a in pins]
                 assert totals.tolist() == [min(w, cap) for w in want], k
                 assert min(want) < cap
 
@@ -673,8 +672,9 @@ class TestColumnStepFormula:
     def test_matches_the_documented_formula(self, data):
         # both kernels of _column_step against its docstring, evaluated
         # directly in O(n^2 C): out[a2, c, p] = min over a1 <= h_prev of
-        # cur[a1, c - a2, p] + cost(a1, a2), cap where no a1 contributes
-        # (a2 > h, or c - a2 outside the window); states lie in [0, cap]
+        # cur[a1, c - a2, p] + cost(a1, a2), cap where c - a2 is outside the
+        # window; states lie in [0, cap].  Rows a2 > h (a partial column)
+        # are compared at c < a2 only, where they hold cap
         n = data.draw(st.integers(1, 6), label="n")
         h_prev = data.draw(st.integers(1, n), label="h_prev")
         h = data.draw(st.integers(1, h_prev), label="h")  # h < h_prev: a partial column
@@ -699,18 +699,20 @@ class TestColumnStepFormula:
                 for p in range(P):
                     want[a2, c, p] = min(int(cur[a1, c - a2, p]) + cost(a1, a2)
                                          for a1 in range(h_prev + 1))
+        a2 = np.arange(R)[:, None]
+        seen = (a2 <= h) | (np.arange(C + R - 1) < a2)
         terms = solve._step_terms(h_prev, h, wrap, np.dtype(dtype))
         for small_step in (0, 1 << 62):  # the running minima, then one broadcast minimum
             with patch.object(solve, "_SMALL_STEP", small_step):
                 out = solve._column_step(cur, h_prev, terms, cap)
             assert out.dtype == dtype and out.shape == want.shape
-            assert np.array_equal(out, want), small_step
+            assert np.array_equal(out[seen], want[seen]), small_step
 
 
-def reference_column_dp(n, heights, k, pins, seam=None):
+def reference_column_dp(n, heights, k, pins=None, seam=None):
     """``_column_dp`` as a plain loop that runs ``_column_step`` for every
-    column: the same windows, cap, state type and kept states, no
-    fast-forward."""
+    column from a first column set count by count: the same windows, cap,
+    state type and kept states, no table, no fast-forward."""
     N = sum(heights)
     ends = np.cumsum(heights)
 
@@ -718,13 +720,12 @@ def reference_column_dp(n, heights, k, pins, seam=None):
         return max(0, k - (N - int(ends[ci]))), min(k, int(ends[ci]))
 
     lo, hi = window(0)
-    firsts = [[a for a in first if lo <= a <= hi] for first in pins]
+    firsts = range(lo, hi + 1) if pins is None else pins
     cap = solve._fill_bound(n, heights, k, firsts, seam) + 1
     dtype = solve._state_type(cap + n + 1)
-    cur = np.full((n + 1, hi - lo + 1, len(pins)), cap, dtype)
-    for p, first in enumerate(firsts):
-        for a in first:
-            cur[a, a - lo, p] = 0 < a < heights[0]
+    cur = np.full((n + 1, hi - lo + 1, 1 if pins is None else len(pins)), cap, dtype)
+    for p, a in enumerate(firsts):
+        cur[a, a - lo, 0 if pins is None else p] = 0 < a < heights[0]
     states = []
     for ci in range(1, len(heights)):
         if seam is not None and ci == len(heights) - 1:
@@ -740,11 +741,11 @@ def reference_column_dp(n, heights, k, pins, seam=None):
     return cur[:, k - lo].min(axis=0), states + [(lo, cur)]
 
 
-def kept_cap(n, heights, k, pins, seam=None):
+def kept_cap(n, heights, k, pins=None, seam=None):
     """The cap of a ``_column_dp`` pass: one above its fill bound."""
     N = sum(heights)
-    lo, hi = max(0, k - (N - heights[0])), min(k, heights[0])
-    return solve._fill_bound(n, heights, k, [[a for a in p if lo <= a <= hi] for p in pins], seam) + 1
+    firsts = range(max(0, k - (N - heights[0])), min(k, heights[0]) + 1) if pins is None else pins
+    return solve._fill_bound(n, heights, k, firsts, seam) + 1
 
 
 def assert_same_states(states, want_states, cap):
@@ -774,21 +775,22 @@ def column_step_calls(monkeypatch):
 
 
 def draw_column_dp_instance(data, least_n, most_n=12):
-    """``(n, heights, k, pins, seam)`` for ``_column_dp``: one open run of
-    every first count, or pinned runs with the cyclic seam on every ring
-    of two sites or more, partial last columns included."""
+    """``(n, heights, k, pins, seam)`` for ``_column_dp``: the open run of
+    every first count (``pins`` None), or a chunk of consecutive pinned
+    runs with the cyclic seam on every ring of two sites or more, partial
+    last columns included."""
     n = data.draw(st.integers(least_n, most_n), label="n")
     L = data.draw(st.sampled_from([F(1), F(5, 4), F(3, 2), F(3)]), label="L")
     heights = column_heights(n, L)
     N = sum(heights)
     k = data.draw(st.integers(0, N), label="k")
-    first = range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
+    lo, hi = max(0, k - (N - heights[0])), min(heights[0], k)
     if N >= 2 and data.draw(st.booleans(), label="seam"):
-        chosen = data.draw(st.lists(st.sampled_from(first), min_size=1, max_size=4,
-                                    unique=True), label="pins")
-        seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a in chosen))))
-        return n, heights, k, [(a,) for a in chosen], seam
-    return n, heights, k, [first], None
+        a0 = data.draw(st.integers(lo, hi), label="a0")
+        pins = range(a0, data.draw(st.integers(a0, hi), label="a1") + 1)
+        seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a in pins))))
+        return n, heights, k, pins, seam
+    return n, heights, k, None, None
 
 
 class TestFixedPoint:
@@ -853,7 +855,7 @@ def table_calls(n, heights, k, pins, seam, g, warm):
     """``_column_dp``'s totals and states with the budget at g entries of
     the table it reads and that table warmed to ``warm`` entries first, and
     the number of entries built after it (caches cleared on both sides)."""
-    pinned = seam is not None or len(pins) > 1
+    pinned = pins is not None
     dtype = np.dtype(solve._state_type(kept_cap(n, heights, k, pins, seam) + n + 1))
     try:
         with patch.object(solve, "_PREFIX_STATES", prefix_budget(n, g, pinned)):
@@ -943,15 +945,14 @@ class TestOpenPrefix:
         heights = column_heights(n, L)
         N = sum(heights)
         k = data.draw(st.integers(0, N), label="k")
-        pins = [range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)]
         full = len(heights) - (heights[-1] < n)
         g = data.draw(st.sampled_from([0, full, full + 1]) | st.integers(0, full + 1), label="g")
         warm = data.draw(st.integers(0, full + 1), label="warm")
-        totals, states, built = table_calls(n, heights, k, pins, None, g, warm)
+        totals, states, built = table_calls(n, heights, k, None, None, g, warm)
         assert built == min(max(full, warm), g)
-        want_totals, want_states = reference_column_dp(n, heights, k, pins)
+        want_totals, want_states = reference_column_dp(n, heights, k)
         assert np.array_equal(totals, want_totals)
-        assert_same_states(states, want_states, kept_cap(n, heights, k, pins))
+        assert_same_states(states, want_states, kept_cap(n, heights, k))
         want = solve._backtrack(n, heights, k, 0, want_states)
         assert solve._backtrack(n, heights, k, 0, states) == want
 
@@ -987,8 +988,8 @@ class TestOpenPrefix:
         lo, hi = max(0, k - (N - heights[0])), min(heights[0], k)
         a0 = data.draw(st.integers(lo, hi), label="a0")
         a1 = data.draw(st.integers(a0, hi), label="a1")
-        pins = [(a,) for a in range(a0, a1 + 1)]
-        seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a, in pins))))
+        pins = range(a0, a1 + 1)
+        seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a in pins))))
         viewed = len(heights) - 1
         g = data.draw(st.sampled_from([0, viewed, viewed + 1]) | st.integers(0, viewed + 1),
                       label="g")
@@ -1039,10 +1040,7 @@ class TestBacktrack:
         # above it holds capped states), open passes and pinned passes with
         # the cyclic seam, partial last columns too, n past the dense grid
         n, heights, k, pins, seam = draw_column_dp_instance(data, 1, 40)
-        N = sum(heights)
-        lo, hi = max(0, k - (N - heights[0])), min(k, heights[0])
-        firsts = [[a for a in first if lo <= a <= hi] for first in pins]
-        ub = solve._fill_bound(n, heights, k, firsts, seam)
+        ub = kept_cap(n, heights, k, pins, seam) - 1
         totals, states = _column_dp(n, heights, k, pins, seam)
         for p in np.flatnonzero(totals <= ub):
             want = reference_backtrack(n, heights, k, p, states, seam)
@@ -1094,8 +1092,7 @@ class TestStateType:
         res = column_dp_min(n, L, k)
         heights = column_heights(n, L)
         N = sum(heights)
-        cap = solve._fill_bound(n, heights, k, [range(max(0, k - (N - heights[0])),
-                                                      min(heights[0], k) + 1)]) + 1
+        cap = kept_cap(n, heights, k)
         assert picked == [np.int8 if cap + n + 1 < 1 << 7 else np.int16]
         assert np.dtype(picked[0]).itemsize <= np.dtype(parent_type(n, N)).itemsize
         monkeypatch.setattr(solve, "_state_type", lambda top: np.int64)
@@ -1155,7 +1152,7 @@ class TestStateType:
         # arrays; value and profile as the encoded parents gave them
         kept, stepped = pass_arrays(monkeypatch)
         res = column_dp_min(80, 1, 3200)
-        assert solve._fill_bound(80, (80,) * 80, 3200, [range(81)]) == 81
+        assert solve._fill_bound(80, (80,) * 80, 3200, range(81)) == 81
         assert solve._state_type(82 + 81) is np.int16
         assert own_arrays(kept, stepped, np.int16)
         assert res.value == F(81, 80)
@@ -1311,11 +1308,11 @@ class TestFillBound:
         for k in range(N + 1):
             lo, hi = max(0, k - (N - heights[0])), min(k, heights[0])
             fills = filled(hi, k, range(1, len(heights))), filled(lo, k, range(len(heights) - 1, 0, -1))
-            ub = solve._fill_bound(n, heights, k, [range(lo, hi + 1)])
+            pins = range(lo, hi + 1)
+            ub = solve._fill_bound(n, heights, k, pins)
             assert ub == min(n * energy_open(c) for c in fills) >= open_table[k][0], k
             assert ub <= 3 * n + 4  # _state_type's bound
-            pins = [(a,) for a in range(lo, hi + 1)]
-            seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a, in pins))))
+            seam = tuple(map(np.array, zip(*(reference_seam(n, L, a) for a in pins))))
             ub = solve._fill_bound(n, heights, k, pins, seam)
             assert ub == min(n * energy_periodic(c) for c in fills) >= ring_table[k][0], k
             assert ub <= 5 * n + 5
@@ -1705,7 +1702,7 @@ def reference_cyclic_dp(n, L, k):
     for a1 in range(max(0, k - (N - heights[0])), min(heights[0], k) + 1):
         before, after = reference_seam(n, L, a1)
         seam = before[None], after[None]
-        totals, states = _column_dp(n, heights, k, [(a1,)], seam)
+        totals, states = _column_dp(n, heights, k, range(a1, a1 + 1), seam)
         if best is None or totals[0] < best[0]:
             best = int(totals[0]), solve._backtrack(n, heights, k, 0, states, seam)[1]
 
@@ -1718,8 +1715,8 @@ def column_dp_calls(monkeypatch):
     calls = []
     column_dp = solve._column_dp
 
-    def spy(n, heights, k, pins, seam=None):
-        calls.append(len(pins))
+    def spy(n, heights, k, pins=None, seam=None):
+        calls.append(1 if pins is None else len(pins))
         return column_dp(n, heights, k, pins, seam)
 
     monkeypatch.setattr(solve, "_column_dp", spy)
@@ -1801,6 +1798,35 @@ class TestBatchedCyclicDP:
         tamper_first_state(monkeypatch, _cyclic_dp(n, L, k).profile.counts[0], delta)
         with pytest.raises(AssertionError, match="^column DP backtrack must retrace"):
             _cyclic_dp(n, L, k)
+
+
+class TestUntabledFirstColumn:
+    """Rings whose first column no table holds, so ``_column_dp`` sets it
+    itself, against independent oracles.  The open chain's case (n = 300)
+    is ``TestColumnDP::test_counts_above_255_backtrack``."""
+
+    def test_one_column_rings_equal_brute_force(self):
+        # N <= n: one column, full or partial, every volume.  Brute force,
+        # not dense_cyclic: dense_dp adds the seam inside a step only, so a
+        # one-column ring gets none there (1/6 at (6, 5/36, 1), not 1/3)
+        for n in range(2, 13):
+            for N in range(2, n + 1):
+                L = F(N, n * n)
+                for k in range(N + 1):
+                    want = brute_force_min(n, L, k, "periodic").value
+                    assert _cyclic_dp(n, L, k).value == want, (n, N, k)
+
+    @pytest.mark.parametrize("L", [F(3, 40), F(17, 160)])
+    def test_ring_past_the_pinned_table(self, L):
+        # n = 40 has no pinned table: three full columns, and four full ones
+        # under a partial one of 10, against the dense reference
+        n = 40
+        assert solve._prefix_table(n, np.dtype(np.int8), True)[0] == 0
+        N = site_count(n, L)
+        table = dense_cyclic(n, L)
+        for k in (1, N // 4, N // 2, 3 * N // 4 + 1, N - 1):
+            res = _cyclic_dp(n, L, k)
+            assert (res.value, res.profile.counts) == (F(table[k][0], n), table[k][1]), k
 
 
 # --- rings whose distance classes coincide, past the brute-force guard ----------
@@ -2056,13 +2082,12 @@ column_dp = spinchain.solve._column_dp
 for solver in (_cyclic_dp, column_dp_min):
     count = solver(9, Fraction(5, 4), 50).profile.counts[0]
 
-    def tampered(n, heights, k, pins, seam=None):
+    def tampered(n, heights, k, pins=None, seam=None):
         totals, states = column_dp(n, heights, k, pins, seam)
         lo, first = states[0]
-        first = first.copy()  # the open DP's may be a read-only view of its table
-        for p, counts in enumerate(pins):
-            if count in counts:
-                first[count, count - lo, p] += 1
+        first = first.copy()  # it may be a read-only view of a table
+        if pins is None or count in pins:
+            first[count, count - lo, 0 if pins is None else pins.index(count)] += 1
         states[0] = lo, first
         return totals, states
 
