@@ -67,18 +67,21 @@ one run pinned to each (a chunk of the ring's pins).  One table builder
 (``_prefix``) takes the same run set over every first count a = 0..n,
 ``pinned`` or not, and a chunk of pins reads its run slice.  When no table
 entry applies, the first column is set the way ``_prefix`` sets entry 0,
-in one assignment over the run set.  Each table is kept per
-n and state type for as many columns as fit ``_PREFIX_STATES`` = 2^16
-states over all its runs (at most 64 KB in int8, 128 KB in int16: 20
-columns at n = 6, 9 at n = 10 and 4 at n = 16 for the ring, none from
-n = 40; the cache keeps 64 tables), built only up to the columns a request
-reads and extended from its last entry by a later one.  A request views
-them and steps only the columns after them.  That is exact: a step at
-volume v reads volumes v - h to v only, a window drops only volumes that
-cannot reach k, and a table clamped at cap_d >= cap differs only in
-states >= cap, which neither the total (<= the fill bound < cap) nor the
-retrace (state + cost == a value < cap) can use.  The ring adds its seam
-after the last full column, past the table.
+in one assignment over the run set.  Each table is kept per n and state
+type for as many columns as fit ``_PREFIX_STATES`` = 2^16 states per run
+and ``_PIN_BATCH`` = 2^21 over all its runs (2 MB in int8, 4 MB in
+int16), so the ring's table of n + 1 runs is as deep as the open one up to
+n = 32 (55 columns at n = 6, 33 at n = 10, 21 at n = 16) and holds none
+from n = 128, the open one none from n = 256; the cache keeps 64 tables.
+The periodic benchmark's rings build 3.9 MB of pinned tables.  A table is
+built only up to the columns a request reads and extended from its last
+entry by a later one.  A request views them and steps only the columns
+after them.  That is exact: a step at volume v reads volumes v - h to v
+only, a window drops only volumes that cannot reach k, and a table clamped
+at cap_d >= cap differs only in states >= cap, which neither the total
+(<= the fill bound < cap) nor the retrace (state + cost == a value < cap)
+can use.  The ring adds its seam after the last full column, past the
+table.
 
 Both DPs backtrack the same way (``_backtrack``).  The value pass keeps
 each step's input states and the retrace recomputes, column by column, the
@@ -143,11 +146,11 @@ __all__ = [
 FULL_SWEEP_MAX_N = 28
 TRANSFER_BUDGET = 1 << 23  # state updates of one transfer-matrix search (``_transfer_fits``)
 DP_BUDGET = 1 << 28  # states one column-DP run keeps over its pass (``_run_states``)
-_PIN_BATCH = 1 << 21  # states a chunk of cyclic-DP pins keeps over its whole pass, to backtrack
+_PIN_BATCH = 1 << 21  # states a chunk of cyclic-DP pins keeps over its pass; the most a table holds
 _BLOCK = 1 << 20  # masks per broadcast add of the brute-force sweep
 _SMALL_STEP = 5 << 15  # charge of a column step taken as one broadcast minimum (``_column_step``)
 _PAIR_CHARGE = 24  # candidates a broadcast step is charged per (a1, a2) pair of its cost table
-_PREFIX_STATES = 1 << 16  # states a table of first full columns holds over its runs (``_prefix``)
+_PREFIX_STATES = 1 << 16  # states a table of first full columns holds per run (``_prefix_table``)
 
 
 class SolverGuardError(ValueError):
@@ -530,15 +533,19 @@ def _prefix_table(n: int, dtype: np.dtype, pinned: bool) -> tuple[int, list]:
 
     States are clamped at cap_d = max(dtype) - n - 1, the largest cap for
     which ``_state_type`` gives ``dtype``, so a request in that type has a
-    cap <= cap_d.  g is the most columns whose states, over every run, fit
-    ``_PREFIX_STATES`` in all: 0 once one column's do not (open from
-    n = 256, pinned from n = 40).
+    cap <= cap_d.  g is the most columns whose states fit ``_PREFIX_STATES``
+    per run and ``_PIN_BATCH`` over all the runs, the bound a chunk of pins
+    keeps: both tables hold the same columns up to n = 32 (47 at n = 7, 21
+    at n = 16), the pinned one at most as many from n = 33 and none from
+    n = 128, the open one none from n = 256.  No table holds more than 2^21
+    states.
     """
     runs = n + 1 if pinned else 1
-    g, held = 0, runs * (n + 1) ** 2  # states of entries 0..g
-    while held <= _PREFIX_STATES:
+    budget = min(_PREFIX_STATES, _PIN_BATCH // runs)  # states a run holds
+    g, held = 0, (n + 1) ** 2  # states a run holds in entries 0..g
+    while held <= budget:
         g += 1
-        held += runs * (n + 1) * ((g + 1) * n + 1)
+        held += (n + 1) * ((g + 1) * n + 1)
     return g, []
 
 
@@ -940,16 +947,17 @@ def _cyclic_dp(n: int, L, k: int) -> SolveResult:
     call per chunk.  The pins are a range of consecutive counts, the first
     window, and a chunk is a slice of it, so it views its first full
     columns in the pinned table of first full columns (one run per first
-    count, shared by every ring of that n) and steps only the columns after
-    them, the seam's included.  The first chunk with a strictly lower least
-    total keeps its states, so the smallest pin with the least total wins;
-    ``_backtrack`` retraces that pin alone from them.  It applies to every
-    ring of at least two sites; a pin past ``DP_BUDGET`` is a
-    ``SolverGuardError``.  The result is exact at n = 1, where every
-    configuration is a profile and every first count is pinned, and at
-    k in {0, N}, where one configuration exists; else exact=False.  The
-    backtrack must retrace the value pass, and the result is re-evaluated
-    (``_checked``).
+    count, shared by every ring of that n, ``_PREFIX_STATES`` states a run
+    and at most ``_PIN_BATCH`` in all, so as deep as the open table up to
+    n = 32) and steps only the columns after them, the seam's included.
+    The first chunk with a strictly lower least total keeps its states, so
+    the smallest pin with the least total wins; ``_backtrack`` retraces that
+    pin alone from them.  It applies to every ring of at least two sites; a
+    pin past ``DP_BUDGET`` is a ``SolverGuardError``.  The result is exact
+    at n = 1, where every configuration is a profile and every first count
+    is pinned, and at k in {0, N}, where one configuration exists; else
+    exact=False.  The backtrack must retrace the value pass, and the result
+    is re-evaluated (``_checked``).
     """
     L, N, _ = _instance(n, L, k, "periodic")
     step = max(1, _PIN_BATCH // _run_states(n, N, k))

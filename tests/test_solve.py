@@ -435,29 +435,41 @@ def _seam_cost(n, L, a1):
     pair by pair: the pairs (i, i + d) of each class d of the ring's
     ``pair_distances`` other than 1 and n, which lists coinciding classes
     once, for a first column of a1 ones, a second to last column of ap and
-    a last column of al (two columns: the first is the second to last)."""
+    a last column of al (two columns: the first is the second to last).  A
+    one-column ring's first column is its last, so there the cost is the
+    one number for a1."""
     heights = column_heights(n, L)
     N = sum(heights)
     classes = set(pair_distances(n, N, True)) - {1, n}
     starts = np.cumsum((0,) + heights)
     site = np.zeros(N, bool)  # no class reaches a middle column
-    cost = np.zeros((n + 1, n + 1), np.int64)
     site[: heights[0]] = np.arange(heights[0]) < a1
+
+    def pairs():
+        return sum(np.count_nonzero(site[: N - d] != site[d:]) for d in classes)
+
+    if len(heights) == 1:
+        return pairs()
+    cost = np.zeros((n + 1, n + 1), np.int64)
     for ap in range(n + 1):
         for al in range(n + 1):
             site[starts[-3] : starts[-2]] = np.arange(heights[-2]) < ap
             site[starts[-2] :] = np.arange(heights[-1]) < al
-            cost[ap, al] = sum(np.count_nonzero(site[: N - d] != site[d:]) for d in classes)
+            cost[ap, al] = pairs()
     return cost
 
 
 def dense_dp(n, L, first_counts, cyclic_a1=None):
-    """Tables dp[a, v] of the last column and parents[ci, a, v], v = 0..N."""
+    """Tables dp[a, v] of the last column and parents[ci, a, v], v = 0..N.
+    With ``cyclic_a1`` the seam enters the last step, or on a one-column
+    ring the first column itself."""
     heights = column_heights(n, L)
     N = sum(heights)
     dp = np.full((n + 1, N + 1), DENSE_INF, np.int64)
     for a in first_counts:
         dp[a, a] = 1 if 0 < a < heights[0] else 0
+    if cyclic_a1 is not None and len(heights) == 1:
+        dp[cyclic_a1, cyclic_a1] += _seam_cost(n, L, cyclic_a1)
     parents = np.zeros((len(heights), n + 1, N + 1), np.int64)
     for ci in range(1, len(heights)):
         cost = _transition_cost(n, heights[ci - 1], heights[ci])
@@ -530,9 +542,11 @@ COINCIDING_SHAPES = ([(1, F(N)) for N in range(2, 11)]
 # running minima (``_distance_transform``), and its best profiles take the
 # backward fold of the rows 14..27 that the partial column cuts to 14
 WIDE_STEP_SHAPES = [(28, F(5, 56))]
+# one-column rings, N <= n, full and partial: the seam closes the first column
+ONE_COLUMN_SHAPES = [(n, F(N, n * n)) for n in (2, 3, 6) for N in range(2, n + 1)]
 # every ring above; those with distinct classes first, so their ids stay put
 CYCLIC_SHAPES = ([(n, L) for n, L in DENSE_SHAPES if site_count(n, L) > 2 * n]
-                 + [(2, F(1))] + COINCIDING_SHAPES + WIDE_STEP_SHAPES)
+                 + [(2, F(1))] + COINCIDING_SHAPES + WIDE_STEP_SHAPES + ONE_COLUMN_SHAPES)
 
 
 class TestColumnStepAgainstDense:
@@ -844,21 +858,30 @@ def reference_prefix(n, g, pinned=False):
     return table[:g]
 
 
-def prefix_budget(n, g, pinned=False):
-    """A ``_PREFIX_STATES`` for which the open (or the pinned) table of n
-    holds g entries."""
+def prefix_budget(n, g):
+    """The states a run holds in the first g entries of a table of n: the
+    ``_PREFIX_STATES`` for which the table holds g entries, unless its runs
+    would hold more than ``_PIN_BATCH`` states in all (``prefix_depth``)."""
+    return sum((n + 1) * (c * n + 1) for c in range(1, g + 1))
+
+
+def prefix_depth(n, g, pinned):
+    """The entries the open (or the pinned) table of n holds under
+    ``prefix_budget(n, g)``: g, or fewer where more would put its runs past
+    ``_PIN_BATCH`` states in all."""
     runs = n + 1 if pinned else 1
-    return runs * sum((n + 1) * (c * n + 1) for c in range(1, g + 1))
+    return max(c for c in range(g + 1) if runs * prefix_budget(n, c) <= solve._PIN_BATCH)
 
 
 def table_calls(n, heights, k, pins, seam, g, warm):
-    """``_column_dp``'s totals and states with the budget at g entries of
-    the table it reads and that table warmed to ``warm`` entries first, and
-    the number of entries built after it (caches cleared on both sides)."""
+    """``_column_dp``'s totals and states with the budget per run at g
+    entries of the table it reads and that table warmed to ``warm`` entries
+    first, and the number of entries built after it (caches cleared on both
+    sides)."""
     pinned = pins is not None
     dtype = np.dtype(solve._state_type(kept_cap(n, heights, k, pins, seam) + n + 1))
     try:
-        with patch.object(solve, "_PREFIX_STATES", prefix_budget(n, g, pinned)):
+        with patch.object(solve, "_PREFIX_STATES", prefix_budget(n, g)):
             solve._prefix_table.cache_clear()
             solve._prefix(n, dtype, pinned, warm)
             totals, states = _column_dp(n, heights, k, pins, seam)
@@ -867,30 +890,40 @@ def table_calls(n, heights, k, pins, seam, g, warm):
         solve._prefix_table.cache_clear()
 
 
+# the values of L of the periodic_mix rings
+RING_LS = [F(5, 4), F(7, 5), F(3, 2)]
+
+
 class TestOpenPrefix:
     """The tables of first full columns: the open DP's, one run from every
     first count, and the ring's, one run pinned to each first count."""
 
     @pytest.mark.parametrize("n,dtype", [(1, np.int8), (2, np.int8), (10, np.int8),
-                                         (35, np.int16), (80, np.int16), (255, np.int16),
+                                         (32, np.int8), (35, np.int16), (80, np.int16),
+                                         (127, np.int16), (128, np.int16), (255, np.int16),
                                          (256, np.int16)])
     def test_read_only_within_budget(self, n, dtype):
         # one cached table per (n, type, run set); g is the most entries
-        # whose states over every run fit the budget, none past n = 255 open
-        # and n = 39 pinned; each entry is a compact array of its own, not a
-        # view of a step buffer, and read-only, and a later request gets the
-        # same arrays
+        # whose states fit _PREFIX_STATES per run and _PIN_BATCH over all
+        # its runs, none past n = 255 open and n = 127 pinned; each entry is
+        # a compact array of its own, not a view of a step buffer, and
+        # read-only, and a later request gets the same arrays
         for pinned, table in zip((False, True), prefix_tables(n, dtype)):
             runs = n + 1 if pinned else 1
             assert [id(e) for e in prefix_tables(n, dtype)[pinned]] == [id(e) for e in table]
-            held = sum(prefix.size for prefix in table)
-            assert held <= solve._PREFIX_STATES < held + runs * (n + 1) * ((len(table) + 1) * n + 1)
-            assert (len(table) == 0) == (n >= (40 if pinned else 256))
+            held = sum(prefix.size for prefix in table) // runs  # states a run holds
+            budget = min(solve._PREFIX_STATES, solve._PIN_BATCH // runs)
+            assert held <= budget < held + (n + 1) * ((len(table) + 1) * n + 1)
+            assert (len(table) == 0) == (n >= (128 if pinned else 256))
             for c, prefix in enumerate(table):
                 assert prefix.shape == (n + 1, (c + 1) * n + 1, runs) and prefix.dtype == dtype
                 assert prefix.base is None and prefix.flags.c_contiguous
                 with pytest.raises(ValueError, match="read-only"):
                     prefix[0, 0, 0] = 0
+        # the ring's table is as deep as the open one up to n = 32
+        open_table, pinned_table = prefix_tables(n, dtype)
+        assert len(pinned_table) <= len(open_table)
+        assert len(pinned_table) == len(open_table) or n > 32
 
     @given(st.integers(1, 40), st.sampled_from([np.int8, np.int16]), st.booleans())
     def test_values(self, n, dtype, pinned):
@@ -903,8 +936,7 @@ class TestOpenPrefix:
         with patch.object(solve, "_prefix_table", lru_cache(solve._prefix_table.__wrapped__)):
             with patch.object(solve, "np", spy):
                 table = solve._prefix(n, np.dtype(dtype), pinned, 1 << 10)
-        # a table of one entry (pinned, n = 39) runs no step
-        assert spy.dtypes == ({np.dtype(dtype)} if len(table) > 1 else set())
+        assert spy.dtypes == {np.dtype(dtype)}
         assert -n <= spy.low and spy.high <= cap + n + 1
         for got, want in zip(table, reference_prefix(n, len(table), pinned), strict=True):
             assert np.array_equal(got, np.minimum(want, cap))
@@ -949,28 +981,37 @@ class TestOpenPrefix:
         g = data.draw(st.sampled_from([0, full, full + 1]) | st.integers(0, full + 1), label="g")
         warm = data.draw(st.integers(0, full + 1), label="warm")
         totals, states, built = table_calls(n, heights, k, None, None, g, warm)
-        assert built == min(max(full, warm), g)
+        assert built == min(max(full, warm), prefix_depth(n, g, False))
         want_totals, want_states = reference_column_dp(n, heights, k)
         assert np.array_equal(totals, want_totals)
         assert_same_states(states, want_states, kept_cap(n, heights, k))
         want = solve._backtrack(n, heights, k, 0, want_states)
         assert solve._backtrack(n, heights, k, 0, states) == want
 
-    @pytest.mark.parametrize("L", [F(5, 4), F(7, 5), F(3, 2)])
+    @pytest.mark.parametrize("L", RING_LS)
     def test_ring_tables_within_budget(self, L):
         # the periodic_mix rings, n = 6..16 at a quarter, half and three
-        # quarters of their volume: every pinned table holds at most
-        # _PREFIX_STATES states over all its runs, 64 KB in int8, though the
-        # rings read up to 23 full columns (a budget per run would hold
-        # 1.3M states at n = 16)
+        # quarters of their volume, at L and the values of RING_LS before it
+        # (the last case runs them all), from empty tables: every pinned
+        # table holds at most _PREFIX_STATES states per run, as deep as the
+        # open one (21 columns at n = 16, of up to 23 the rings read), and
+        # _PIN_BATCH over all its runs, and all of them at most 4 MiB
+        # together (3.84 MiB of int8 states once every L has run)
+        solve._prefix_table.cache_clear()
         for n in range(6, 17):
-            N = site_count(n, L)
-            for k in (N // 4, N // 2, 3 * N // 4):
-                _cyclic_dp(n, L, k)
+            for ring_L in RING_LS[: RING_LS.index(L) + 1]:
+                N = site_count(n, ring_L)
+                for k in (N // 4, N // 2, 3 * N // 4):
+                    _cyclic_dp(n, ring_L, k)
+        held = 0
+        for n in range(6, 17):
             tables = [solve._prefix_table(n, np.dtype(t), True)[1] for t in (np.int8, np.int16)]
             assert tables[0], n  # the rings read the int8 table
             for table in tables:
-                assert sum(prefix.size for prefix in table) <= solve._PREFIX_STATES, n
+                states = sum(prefix.size for prefix in table)
+                assert states <= (n + 1) * solve._PREFIX_STATES and states <= solve._PIN_BATCH
+                held += sum(prefix.nbytes for prefix in table)
+        assert held <= 4 << 20
 
     @given(st.data())
     def test_pinned_matches_every_step(self, data):
@@ -995,7 +1036,7 @@ class TestOpenPrefix:
                       label="g")
         warm = data.draw(st.integers(0, viewed + 1), label="warm")
         totals, states, built = table_calls(n, heights, k, pins, seam, g, warm)
-        assert built == min(max(viewed, warm), g)
+        assert built == min(max(viewed, warm), prefix_depth(n, g, True))
         want_totals, want_states = reference_column_dp(n, heights, k, pins, seam)
         assert np.array_equal(totals, want_totals)
         cap = kept_cap(n, heights, k, pins, seam)
@@ -1724,6 +1765,13 @@ def column_dp_calls(monkeypatch):
 
 
 class TestBatchedCyclicDP:
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        # a table first built under a patched _PIN_BATCH is shallower; drop
+        # it so that no later test reads it
+        yield
+        solve._prefix_table.cache_clear()
+
     @pytest.mark.parametrize("n", range(3, 17))
     def test_values_and_profiles(self, n, monkeypatch):
         # at (16, 3) the pins span several batches of _PIN_BATCH states; the
@@ -1806,9 +1854,8 @@ class TestUntabledFirstColumn:
     is ``TestColumnDP::test_counts_above_255_backtrack``."""
 
     def test_one_column_rings_equal_brute_force(self):
-        # N <= n: one column, full or partial, every volume.  Brute force,
-        # not dense_cyclic: dense_dp adds the seam inside a step only, so a
-        # one-column ring gets none there (1/6 at (6, 5/36, 1), not 1/3)
+        # N <= n: one column, full or partial, every volume, against brute
+        # force (ONE_COLUMN_SHAPES puts some on the dense grid too)
         for n in range(2, 13):
             for N in range(2, n + 1):
                 L = F(N, n * n)
@@ -1818,15 +1865,23 @@ class TestUntabledFirstColumn:
 
     @pytest.mark.parametrize("L", [F(3, 40), F(17, 160)])
     def test_ring_past_the_pinned_table(self, L):
-        # n = 40 has no pinned table: three full columns, and four full ones
-        # under a partial one of 10, against the dense reference
+        # with a table budget of 0 (as table_calls sets g = 0) no table holds
+        # an entry, so the rings set their first column themselves: n = 40,
+        # three full columns, and four full ones under a partial one of 10,
+        # against the dense reference
         n = 40
-        assert solve._prefix_table(n, np.dtype(np.int8), True)[0] == 0
         N = site_count(n, L)
         table = dense_cyclic(n, L)
-        for k in (1, N // 4, N // 2, 3 * N // 4 + 1, N - 1):
-            res = _cyclic_dp(n, L, k)
-            assert (res.value, res.profile.counts) == (F(table[k][0], n), table[k][1]), k
+        try:
+            with patch.object(solve, "_PREFIX_STATES", 0):
+                solve._prefix_table.cache_clear()
+                for k in (1, N // 4, N // 2, 3 * N // 4 + 1, N - 1):
+                    res = _cyclic_dp(n, L, k)
+                    assert (res.value, res.profile.counts) == (F(table[k][0], n), table[k][1]), k
+                for dtype in (np.int8, np.int16):
+                    assert solve._prefix_table(n, np.dtype(dtype), True) == (0, [])
+        finally:
+            solve._prefix_table.cache_clear()
 
 
 # --- rings whose distance classes coincide, past the brute-force guard ----------
@@ -2100,7 +2155,7 @@ for solver in (_cyclic_dp, column_dp_min):
 
 # a column step one too high on every state: the DP total passes its fill
 # bound, on the ring and on the open chain past their warm tables of first
-# full columns (9 of the ring's 30 at n = 10, 8 of the chain's 40 at n = 40)
+# full columns (29 of the ring's 30 at n = 10, 8 of the chain's 40 at n = 40)
 shapes = [(_cyclic_dp, 10, Fraction(3), 150), (column_dp_min, 40, Fraction(1), 800)]
 for solver, *args in shapes:
     solver(*args)
