@@ -20,7 +20,6 @@ instance check (`check_volume`).
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -53,12 +52,13 @@ __all__ = [
 
 
 def site_count(n: int, L) -> int:
-    """Number of sites N = floor(L * n^2), computed in exact arithmetic.
+    """Number of sites N = floor(L * n^2), computed in exact integer arithmetic.
 
     Every instance path computes N here, so a chain with more sites than
     an index can count (``sys.maxsize``) is refused here, a ``ValueError``.
     """
-    N = math.floor(frac(L) * n * n)
+    L = frac(L)
+    N = L.numerator * n * n // L.denominator
     if N > sys.maxsize:
         raise ValueError(f"too many sites: N = floor(L n^2) has {N.bit_length()} bits, "
                          f"more than sys.maxsize = {sys.maxsize}")
@@ -67,7 +67,8 @@ def site_count(n: int, L) -> int:
 
 def full_columns(n: int, L) -> int:
     """Number of height-n columns, floor(L * n)."""
-    return math.floor(frac(L) * n)
+    L = frac(L)
+    return L.numerator * n // L.denominator
 
 
 def lambda_defect(n: int, L) -> int:

@@ -33,11 +33,13 @@ boundaries: the ring pins first windows, each in a run of its own, and adds
 the seam, the open chain is one run that starts from every first window.
 The ring's energy does not change under rotation, so it pins only the
 2^(n-2) + 1 first windows that some rotation of every configuration starts
-with (``_transfer_min``), not all 2^n.  It runs once: the pass records
-every run's choices, so the best pin is traced back from them, and its
-states are window-major, ``[window, volume, run]``, so each elementwise
-step walks 2^(n-1) contiguous blocks of (volume, run) states rather than
-many short rows of one run each.
+with (``_transfer_runs``), not all 2^n.  It runs once: the pass keeps each
+site's states, and ``_transfer_min`` retraces the best pin from them as
+``_backtrack`` retraces the column DPs.  Its states are window-major,
+``[window, volume + 1, run]`` over a padding row for volume -1, so a site
+is one ``np.add`` of a cost table over a strided view of the previous
+states and one ``np.minimum``, each walking contiguous blocks of (volume,
+run) states rather than many short rows of one run each.
 
 Both column DPs share one core (``_column_dp``): each column step takes
 the minimum over the previous column's count, as one broadcast minimum
@@ -126,7 +128,6 @@ from .lattice import (
     energy_open,
     energy_periodic,
     is_periodic,
-    lambda_defect,
     pair_distances,
     profile_to_config,
     site_count,
@@ -798,70 +799,90 @@ def column_dp_min(n: int, L, k: int) -> SolveResult:
 # --- transfer matrix (both boundaries) and cyclic DP ---------------------------
 
 
-def _transfer_pass(n: int, N: int, k: int, start: np.ndarray, choices: list) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _transfer_cost(dtype: np.dtype) -> np.ndarray:
+    """``cost[b, x, t]``, shape (2, 2, 2, 1, 1, 1) in ``dtype``: the cost of
+    a new site x after a window whose oldest bit (n sites back) is b and
+    whose newest bit (one site back) is t, [x != b] + [x != t], laid out to
+    broadcast against ``_transfer_pass``'s view ``[b, x, t, w'', volume,
+    run]``.  Cached per type and read-only."""
+    b, x, t = np.indices((2, 2, 2))
+    cost = ((x != b).astype(dtype) + (x != t)).reshape(2, 2, 2, 1, 1, 1)
+    cost.flags.writeable = False
+    return cost
+
+
+def _transfer_pass(n: int, N: int, k: int, start: np.ndarray) -> list[np.ndarray]:
     """Transfer-matrix sweep of the chain, one run per row of ``start``.
 
     ``start[p, w]`` (bool, shape (P, 2^n)) says whether run p may begin with
-    the window w on sites 0..n-1 (site j at bit j).  Returns ``D[w, v, p]``:
-    the least mismatch count over sites 0..N-1 at distances 1 and n, no
-    seam, of a configuration that run p may begin with, whose sites
-    N-n..N-1 are the window w (site N-n+j at bit j) and whose volume is v,
-    valid at v = k.  Each first window starts with its own internal
-    distance-1 pairs; adding site i costs [x_i != x_{i-1}] + [x_i != x_{i-n}].
-    A new window (w >> 1) | (x << n-1) has exactly two predecessors, 2w' and
-    2w'+1 with w' its low n-1 bits, so a step is two elementwise minima over
-    halves of the window axis.  Only volumes that can still reach k are
-    updated: after site i, [k - (N-1-i), i+1] within [0, k]; entries outside
-    that window are never read (the lower end, once above 0, moves up one
-    per step).  Each step appends to ``choices`` the bool array
-    ``pick[w, v, p]`` of its minimizing oldest bits, for every run, so the
-    caller backtracks any run without running it again; a tie keeps bit 0.
+    the window w on sites 0..n-1 (site j at bit j).  Returns the states
+    after sites n-1, n, ..., N-1, one array per step, each ``D[w, v + 1,
+    p]``: the least mismatch count over the sites so far at distances 1
+    and n, no seam, of a configuration that run p may begin with, whose last
+    n sites are the window w (the newest at bit n-1) and whose volume is v.
+    Index 0 of the volume axis is a padding row for volume -1, held at inf.
+    Each first window starts with its own internal distance-1 pairs; adding
+    site i costs [x_i != x_{i-1}] + [x_i != x_{i-n}].  A new window
+    (w >> 1) | (x << n-1) has exactly two predecessors, 2w' + b with w' its
+    low n-1 bits and b the oldest bit, and x_{i-1} is bit n-2 of w', so a
+    step is two calls: one ``np.add`` of the cost table ``_transfer_cost``
+    over a strided view ``[b, x, t, w'', v, p]`` of the previous states,
+    w' = t 2^(n-2) + w'' (the x = 1 half one volume back, so volume 0 reads
+    the padding), and one ``np.minimum`` over b into the new array.  Only
+    volumes that can still reach k are written: after site i, [k - (N-1-i),
+    i+1] within [0, k], and the rest stay inf.  A step reads the written
+    entries, and otherwise only volumes no configuration has (volume -1, or
+    i + 1 after i sites), whose inf is their true value.  ``_transfer_min``
+    retraces any run from the kept arrays, so none runs twice.
 
-    The layout is window-major: the predecessor halves ``D[0::2]`` and
-    ``D[1::2]`` stride only the outer axis, so each elementwise operation
-    walks 2^(n-1) contiguous blocks of (volume, run) states.  Run-major,
-    ``D[p, w, v]``, the same operation would walk P 2^(n-1) blocks of at
-    most k + 1 states each, and that per-block cost would dominate the
-    ring's P = 2^(n-2) + 1 pinned runs.
+    The layout is window-major: the view strides only the outer axes, so
+    each elementwise operation walks 2^(n+1) contiguous blocks of (volume,
+    run) states.  Run-major, ``D[p, w, v]``, it would walk P 2^(n+1) blocks
+    of at most k + 1 states each, and that per-block cost would dominate the
+    ring's P = 2^(n-2) + 1 pinned runs.  Each step's array is allocated on
+    its own (at most 64 KB on the rings of n = 6 up to k = 25), not as a
+    slice of one block per pass; the sums go into one buffer per pass.
 
     The states are plain counts, and unreachable ones start at inf =
-    min(5n + 8, 2N + 1).  A reachable state is at most 5n + 1 (its first
-    window, a block of ones then zeros, and its last: at most 2n + 1
-    distance-1 and 3n distance-n pairs) and 2N, below inf.  An unreachable
-    one is at most inf + 2n: a predecessor whose oldest bit is 0 costs at
-    most 2 a site, window 0 after window 0 nothing, and n sites shift any
-    window out.  So every value lies in [0, inf + 2n + 1], inside the range
-    [0, inf + 5n + 5] the pass takes its type for: int8 up to n = 11, int16
-    at every other n the guard admits.
+    min(5n + 8, 2N + 1), the padding included.  A reachable state is at
+    most 5n + 1 (its first window, a block of ones then zeros, and its
+    last: at most 2n + 1 distance-1 and 3n distance-n pairs) and 2N, below
+    inf.  Every state is at most inf + 2n: follow predecessors whose oldest
+    bit is 0 back from it, at most 2 a site; within n sites that reaches a
+    first window, an unwritten entry or window 0, and window 0 after window
+    0 costs nothing, so each of these is at most inf.  So every value, the
+    step's sums included, lies in [0, inf + 2n + 2], the range the pass
+    takes its type for: int8 up to n = 16, int16 at every larger n the
+    guard admits.
     """
     W, half, quarter = 1 << n, 1 << (n - 1), 1 << (n - 2)
     inf = min(5 * n + 8, 2 * N + 1)
-    dtype = _state_type(inf + 5 * n + 5)
+    dtype = np.dtype(_state_type(inf + 2 * n + 2))
+    cost = _transfer_cost(dtype)
     vols = np.bitwise_count(np.arange(W))
     p, first = np.nonzero(start & (vols <= k))
-    D = np.full((W, k + 1, len(start)), inf, dtype)
-    D[first, vols[first], p] = np.bitwise_count((first ^ (first >> 1)) & (half - 1))
-    nxt = np.full_like(D, inf)
+    P = len(start)
+    shape = (W, k + 2, P)
+    D = np.full(shape, inf, dtype)
+    D[first, vols[first] + 1, p] = np.bitwise_count((first ^ (first >> 1)) & (half - 1))
+    states = [D]
+    item = dtype.itemsize
+    sv, sw = P * item, (k + 2) * P * item  # strides of one volume and one window
+    buf = np.empty((2, 2, 2, quarter, k + 1, P), dtype)
     for i in range(n, N):
         lo, hi = max(0, k - (N - 1 - i)), min(k, i + 1)
-        s = max(lo, 1)
-        A, B = D[0::2], D[1::2]  # predecessors with oldest bit 0 and 1
-        low, high = nxt[:half, lo : hi + 1], nxt[half:, s : hi + 1]
-        pick = np.zeros(D.shape, bool)
-        # with t = bit n-1 of the predecessors 2w' and 2w'+1, set exactly
-        # where w' >= 2^(n-2), new bit 0 costs t + b; new bit 1 costs
-        # (1 - t) + (1 - b), volume + 1
-        B1 = B[:, lo : hi + 1] + 1
-        np.less(B1, A[:, lo : hi + 1], out=pick[:half, lo : hi + 1])
-        np.minimum(A[:, lo : hi + 1], B1, out=low)
-        low[quarter:] += 1
-        A1 = A[:, s - 1 : hi] + 1
-        np.less(B[:, s - 1 : hi], A1, out=pick[half:, s : hi + 1])
-        np.minimum(A1, B[:, s - 1 : hi], out=high)
-        high[:quarter] += 1
-        choices.append(pick)
-        D, nxt = nxt, D
-    return D
+        # with w' = t 2^(n-2) + w'', a new window x 2^(n-1) + w' at volume v:
+        # sums[b, x, t, w'', v - lo, p] = D[2w' + b, v - x + 1, p] + cost[b, x, t]
+        shape6 = (2, 2, 2, quarter, hi - lo + 1, P)
+        sums = np.add(np.ndarray(shape6, dtype, D, (lo + 1) * sv,
+                                 (sw, -sv, half * sw, 2 * sw, sv, item)),
+                      cost, out=buf[..., : hi - lo + 1, :])
+        D = np.full(shape, inf, dtype)
+        np.minimum(sums[0], sums[1], out=np.ndarray(shape6[1:], dtype, D, (lo + 1) * sv,
+                                                     (half * sw, quarter * sw, sw, sv, item)))
+        states.append(D)
+    return states
 
 
 def _transfer_fits(n: int, N: int, k: int, periodic: bool) -> bool:
@@ -871,23 +892,55 @@ def _transfer_fits(n: int, N: int, k: int, periodic: bool) -> bool:
     return n >= 2 and N > 2 * n and runs * (1 << n) * N * (min(k, N - k) + 1) <= TRANSFER_BUDGET
 
 
+@lru_cache(maxsize=64)
+def _transfer_runs(n: int, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(start, seam)`` of ``_transfer_min``'s runs, cached per (n,
+    periodic) and read-only: ``start`` as ``_transfer_pass`` takes it and
+    ``seam[p, w]`` the ring's closing cost of run p and last window w (a row
+    of zeros on the open chain).
+
+    The ring's pairs {(i, i+1), (i, i+n)} mod N are the same after any
+    rotation, and so are the energy and the volume.  At 0 < j < N a
+    configuration holds both values, so some site i holds 0 and site i+1
+    (mod N) holds 1; rotating a minimizer by -i puts them at sites 0 and 1,
+    and its first window w then has w & 3 == 2 (site s at bit s).  At j = 0
+    the one configuration starts with window 0.  So the ring pins those
+    first windows, one run each, and its seam adds popcount(first ^ last)
+    for the distance N-n pairs and [bit 0 of first != bit n-1 of last] for
+    the distance N-1 pair.  The open chain is one run from every window.
+    """
+    windows = np.arange(1 << n)
+    if periodic:
+        pins = windows[(windows & 3 == 2) | (windows == 0), None]
+        start = pins == windows
+        seam = np.bitwise_count(pins ^ windows) + ((pins & 1) != (windows >> (n - 1)))
+    else:
+        start, seam = np.ones((1, len(windows)), bool), np.zeros((1, len(windows)), int)
+    for a in (start, seam):
+        a.flags.writeable = False
+    return start, seam
+
+
 def _transfer_min(n: int, L: Fraction, k: int, periodic: bool) -> SolveResult:
     """Exact minimum at volume k by a transfer matrix over all configurations.
 
     The state is the last n sites and the volume so far (``_transfer_pass``).
-    The ring runs each pinned first window as a run of its own; the seam
-    then adds popcount(first ^ last) for the distance N-n pairs and
-    [bit 0 of first != bit n-1 of last] for the distance N-1 pair.  Only the
-    first windows w with w & 3 == 2, or w = 0, are pinned: 2^(n-2) + 1 of
-    the 2^n (see the comment below).  The open chain is one run that starts
-    from every first window, with no seam.  Both take the first least total
-    over (run, last window), so ties go to the first pin, then the first
-    window, and backtrack from it through the one pass's choices of every
-    run, which leaves the first window.  Both energies count mismatches, so
-    complementing every site keeps the energy: a volume k > N/2 is solved
-    at j = N - k and its configuration complemented.  Work
-    (2^(n-2) + 1) * 2^n N (j + 1) state updates on a ring, with as many
-    bytes of kept choices, 2^n N (j + 1) on the open chain;
+    The ring runs each pinned first window as a run of its own and adds the
+    seam; only the first windows w with w & 3 == 2, or w = 0, are pinned:
+    2^(n-2) + 1 of the 2^n (``_transfer_runs``).  The open chain is one run
+    that starts from every first window, with no seam.  Both take the first
+    least total over (run, last window), so ties go to the first pin, then
+    the first window, and retrace it through the one pass's kept states, as
+    ``_backtrack`` retraces the column DPs: going back one site from window
+    w, volume v and value ``value``, the oldest bit b of the predecessor
+    2w' + b is 0 if that state plus its cost (``_transfer_cost``) is
+    ``value``, else 1 if that one is; a tie keeps bit 0, and a site where
+    neither matches raises ``AssertionError`` explicitly, so the check
+    survives ``python -O``.  The retrace ends at the first window.  Both
+    energies count mismatches, so complementing every site keeps the
+    energy: a volume k > N/2 is solved at j = N - k and its configuration
+    complemented.  Work (2^(n-2) + 1) * 2^n N (j + 1) state updates on a
+    ring, 2^n N (j + 1) on the open chain, and as many states kept;
     ``_transfer_fits`` still budgets 4^n N (j + 1) for the ring, so no
     instance changes route (Baxter, "Exactly Solved Models in Statistical
     Mechanics", 1982, for the transfer-matrix method).  The caller checks
@@ -896,37 +949,61 @@ def _transfer_min(n: int, L: Fraction, k: int, periodic: bool) -> SolveResult:
     N = site_count(n, L)
     j = min(k, N - k)
     W = 1 << n
-    if periodic:
-        # The ring's pairs {(i, i+1), (i, i+n)} mod N are the same after any
-        # rotation, and so are the energy and the volume.  At 0 < j < N a
-        # configuration holds both values, so some site i holds 0 and site
-        # i+1 (mod N) holds 1; rotating a minimizer by -i puts them at sites
-        # 0 and 1, and its first window w then has w & 3 == 2 (site s at
-        # bit s).  At j = 0 the one configuration starts with window 0.
-        windows = np.arange(W)
-        pins = np.flatnonzero((windows & 3 == 2) | (windows == 0))
-        seam = (np.bitwise_count(windows[pins, None] ^ windows)
-                + ((windows[pins, None] & 1) != (windows >> (n - 1))))
-        start = windows[pins, None] == windows
-    else:
-        start, seam = np.ones((1, W), bool), 0
-
-    choices: list = []
-    totals = _transfer_pass(n, N, j, start, choices)[:, j].T + seam  # [run, last window]
+    start, seam = _transfer_runs(n, periodic)
+    states = _transfer_pass(n, N, j, start)
+    totals = states[-1][:, j + 1].T + seam  # [run, last window]
     p, w = divmod(int(totals.argmin()), W)
     total = int(totals[p, w])
+    value = states[-1].item(w, j + 1, p)
     mask, v = 0, j
     for i in range(N - 1, n - 1, -1):
-        x = w >> (n - 1)
+        x, t = w >> (n - 1), (w >> (n - 2)) & 1  # site i; site i - 1, the predecessor's newest
         mask |= x << i
-        w = ((w << 1) & (W - 1)) | int(choices[i - n][w, v, p])
         v -= x
+        kept = states[i - n]
+        w = (w << 1) & (W - 1)
+        s = kept.item(w, v + 1, p)
+        if s + x + (x != t) != value:  # oldest bit 0 costs [x != 0] + [x != t]
+            w |= 1
+            s = kept.item(w, v + 1, p)
+            if s + (1 - x) + (x != t) != value:
+                raise AssertionError("transfer matrix retrace must retrace its value pass")
+        value = s
     mask |= w
     if j < k:
         mask ^= (1 << N) - 1
 
     return _checked(SpinConfig.from_bitmask(n, L, mask), total, k, periodic, "TransferMatrix",
                     True)
+
+
+@lru_cache(maxsize=256)
+def _ring_seam(n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(before, after)``, the cyclic DP's seam rows of the ring (n, N),
+    one row per first-column count a = 0..n: ``before[a, c]`` for the second
+    to last column's count c, ``after[a, c]`` for the last column's.  They
+    depend on (n, N) only (the column heights are floor(N / n) columns of n
+    and one of N mod n), so they are cached and read-only; a chunk of pins
+    reads its rows."""
+    lam = N % n
+    last = lam or n  # the last column's height
+    a1 = np.arange(n + 1)[:, None]
+    counts = np.arange(n + 1)
+    before = np.zeros((n + 1, n + 1), int)
+    after = np.zeros((n + 1, n + 1), int)
+    for d in set(pair_distances(n, N, True)) - {1, n}:  # the classes the columns miss
+        if d != N - n:  # the distance N-1 pair
+            after += (a1 >= 1) != (counts == last)
+        # distance N-n pairs of the first column against the last n sites,
+        # which start lam sites up the second to last column when lam != 0
+        elif lam:
+            before = np.abs(np.minimum(a1, n - lam) - np.clip(counts - lam, 0, n - lam))
+            after += np.abs(np.maximum(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
+        else:
+            after += np.abs(a1 - counts)
+    for a in (before, after):
+        a.flags.writeable = False
+    return before, after
 
 
 def _cyclic_dp(n: int, L, k: int) -> SolveResult:
@@ -939,8 +1016,9 @@ def _cyclic_dp(n: int, L, k: int) -> SolveResult:
     (shifted by the column defect when the last column is partial), the
     class N-1 the one distance N-1 pair.  The seam cost splits into a term
     in the second to last column's count and a term in the last column's
-    count, so it enters as two vectors per pin; a one-column ring (N <= n)
-    has only the last.  One value pass runs every pin that can reach
+    count, so it enters as two vectors per pin, rows of the two tables
+    ``_ring_seam`` builds once per (n, N) for every first count; a
+    one-column ring (N <= n) has only the last.  One value pass runs every pin that can reach
     volume k through ``_column_dp`` as one batch, the pins on the innermost
     state axis, in chunks of at most about ``_PIN_BATCH`` states kept over
     the whole pass (``_run_states`` a pin, at least one pin a chunk), one
@@ -962,27 +1040,14 @@ def _cyclic_dp(n: int, L, k: int) -> SolveResult:
     L, N, _ = _instance(n, L, k, "periodic")
     step = max(1, _PIN_BATCH // _run_states(n, N, k))
     heights = column_heights(n, L)
-    lam = lambda_defect(n, L)
     pins = range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
-    a1 = np.array(pins)[:, None]
-    counts = np.arange(n + 1)
-    before = np.zeros((len(pins), n + 1), int)
-    after = np.zeros((len(pins), n + 1), int)
-    for d in set(pair_distances(n, N, True)) - {1, n}:  # the classes the columns miss
-        if d != N - n:  # the distance N-1 pair
-            after += (a1 >= 1) != (counts == heights[-1])
-        # distance N-n pairs of the first column against the last n sites,
-        # which start lam sites up the second to last column when lam != 0
-        elif lam:
-            before = np.abs(np.minimum(a1, n - lam) - np.clip(counts - lam, 0, n - lam))
-            after += np.abs(np.maximum(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
-        else:
-            after += np.abs(a1 - counts)
+    before, after = _ring_seam(n, N)
 
     best = None  # (total, run, states, seam) of the first chunk with the least total
     for i in range(0, len(pins), step):
-        seam = before[i : i + step], after[i : i + step]
-        totals, states = _column_dp(n, heights, k, pins[i : i + step], seam)
+        chunk = pins[i : i + step]
+        seam = before[chunk.start : chunk.stop], after[chunk.start : chunk.stop]
+        totals, states = _column_dp(n, heights, k, chunk, seam)
         p = int(totals.argmin())
         if best is None or totals[p] < best[0]:
             best = int(totals[p]), p, states, seam

@@ -513,7 +513,12 @@ class TestMinimizeGolden:
     recorded at eed0361, start from a first column that no table holds:
     the open (300, 1/100, 800), the cyclic DP on the n = 40 rings
     (3/40, 60) and (17/160, 85), and the one-column ring (6, 5/36, 3); and
-    (15, 2/15, 10), a two-column ring past the split-cut sweep."""
+    (15, 2/15, 10), a two-column ring past the split-cut sweep.  Fifteen
+    more transfer-matrix requests, recorded at 2f1937d while the pass still
+    recorded choice bits: the n = 6 rings at N = 45 and 50, three volumes
+    each; the (5, N = 22) ring at k = 9, 10, 12 and 13; `--method brute` on
+    two open chains and two rings of n = 5 or 6, N = 31..40, at k = 3; and
+    the open (12, N = 100, 19) at the edge of the transfer budget."""
 
     with open(MINIMIZE_GOLDEN) as fh:
         golden = json.load(fh)

@@ -1161,15 +1161,15 @@ class TestStateType:
     def test_transfer_matrix_states_int16(self):
         # every n that _transfer_fits admits (open, k = 0, N = 2n + 1 is its
         # cheapest instance) searches int16 states or narrower at every N:
-        # int8 up to n = 11, where inf + 5n + 6 <= 2^7
+        # int8 up to n = 16, where inf + 2n + 3 <= 2^7
         admitted = [n for n in range(2, 40) if _transfer_fits(n, 2 * n + 1, 0, False)]
         assert admitted == list(range(2, 18))
         for n in admitted:
             for N in (2 * n + 1, TRANSFER_BUDGET):
                 inf = min(5 * n + 8, 2 * N + 1)
-                dtype = solve._state_type(inf + 5 * n + 5)
-                assert dtype is (np.int8 if inf + 5 * n + 6 <= 1 << 7 else np.int16)
-            assert (dtype is np.int8) == (n <= 11)
+                dtype = solve._state_type(inf + 2 * n + 2)
+                assert dtype is (np.int8 if inf + 2 * n + 3 <= 1 << 7 else np.int16)
+            assert (dtype is np.int8) == (n <= 16)
 
     @pytest.mark.parametrize("n", [80, 1000])
     def test_kept_states_int16_up_to_the_bound(self, n, monkeypatch):
@@ -1284,35 +1284,34 @@ class TestStateBound:
 
     @given(st.integers(2, 8), st.data())
     def test_transfer_pass_values(self, n, data):
-        # the open run and the ring's pinned runs, every volume window: the
-        # same states and choices as on int64, reachable states at volume j
-        # below inf and unreachable ones in [inf, inf + 2n], every value in
-        # [0, inf + 5n + 6)
+        # the open run and the ring's pinned runs: every step's states equal
+        # an int64 run's over the volume window that step writes, reachable
+        # final states at volume j are below inf and unreachable ones in
+        # [inf, inf + 2n], the padding row (volume -1) stays inf, and every
+        # value computed, the step's sums included, is in [0, inf + 2n + 2]
         N = data.draw(st.integers(2 * n + 1, 6 * n), label="N")
         j = data.draw(st.integers(0, N // 2), label="j")
-        W = 1 << n
-        if data.draw(st.booleans(), label="periodic"):
-            windows = np.arange(W)
-            start = windows[np.flatnonzero((windows & 3 == 2) | (windows == 0)), None] == windows
-        else:
-            start = np.ones((1, W), bool)
+        start = solve._transfer_runs(n, data.draw(st.booleans(), label="periodic"))[0]
         inf = min(5 * n + 8, 2 * N + 1)
-        dtype = solve._state_type(inf + 5 * n + 5)
+        dtype = solve._state_type(inf + 2 * n + 2)
         spy = ValueSpy()
-        picks, wide_picks = [], []
         with patch.object(solve, "np", spy):
-            got = _transfer_pass(n, N, j, start, picks)
+            got = _transfer_pass(n, N, j, start)
         with patch.object(solve, "_state_type", lambda top: np.int64):
-            wide = _transfer_pass(n, N, j, start, wide_picks)
-        assert spy.dtypes == {np.dtype(dtype)} and got.dtype == dtype
-        assert 0 <= spy.low and spy.high < inf + 5 * n + 6
-        assert np.array_equal(got, wide)
+            wide = _transfer_pass(n, N, j, start)
+        assert spy.dtypes == {np.dtype(dtype)}
+        assert 0 <= spy.low and spy.high <= inf + 2 * n + 2
+        assert len(got) == len(wide) == N - n + 1
+        assert np.array_equal(got[0], wide[0])  # the first windows, every volume
+        for i, (a, b) in enumerate(zip(got[1:], wide[1:]), n):
+            lo, hi = max(0, j - (N - 1 - i)), min(j, i + 1)
+            assert a.dtype == dtype and a.shape == (1 << n, j + 2, len(start))
+            assert np.array_equal(a[:, lo + 1 : hi + 2], b[:, lo + 1 : hi + 2]), i
         reach = transfer_reachable(n, N, j, start)
-        assert (got[:, j][reach] < inf).all()
-        assert ((got[:, j][~reach] >= inf) & (got[:, j][~reach] <= inf + 2 * n)).all()
-        assert got.max() <= inf + 2 * n  # every volume, the last step's additions too
-        assert len(picks) == len(wide_picks) == N - n
-        assert all(np.array_equal(a, b) for a, b in zip(picks, wide_picks))
+        final = got[-1][:, j + 1]
+        assert (final[reach] < inf).all()
+        assert ((final[~reach] >= inf) & (final[~reach] <= inf + 2 * n)).all()
+        assert all((a[:, 0] == inf).all() and a.max() <= inf + 2 * n for a in got)
 
     @given(st.integers(1, 20000), st.integers(1, 1 << 40))
     def test_type_holds_the_bound(self, n, N):
@@ -1320,7 +1319,7 @@ class TestStateBound:
         # transfer matrix's: each in the narrowest type that holds it, none
         # wider than before the cap
         inf = min(5 * n + 8, 2 * N + 1)
-        for top in (min(5 * n + 8, 2 * N + 1) + n + 1, inf + 5 * n + 5):
+        for top in (min(5 * n + 8, 2 * N + 1) + n + 1, inf + 2 * n + 2):
             dtype = solve._state_type(top)
             assert top <= np.iinfo(dtype).max
             assert dtype is np.int8 or top > np.iinfo(np.int8 if dtype is np.int16 else np.int16).max
@@ -1667,13 +1666,13 @@ class TestRingPins:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_first_pass_pins(self, n, monkeypatch):
         # one _transfer_pass call: the pins on a ring, one run on the open
-        # chain; the backtrack reads that call's choices
+        # chain; the retrace reads that call's states
         rows = []
         transfer_pass = solve._transfer_pass
 
-        def spy(n, N, k, start, choices):
+        def spy(n, N, k, start):
             rows.append(len(start))
-            return transfer_pass(n, N, k, start, choices)
+            return transfer_pass(n, N, k, start)
 
         monkeypatch.setattr(solve, "_transfer_pass", spy)
         N = 2 * n + 3
@@ -1683,27 +1682,27 @@ class TestRingPins:
         _transfer_min(n, F(N, n * n), N // 2, False)
         assert rows == [1]
 
+    @pytest.mark.parametrize("delta", [1, -1])
     @pytest.mark.parametrize("periodic", [True, False])
-    def test_tampered_choice_raises(self, periodic, monkeypatch):
-        # the bit recorded for site 0 on the winning path flipped: the
-        # backtrack's configuration is one off in volume, and the result
-        # check refuses it (the -O run is in SELF_CHECKS)
+    def test_tampered_state_raises(self, periodic, delta, monkeypatch):
+        # the kept state of the winning path's first window off by one: no
+        # oldest bit retraces the value pass at site n (the -O run is in
+        # SELF_CHECKS)
         n, N, k = 5, 22, 11
         L = F(N, n * n)
         mask = sum(x << i for i, x in enumerate(_transfer_min(n, L, k, periodic).config.values))
         transfer_pass = solve._transfer_pass
 
-        def tampered(n, N, k, start, choices):
-            D = transfer_pass(n, N, k, start, choices)
-            # the first step's state on that path: window sites 1..n, volume
-            # of sites 0..n, the run of its first window
+        def tampered(n, N, k, start):
+            states = transfer_pass(n, N, k, start)
+            # the first window, its volume (index + 1), the run it starts
             W = 1 << n
             p = np.flatnonzero(start[:, mask & (W - 1)])[0]
-            choices[0][(mask >> 1) & (W - 1), (mask & (2 * W - 1)).bit_count(), p] ^= True
-            return D
+            states[0][mask & (W - 1), (mask & (W - 1)).bit_count() + 1, p] += delta
+            return states
 
         monkeypatch.setattr(solve, "_transfer_pass", tampered)
-        with pytest.raises(AssertionError, match="^TransferMatrix bookkeeping must match"):
+        with pytest.raises(AssertionError, match="^transfer matrix retrace must retrace"):
             _transfer_min(n, L, k, periodic)
 
 
@@ -1733,6 +1732,21 @@ def reference_seam(n, L, a1):
     if N - 1 in classes - {N - n}:  # the distance N-1 pair
         after += (a1 >= 1) != (counts == column_heights(n, L)[-1])
     return before, after
+
+
+class TestRingSeam:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
+    def test_cached_rows_equal_the_reference(self, n):
+        # every first count a = 0..n of every ring of n rows with up to
+        # five columns, one-column rings and partial last columns included
+        for N in range(2, 5 * n + 1):
+            before, after = solve._ring_seam(n, N)
+            assert before.shape == after.shape == (n + 1, n + 1)
+            assert not (before.flags.writeable or after.flags.writeable)
+            for a in range(n + 1):
+                want = reference_seam(n, F(N, n * n), a)
+                assert np.array_equal(before[a], want[0]), (n, N, a)
+                assert np.array_equal(after[a], want[1]), (n, N, a)
 
 
 def reference_cyclic_dp(n, L, k):
@@ -2168,19 +2182,19 @@ for solver, *args in shapes:
         print(solver.__name__, "bound raised:", exc)
 spinchain.solve._column_step = column_step
 
-# the transfer matrix's bit for site 0 on the winning path flipped
+# the transfer matrix's kept state of the winning path's first window off by one
 L = Fraction(22, 25)
 mask = sum(x << i for i, x in enumerate(_transfer_min(5, L, 11, True).config.values))
 transfer_pass = spinchain.solve._transfer_pass
 
-def flipped(n, N, k, start, choices):
-    D = transfer_pass(n, N, k, start, choices)
-    W = 1 << n
-    p = start[:, mask & (W - 1)].argmax()  # the run of its first window
-    choices[0][(mask >> 1) & (W - 1), (mask & (2 * W - 1)).bit_count(), p] ^= True
-    return D
+def tampered(n, N, k, start):
+    states = transfer_pass(n, N, k, start)
+    first = mask & ((1 << n) - 1)
+    p = start[:, first].argmax()  # the run of its first window
+    states[0][first, first.bit_count() + 1, p] += 1
+    return states
 
-spinchain.solve._transfer_pass = flipped
+spinchain.solve._transfer_pass = tampered
 try:
     _transfer_min(5, L, 11, True)
 except AssertionError as exc:
@@ -2192,9 +2206,9 @@ def test_self_checks_survive_python_O():
     """The energy and volume self-checks of the four solver routes, the
     classifier's energy self-check, the column DP's backtrack over a
     tampered state and its fill-bound check over a faulty step, each on the
-    ring and on the open chain, and the result check of a transfer matrix
-    whose recorded choice was flipped raise under ``python -O``, which
-    strips ``assert`` statements; the same routes pass unpatched."""
+    ring and on the open chain, and the transfer matrix's retrace over a
+    tampered state raise under ``python -O``, which strips ``assert``
+    statements; the same routes pass unpatched."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", SELF_CHECKS], env=env,
@@ -2208,4 +2222,4 @@ def test_self_checks_survive_python_O():
            for name in ("_cyclic_dp", "column_dp_min")]
         + [f"{name} bound raised: column DP total must not exceed its fill bound"
            for name in ("_cyclic_dp", "column_dp_min")]
-        + ["transfer raised: TransferMatrix bookkeeping must match the energy and volume"])
+        + ["transfer raised: transfer matrix retrace must retrace its value pass"])
