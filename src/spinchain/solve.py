@@ -842,7 +842,9 @@ def _transfer_pass(n: int, N: int, k: int, start: np.ndarray) -> list[np.ndarray
     of at most k + 1 states each, and that per-block cost would dominate the
     ring's P = 2^(n-2) + 1 pinned runs.  Each step's array is allocated on
     its own (at most 64 KB on the rings of n = 6 up to k = 25), not as a
-    slice of one block per pass; the sums go into one buffer per pass.
+    slice of one block per pass: an array above glibc's 128 KB mmap
+    threshold is mapped and page-faulted on every call.  The sums go into
+    one buffer per pass.
 
     The states are plain counts, and unreachable ones start at inf =
     min(5n + 8, 2N + 1), the padding included.  A reachable state is at
