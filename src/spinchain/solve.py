@@ -979,20 +979,24 @@ def _transfer_min(n: int, L: Fraction, k: int, periodic: bool) -> SolveResult:
                     True)
 
 
-@lru_cache(maxsize=256)
-def _ring_seam(n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=64)
+def _ring_seam(n: int, N: int, pins: range) -> tuple[np.ndarray, np.ndarray]:
     """``(before, after)``, the cyclic DP's seam rows of the ring (n, N),
-    one row per first-column count a = 0..n: ``before[a, c]`` for the second
-    to last column's count c, ``after[a, c]`` for the last column's.  They
-    depend on (n, N) only (the column heights are floor(N / n) columns of n
-    and one of N mod n), so they are cached and read-only; a chunk of pins
-    reads its rows."""
+    one row per pinned first-column count a in ``pins``: ``before[p, c]``
+    for the second to last column's count c, ``after[p, c]`` for the last
+    column's, p = a - pins[0].  They depend on (n, N) and the pins only (the
+    column heights are floor(N / n) columns of n and one of N mod n), so
+    they are cached, int16 (a seam adds at most n + 1) and read-only; a
+    chunk of pins reads its rows.  A middle volume pins every count
+    0..n, so rings of one shape share one entry.  Keyed by the pins, an
+    entry holds no more rows than the DP has runs, so a ring of large n and
+    few pins keeps few."""
     lam = N % n
     last = lam or n  # the last column's height
-    a1 = np.arange(n + 1)[:, None]
+    a1 = np.array(pins)[:, None]
     counts = np.arange(n + 1)
-    before = np.zeros((n + 1, n + 1), int)
-    after = np.zeros((n + 1, n + 1), int)
+    before = np.zeros((len(pins), n + 1), int)
+    after = np.zeros((len(pins), n + 1), int)
     for d in set(pair_distances(n, N, True)) - {1, n}:  # the classes the columns miss
         if d != N - n:  # the distance N-1 pair
             after += (a1 >= 1) != (counts == last)
@@ -1003,9 +1007,10 @@ def _ring_seam(n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
             after += np.abs(np.maximum(a1, n - lam) - np.clip(counts + n - lam, n - lam, n))
         else:
             after += np.abs(a1 - counts)
-    for a in (before, after):
+    seam = before.astype(np.int16), after.astype(np.int16)
+    for a in seam:
         a.flags.writeable = False
-    return before, after
+    return seam
 
 
 def _cyclic_dp(n: int, L, k: int) -> SolveResult:
@@ -1019,8 +1024,8 @@ def _cyclic_dp(n: int, L, k: int) -> SolveResult:
     class N-1 the one distance N-1 pair.  The seam cost splits into a term
     in the second to last column's count and a term in the last column's
     count, so it enters as two vectors per pin, rows of the two tables
-    ``_ring_seam`` builds once per (n, N) for every first count; a
-    one-column ring (N <= n) has only the last.  One value pass runs every pin that can reach
+    ``_ring_seam`` builds once per (n, N) and pin range; a one-column ring
+    (N <= n) has only the last.  One value pass runs every pin that can reach
     volume k through ``_column_dp`` as one batch, the pins on the innermost
     state axis, in chunks of at most about ``_PIN_BATCH`` states kept over
     the whole pass (``_run_states`` a pin, at least one pin a chunk), one
@@ -1043,13 +1048,12 @@ def _cyclic_dp(n: int, L, k: int) -> SolveResult:
     step = max(1, _PIN_BATCH // _run_states(n, N, k))
     heights = column_heights(n, L)
     pins = range(max(0, k - (N - heights[0])), min(heights[0], k) + 1)
-    before, after = _ring_seam(n, N)
+    before, after = _ring_seam(n, N, pins)
 
     best = None  # (total, run, states, seam) of the first chunk with the least total
     for i in range(0, len(pins), step):
-        chunk = pins[i : i + step]
-        seam = before[chunk.start : chunk.stop], after[chunk.start : chunk.stop]
-        totals, states = _column_dp(n, heights, k, chunk, seam)
+        seam = before[i : i + step], after[i : i + step]
+        totals, states = _column_dp(n, heights, k, pins[i : i + step], seam)
         p = int(totals.argmin())
         if best is None or totals[p] < best[0]:
             best = int(totals[p]), p, states, seam

@@ -1737,16 +1737,18 @@ def reference_seam(n, L, a1):
 class TestRingSeam:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
     def test_cached_rows_equal_the_reference(self, n):
-        # every first count a = 0..n of every ring of n rows with up to
-        # five columns, one-column rings and partial last columns included
+        # every ring of n rows with up to five columns, one-column rings and
+        # partial last columns included: every first count a = 0..n, and
+        # the pins of a small volume (0..1) and of a large one (n-1..n)
         for N in range(2, 5 * n + 1):
-            before, after = solve._ring_seam(n, N)
-            assert before.shape == after.shape == (n + 1, n + 1)
-            assert not (before.flags.writeable or after.flags.writeable)
-            for a in range(n + 1):
-                want = reference_seam(n, F(N, n * n), a)
-                assert np.array_equal(before[a], want[0]), (n, N, a)
-                assert np.array_equal(after[a], want[1]), (n, N, a)
+            for pins in (range(n + 1), range(min(2, n + 1)), range(max(0, n - 1), n + 1)):
+                before, after = solve._ring_seam(n, N, pins)
+                assert before.shape == after.shape == (len(pins), n + 1)
+                assert not (before.flags.writeable or after.flags.writeable)
+                for p, a in enumerate(pins):
+                    want = reference_seam(n, F(N, n * n), a)
+                    assert np.array_equal(before[p], want[0]), (n, N, a)
+                    assert np.array_equal(after[p], want[1]), (n, N, a)
 
 
 def reference_cyclic_dp(n, L, k):
