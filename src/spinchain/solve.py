@@ -917,7 +917,7 @@ def _transfer_runs(n: int, periodic: bool) -> tuple[np.ndarray, np.ndarray]:
         start = pins == windows
         seam = np.bitwise_count(pins ^ windows) + ((pins & 1) != (windows >> (n - 1)))
     else:
-        start, seam = np.ones((1, len(windows)), bool), np.zeros((1, len(windows)), int)
+        start, seam = np.ones((1, len(windows)), bool), np.zeros((1, len(windows)), np.uint8)
     for a in (start, seam):
         a.flags.writeable = False
     return start, seam
