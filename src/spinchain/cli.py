@@ -12,6 +12,13 @@ render      draw a configuration as ASCII art or SVG
 
 All numeric arguments accept exact rationals like 3/2.  Exit codes:
 0 success, 2 invalid input, 3 exact solver guard exceeded.
+
+A command line is read in one of two ways.  A plain one (a subcommand, then
+exact option strings and positionals, each option value its own token not
+starting with "-") is read by a table taken from the argparse parser's own
+actions, which skips argparse's per-call cost.  Everything else, help,
+abbreviations, --flag=value and every error included, goes to argparse, so
+help text, usage messages and exit code 2 are argparse's.
 """
 
 from __future__ import annotations
@@ -311,6 +318,74 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _plain_actions() -> dict:
+    """Per subcommand, what `_read_plain` reads, taken from `_build_parser`:
+    ``(options, positionals, defaults, required)``, the store actions of one
+    value and the store_true actions keyed by exact option string, the
+    positional actions in order, every action's default by dest, and the
+    required options."""
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    table = {}
+    for command, parser in sub.choices.items():
+        actions = parser._actions
+        options = {s: a for a in actions for s in a.option_strings
+                   if isinstance(a, argparse._StoreTrueAction)
+                   or (isinstance(a, argparse._StoreAction) and a.nargs is None)}
+        positionals = [a for a in actions if not a.option_strings]
+        defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
+        required = {a for a in actions if a.required and a.option_strings}
+        table[command] = (options, positionals, defaults, required)
+    return table
+
+
+def _plain_value(action, text: str):
+    """``text`` converted and checked as argparse does, or ValueError."""
+    if text.startswith("-"):
+        raise ValueError(text)
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(text)
+    return value
+
+
+def _read_plain(argv) -> argparse.Namespace | None:
+    """The namespace argparse gives a plain command line, or None for any other.
+
+    Plain: a known subcommand, then exact option strings and positionals,
+    each option value its own token not starting with "-", every value of
+    its type and among its choices, every required option and positional
+    given.  A repeated option keeps its last value, as in argparse.
+    """
+    table = _plain_actions()
+    if not argv or argv[0] not in table:
+        return None
+    options, positionals, defaults, required = table[argv[0]]
+    values, given, words = dict(defaults), set(), []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                words.append(token)
+                continue
+            action = options.get(token)
+            if action is None:
+                return None
+            if isinstance(action, argparse._StoreTrueAction):
+                values[action.dest] = True
+            else:
+                values[action.dest] = _plain_value(action, next(tokens, "-"))
+            given.add(action)
+        if len(words) != len(positionals) or not required <= given:
+            return None
+        for action, word in zip(positionals, words):
+            values[action.dest] = _plain_value(action, word)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def _write(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -418,7 +493,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except SolverGuardError as exc:

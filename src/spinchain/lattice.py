@@ -43,6 +43,7 @@ __all__ = [
     "volume",
     "energy_decomposition",
     "config_to_text",
+    "run_length",
     "parse_config",
     "ColumnProfile",
     "profile_to_config",
@@ -312,15 +313,18 @@ _HEADER_RE = re.compile(
 )
 
 
+def run_length(values) -> str:
+    """0/1 values as runs, e.g. "3x0,2x1" for 0,0,0,1,1 ("" for no values)."""
+    return ",".join(f"{len(run)}x{run[0]}" for run in _RUN_RE.findall(_digits(values)))
+
+
 def config_to_text(cfg: SpinConfig, boundary: str = "open", rle: bool = False) -> str:
-    """Serialize as a header line plus a 0/1 string (or run-length encoding)."""
+    """Serialize as a header line plus a 0/1 string (or its `run_length`)."""
     is_periodic(boundary)
     L = frac(cfg.L)
     header = f"n={cfg.n} L={L.numerator}/{L.denominator} boundary={boundary}"
-    if not rle:
-        return header + "\n" + _digits(cfg.values) + "\n"
-    runs = ",".join(f"{len(run)}x{run[0]}" for run in _RUN_RE.findall(_digits(cfg.values)))
-    return header + "\n" + runs + "\n"
+    body = run_length(cfg.values) if rle else _digits(cfg.values)
+    return header + "\n" + body + "\n"
 
 
 def parse_config(text: str) -> tuple[SpinConfig, str]:

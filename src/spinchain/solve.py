@@ -124,12 +124,12 @@ from .lattice import (
     SpinConfig,
     check_volume,
     column_heights,
-    config_to_text,
     energy_open,
     energy_periodic,
     is_periodic,
     pair_distances,
     profile_to_config,
+    run_length,
     site_count,
     volume,
 )
@@ -172,7 +172,7 @@ class SolveResult:
             "value": f"{v.numerator}/{v.denominator}",
             "method": self.method,
             "exact": self.exact,
-            "config": config_to_text(self.config, rle=True).splitlines()[1],
+            "config": run_length(self.config.values),
             "profile": list(self.profile.counts) if self.profile else None,
         }
         return json.dumps(doc)

@@ -1,11 +1,15 @@
 """CLI and rendering tests."""
 
+import argparse
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from spinchain import (SpinConfig, brute_force_min, classify_open, config_to_text, minimize,
                        phase_diagram)
@@ -409,6 +413,9 @@ class TestMainEntry:
             fresh = cli._build_parser.__wrapped__().parse_args(argv)
             assert vars(cli._build_parser().parse_args(argv)) == vars(fresh)
         assert cli._build_parser() is cli._build_parser()
+        # the plain reader's table is taken from that parser once
+        assert cli._plain_actions() is cli._plain_actions()
+        assert cli._plain_actions.cache_info().misses == 1
 
     @pytest.mark.parametrize("argv,message", [
         (["--k", "17", "--periodic"], "volume 17 outside [0, 16]"),
@@ -527,3 +534,132 @@ class TestMinimizeGolden:
     def test_minimize_stdout(self, capsys, case):
         assert main(case["argv"]) == 0
         assert capsys.readouterr().out == case["stdout"]
+
+
+# --- the plain command-line reader ------------------------------------------------
+
+(_SUBPARSERS,) = [a.choices for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+_TEXT = st.text("0123456789/.abxyz_ ", max_size=5)  # never starts with "-"
+# tokens argparse reads differently or refuses: help, unknown flags, a lone
+# dash, the end-of-options marker, values that start with "-", values that
+# are not ints or not among the choices
+_ODD = ["-h", "--help", "--steps", "--seed", "-", "--", "-2", "-1/2", "two", "1.5", "",
+        "anneal", "png"]
+
+
+def _value(action):
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    if action.type is int:
+        return st.integers(0, 10**6).map(str)
+    return _TEXT
+
+
+def _plain_units(data, parser):
+    """A well-formed line of one subcommand as units (a positional, a flag,
+    or a flag and its value): every positional and required flag, any
+    optional flag, each flag under any of its option strings up to twice."""
+    units = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:
+            units.append([data.draw(_value(action))])
+            continue
+        for _ in range(data.draw(st.integers(1 if action.required else 0, 2))):
+            flag = data.draw(st.sampled_from(action.option_strings))
+            units.append([flag] if action.nargs == 0 else [flag, data.draw(_value(action))])
+    return units
+
+
+def _argparse_vars(argv):
+    try:
+        return vars(cli._build_parser().parse_args(argv))
+    except SystemExit as exc:
+        pytest.fail(f"argparse refused {argv}: exit {exc.code}")
+
+
+class TestPlainReader:
+    """`cli._read_plain` gives argparse's namespace for a plain command line
+    and None for any other, which argparse then reads."""
+
+    @pytest.mark.parametrize("command", sorted(_SUBPARSERS))
+    @given(data=st.data())
+    def test_reads_plain_lines_as_argparse(self, command, data):
+        # any order, repeated flags: the reader must not fall back here
+        units = data.draw(st.permutations(_plain_units(data, _SUBPARSERS[command])))
+        argv = [command] + [token for unit in units for token in unit]
+        plain = cli._read_plain(argv)
+        assert plain is not None, argv
+        assert vars(plain) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize("command", sorted(_SUBPARSERS))
+    @given(data=st.data())
+    def test_any_line_reads_as_argparse_or_falls_back(self, command, data):
+        # plain units dropped, repeated and mixed with abbreviations,
+        # --flag=value, odd tokens and bare values
+        parser = _SUBPARSERS[command]
+        flags = [s for a in parser._actions for s in a.option_strings]
+        abbreviations = [s[:i] for s in flags if s.startswith("--") for i in range(3, len(s))]
+        odd = st.one_of(st.sampled_from(flags + abbreviations + _ODD), _TEXT,
+                        st.tuples(st.sampled_from(flags), _TEXT).map("=".join))
+        units = _plain_units(data, parser)
+        pieces = data.draw(st.lists(st.one_of(st.sampled_from(units),
+                                              st.lists(odd, min_size=1, max_size=2)),
+                                    max_size=8))
+        argv = [command] + [token for piece in pieces for token in piece]
+        plain = cli._read_plain(argv)
+        assert plain is None or vars(plain) == _argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["minimise", "--n", "2"],
+        ["minimize", "--n", "2", "--L", "1"],                         # --k missing
+        ["minimize", "--n", "2", "--L", "1", "--k", "2", "--per"],    # an abbreviation
+        ["minimize", "--n", "2", "--L=1", "--k", "2"],
+        ["minimize", "--n", "-2", "--L", "1", "--k", "0"],
+        ["minimize", "--n", "two", "--L", "1", "--k", "2"],
+        ["minimize", "--n", "2", "--L", "1", "--k", "2", "--method", "anneal"],
+        ["minimize", "--n", "2", "--L", "1", "--k", "2", "--help"],
+        ["energy"], ["energy", "a", "b"], ["render", "c", "-ofile"],
+    ])
+    def test_falls_back(self, argv):
+        assert cli._read_plain(argv) is None
+
+    def test_golden_lines_read_plain(self):
+        for case in TestMinimizeGolden.golden["minimize"]:
+            plain = cli._read_plain(case["argv"])
+            assert plain is not None and vars(plain) == _argparse_vars(case["argv"])
+
+
+def _console(*args):
+    """``python -m spinchain.cli`` with args: main() reads sys.argv."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    return subprocess.run([sys.executable, "-m", "spinchain.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestConsolePath:
+    ARGV = ["minimize", "--n", "4", "--L", "1", "--k", "8", "--periodic"]
+
+    def test_prints_what_main_prints(self, capsys):
+        proc = _console(*self.ARGV)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert main(self.ARGV) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_help_is_argparse(self, capsys, monkeypatch):
+        proc = _console("minimize", "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: spinchain minimize [-h] --n N --L L --k K")
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "--help"])
+        assert exc.value.code == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_unknown_flag_is_argparse_error(self):
+        proc = _console(*self.ARGV, "--steps", "5")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "error: unrecognized arguments: --steps 5" in proc.stderr
